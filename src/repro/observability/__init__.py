@@ -31,7 +31,6 @@ from repro.observability.spans import (
     Tracer,
     spans_from_chrome,
     spans_from_json,
-    spans_from_traces,
     spans_to_chrome,
     spans_to_json,
     write_chrome_trace,
@@ -56,7 +55,6 @@ __all__ = [
     "render_iteration_report",
     "spans_from_chrome",
     "spans_from_json",
-    "spans_from_traces",
     "spans_to_chrome",
     "spans_to_json",
     "write_chrome_trace",

@@ -32,7 +32,6 @@ __all__ = [
     "Tracer",
     "spans_from_chrome",
     "spans_from_json",
-    "spans_from_traces",
     "spans_to_chrome",
     "spans_to_json",
     "write_chrome_trace",
@@ -159,57 +158,6 @@ class Tracer:
             self.spans.append(copy)
             adopted.append(copy)
         return adopted
-
-
-def spans_from_traces(traces, tracer, parent=None, anchor=None):
-    """Operator-trace rows → operator spans on ``tracer``.
-
-    ``traces`` is a depth-first :class:`~repro.processor.tracing.OperatorTrace`
-    list (one ``collect()`` output, possibly partition-merged).  The
-    rows carry self/subtree durations but no absolute timestamps —
-    merged partition rows could not have a single one — so the layout
-    synthesizes a nested timeline anchored at ``anchor`` (default: now
-    minus the root's subtree time): each operator occupies its subtree
-    window, children laid out sequentially after the parent's self
-    time.  Cardinalities and cache traffic ride along as attributes.
-    """
-    traces = list(traces)
-    if not traces:
-        return []
-    if anchor is None:
-        anchor = tracer.clock() - traces[0].subtree_elapsed
-    out = []
-    # stack of (depth, span, cursor) — cursor is where the next child starts
-    stack = []
-    parent_id = tracer._parent_id(parent)
-    for row in traces:
-        while stack and stack[-1][0] >= row.depth:
-            stack.pop()
-        if stack:
-            _, parent_span, cursor = stack[-1]
-            start = cursor
-            row_parent = parent_span.span_id
-            stack[-1] = (stack[-1][0], parent_span, cursor + row.subtree_elapsed)
-        else:
-            start = anchor
-            row_parent = parent_id
-            anchor += row.subtree_elapsed
-        span = tracer.add(
-            row.describe,
-            category="operator",
-            start=start,
-            end=start + row.subtree_elapsed,
-            parent=row_parent,
-            tuples=row.out_tuples,
-            assignments=row.out_assignments,
-            maybe=row.maybe_tuples,
-            cache_hits=row.cache_hits,
-            cache_misses=row.cache_misses,
-            self_time_s=row.elapsed,
-        )
-        out.append(span)
-        stack.append((row.depth, span, start + row.elapsed))
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -386,8 +386,9 @@ class IFlexEngine:
         self.features = features
         self.config = config or ExecConfig()
         #: optional :class:`~repro.observability.spans.Tracer`; when set,
-        #: executions run their plans traced and emit engine, plan,
-        #: operator, partition, and scheduler spans
+        #: executions emit engine, plan, operator, partition, and
+        #: scheduler spans.  Read per execution, so assigning it after
+        #: construction reaches every layer.
         self.tracer = tracer
         #: optional :class:`~repro.observability.metrics.MetricsRegistry`;
         #: every completed execution folds its (backend-deterministic)
@@ -547,7 +548,6 @@ class IFlexEngine:
             self.features,
             self.config,
             index_store=self.index_store,
-            tracer=self.tracer,
         )
 
     def _self_recursive(self, name):
@@ -688,7 +688,9 @@ class IFlexEngine:
             fingerprint = self._fingerprint(name, tokens)
             table = None
             kind = None
-            with self._span("predicate:%s" % name, "plan", predicate=name):
+            stats = context.stats
+            before = (stats.result_cache_hits, stats.partitions_reused)
+            with self._span("predicate:%s" % name, "plan", predicate=name) as span:
                 if cache is not None:
                     entry = cache.get(name)
                     if entry is not None and entry.fingerprint.token == fingerprint.token:
@@ -710,6 +712,12 @@ class IFlexEngine:
                 if table is None:
                     table = self._execute_plan(name, context)
                     kind = "computed"
+                if span is not None:
+                    # what explain_analyze renders the reuse lines from
+                    span.attrs.update(
+                        store_hits=stats.result_cache_hits - before[0],
+                        partitions_reused=stats.partitions_reused - before[1],
+                    )
             reuse_summary[name] = kind
             context.relations[name] = table
             tokens[name] = fingerprint.token
@@ -751,24 +759,8 @@ class IFlexEngine:
     def _execute_plan(self, name, context):
         """One predicate's table: direct on the serial path, partitioned
 
-        through the physical layer when workers > 1.  With a tracer the
-        plan runs through the operator-tracing decorator and the
-        collected rows become nested operator spans, so ``--trace-out``
-        runs carry per-operator timing without the caller asking for
-        ``explain_analyze``.
+        through the physical layer when workers > 1.
         """
-        if self.tracer is not None:
-            from repro.observability.spans import spans_from_traces
-            from repro.processor.tracing import trace_plan
-
-            if self.physical is not None:
-                table, traces = self.physical.execute_plan_traced(name, context)
-            else:
-                traced = trace_plan(compile_predicate(name, self.unfolded))
-                table = traced.execute(context)
-                traces = traced.collect()
-            spans_from_traces(traces, self.tracer)
-            return table
         if self.physical is not None:
             return self.physical.execute_plan(name, context)
         return compile_predicate(name, self.unfolded).execute(context)
@@ -824,15 +816,14 @@ class IFlexEngine:
         the whole group recomputes.  The constraints-commute incremental
         path deliberately does not apply — a constraint added to a
         recursive rule changes which tuples *feed back*, not merely
-        which survive a final filter.  Returns ``(kind, iterations)``
-        (iterations is ``None`` on a cache hit).
+        which survive a final filter.  A computed group's fixpoint span
+        records its iteration count.
         """
         self._group_tokens(group, tokens)
         fingerprints = {m: self._fingerprint(m, tokens) for m in group}
         label = "+".join(group)
-        with self._span("fixpoint:%s" % label, "plan", predicates=label):
+        with self._span("fixpoint:%s" % label, "plan", predicates=label) as span:
             tables = None
-            iterations = None
             if cache is not None:
                 tables = self._fixpoint_reuse(group, fingerprints, cache, context)
             if tables is not None:
@@ -840,6 +831,8 @@ class IFlexEngine:
             else:
                 kind = "computed"
                 tables, iterations = self._run_fixpoint(group, context)
+                if span is not None:
+                    span.attrs["iterations"] = iterations
         for member in group:
             reuse_summary[member] = kind
             context.relations[member] = tables[member]
@@ -863,7 +856,6 @@ class IFlexEngine:
                 kind,
                 label,
             )
-        return kind, iterations
 
     def _fixpoint_reuse(self, group, fingerprints, cache, context):
         """Hydrate a whole recursive group from the caches, or ``None``."""
@@ -1009,105 +1001,50 @@ class IFlexEngine:
         are global by construction), so the partition fingerprints need
         no upstream tokens.
         """
-        store, fingerprints, tables, kinds, missing = self._partition_reuse(
-            name, context, cache
-        )
-        if missing:
-            computed = self.physical.execute_local_partitions(name, missing)
-            for pid, (table, stats) in zip(missing, computed):
-                tables[pid] = table
-                kinds[pid] = "computed"
-                context.stats.merge(stats)
-        return self._finish_partitions(
-            name, cache, store, fingerprints, tables, kinds
-        )
+        from repro.ctables.ctable import CompactTable
 
-    def _explain_partitioned(self, name, context, cache):
-        """The partitioned reuse path under operator tracing.
-
-        Clean partitions hydrate exactly as in :meth:`_execute_partitioned`;
-        only the dirty ones execute (traced), so the report measures the
-        work a warm run actually performs.  Returns ``(merged table,
-        kind, traces-or-None, reused partition count)``.
-        """
-        from repro.processor.tracing import merge_traces
-
-        store, fingerprints, tables, kinds, missing = self._partition_reuse(
-            name, context, cache
-        )
-        traces = None
-        if missing:
-            computed = self.physical.execute_local_partitions_traced(name, missing)
-            for pid, (table, stats, _) in zip(missing, computed):
-                tables[pid] = table
-                kinds[pid] = "computed"
-                context.stats.merge(stats)
-            traces = merge_traces([collected for _, _, collected in computed])
-        table, kind = self._finish_partitions(
-            name, cache, store, fingerprints, tables, kinds
-        )
-        return table, kind, traces, len(tables) - len(missing)
-
-    def _partition_reuse(self, name, context, cache):
-        """Resolve every partition against the reuse caches.
-
-        Returns ``(store, fingerprints, tables, kinds, missing)`` where
-        ``missing`` lists the partition ids the caller must re-execute
-        (``tables``/``kinds`` are ``None`` at those slots).
-        """
         partitions = self.physical.partitions
-        persistable = self._persistable[name]
-        store = cache.store if persistable else None
-        tables = [None] * len(partitions)
-        kinds = [None] * len(partitions)
+        store = cache.store if self._persistable[name] else None
+        tables = []
+        kinds = []
         fingerprints = []
-        missing = []
         for pid, partition in enumerate(partitions):
             fingerprint = self._fingerprint(
                 name, {}, corpus_sig=("content", partition.content_digest)
             )
             fingerprints.append(fingerprint)
             entry = cache.get(name, partition=pid)
+            table, kind = None, "full"
             if entry is not None and entry.fingerprint.token == fingerprint.token:
-                tables[pid] = entry.table
-                kinds[pid] = "full"
-                continue
-            if store is not None:
+                table = entry.table
+            if table is None and store is not None:
                 table = self._store_load(cache, context, fingerprint)
-                if table is not None:
-                    tables[pid] = table
-                    kinds[pid] = "full"
-                    continue
-            if entry is not None:
+            if table is None and entry is not None:
                 table = self._incremental(name, entry, fingerprint, context)
-                if table is not None:
-                    tables[pid] = table
-                    kinds[pid] = "incremental"
-                    continue
-            missing.append(pid)
+                kind = "incremental"
+            tables.append(table)
+            kinds.append(kind)
+        missing = [pid for pid, table in enumerate(tables) if table is None]
         # the delta accounting: clean partitions fold in from cache,
         # dirty ones (content digest moved, or cold) re-execute
         context.stats.partitions_reused += len(partitions) - len(missing)
         context.stats.partitions_recomputed += len(missing)
-        return store, fingerprints, tables, kinds, missing
-
-    def _finish_partitions(self, name, cache, store, fingerprints, tables, kinds):
-        """Cache, spill, and fold the per-partition tables."""
-        from repro.ctables.ctable import CompactTable
-
-        for pid in range(len(tables)):
-            cache.put(name, fingerprints[pid], tables[pid], partition=pid)
+        if missing:
+            computed = self.physical.execute_local_partitions(
+                name, missing, tracer=context.tracer
+            )
+            for pid, (table, stats) in zip(missing, computed):
+                tables[pid] = table
+                kinds[pid] = "computed"
+                context.stats.merge(stats)
+        for pid, table in enumerate(tables):
+            cache.put(name, fingerprints[pid], table, partition=pid)
             if store is not None and kinds[pid] == "computed":
-                store.save(fingerprints[pid].token, tables[pid])
-        attrs = self.physical.split(name).root.attrs
-        merged = CompactTable.union(tables, attrs=attrs)
-        if "computed" in kinds:
-            kind = "computed"
-        elif "incremental" in kinds:
-            kind = "incremental"
-        else:
-            kind = "full"
-        return merged, kind
+                store.save(fingerprints[pid].token, table)
+        merged = CompactTable.union(tables, attrs=self.physical.split(name).root.attrs)
+        return merged, next(
+            kind for kind in ("computed", "incremental", "full") if kind in kinds
+        )
 
     def explain(self):
         """The compiled plan for every predicate, as text."""
@@ -1125,146 +1062,33 @@ class IFlexEngine:
                 parts.append("%s:\n%s" % (header, plan.explain(1)))
         return "\n".join(parts)
 
-    def explain_analyze(self):
-        """Execute with operator-level tracing; returns
+    def explain_analyze(self, cache=None):
+        """EXPLAIN ANALYZE: :meth:`execute`, then render its spans.
 
-        ``(ExecutionResult, report_text)`` — EXPLAIN ANALYZE for plans.
-        Under parallel execution the per-partition measurements of the
-        document-local prefix are merged (counts sum to the serial
-        counts) and reported nested under the suffix's gather leaves, so
-        cost still attributes to individual operators.  The error policy
-        applies exactly as in :meth:`execute`; contained failures are
-        appended to the text report.
-
-        With a configured ``result_cache`` the reuse chain also applies
-        exactly as in :meth:`execute`: clean partitions hydrate from the
-        store (reported as such, with no operator rows — hydration runs
-        no operators) and only dirty partitions execute and are
-        measured, so the report describes the work a warm run actually
-        performs; computed results spill to the store as usual.  Without
-        a result cache the historical cold measurement is unchanged.
+        Returns ``(ExecutionResult, report_text)``.  The run is an
+        ordinary traced execution — same error policy, reuse chain,
+        result-cache hydration and counters — on the engine's tracer, or
+        on a private one when none is set.  The report has one section
+        per predicate: its operator rows (per-partition measurements of
+        the document-local prefix merged, counts summing to the serial
+        counts, nested under the suffix's gather leaves), or a line
+        saying which cache answered it; then the cache summary and any
+        contained failures.
         """
-        from repro.processor.tracing import render_failures
+        from repro.observability.spans import Tracer
+        from repro.processor.tracing import render_analysis
 
-        driver = _PolicyDriver(self)
-        with self._span(
-            "explain_analyze", "engine", policy=driver.policy, query=self.unfolded.query
-        ):
-            result, text = driver.run(self._explain_analyze_attempt)
-            driver.finish(result)
-        if self.metrics is not None:
-            from repro.observability.metrics import record_execution
-
-            record_execution(self.metrics, result)
-        failure_text = render_failures(result.report)
-        if failure_text:
-            text = "%s\n\n%s" % (text, failure_text)
-        return result, text
-
-    def _explain_analyze_attempt(self):
-        from repro.processor.tracing import render_cache_summary, render_traces, trace_plan
-
-        cache = None
-        if self.result_store is not None:
-            if self._default_cache is None:
-                self._default_cache = RuleCache(store=self.result_store)
-            cache = self._default_cache
-        start = time.perf_counter()
-        context = self._context()
-        tokens = {}
-        reports = []
-        for group in self.order:
-            if group in self.recursive_groups:
-                kind, iterations = self._execute_fixpoint(
-                    group, context, cache, tokens, {}
-                )
-                label = " + ".join(group)
-                if kind == "full":
-                    reports.append(
-                        "%s: recursive group reused from the result cache"
-                        % label
-                    )
-                else:
-                    reports.append(
-                        "%s: recursive group evaluated semi-naively to "
-                        "fixpoint in %d iteration(s)" % (label, iterations)
-                    )
-                continue
-            name = group[0]
-            with self._span("predicate:%s" % name, "plan", predicate=name):
-                fingerprint = (
-                    self._fingerprint(name, tokens) if cache is not None else None
-                )
-                table = None
-                kind = "computed"
-                report = None
-                traces = None
-                if cache is not None:
-                    entry = cache.get(name)
-                    if (
-                        entry is not None
-                        and entry.fingerprint.token == fingerprint.token
-                    ):
-                        table, kind = entry.table, "full"
-                        report = "%s: reused from the in-memory cache" % name
-                    elif self._partitioned_path(name):
-                        table, kind, traces, reused = self._explain_partitioned(
-                            name, context, cache
-                        )
-                        if traces is None:
-                            report = (
-                                "%s: all %d partition(s) hydrated from the "
-                                "result cache" % (name, reused)
-                            )
-                        elif reused:
-                            report = (
-                                "%s:\n%s\n(%d clean partition(s) hydrated from"
-                                " the result cache; traces cover the"
-                                " recomputed ones)"
-                                % (name, render_traces(traces), reused)
-                            )
-                        else:
-                            report = "%s:\n%s" % (name, render_traces(traces))
-                    elif cache.store is not None and self._persistable[name]:
-                        hydrated = self._store_load(cache, context, fingerprint)
-                        if hydrated is not None:
-                            table, kind = hydrated, "full"
-                            report = "%s: hydrated from the result cache" % name
-                if table is None:
-                    if self.physical is not None:
-                        table, traces = self.physical.execute_plan_traced(
-                            name, context
-                        )
-                    else:
-                        traced = trace_plan(compile_predicate(name, self.unfolded))
-                        table = traced.execute(context)
-                        traces = traced.collect()
-                    report = "%s:\n%s" % (name, render_traces(traces))
-                context.relations[name] = table
-                reports.append(report)
-                if cache is not None:
-                    tokens[name] = fingerprint.token
-                    cache.put(name, fingerprint, table)
-                    if (
-                        kind == "computed"
-                        and cache.store is not None
-                        and self._persistable[name]
-                        and not self._partitioned_path(name)
-                    ):
-                        cache.store.save(fingerprint.token, table)
-                if self.tracer is not None and traces is not None:
-                    from repro.observability.spans import spans_from_traces
-
-                    spans_from_traces(traces, self.tracer)
-        reports.append(render_cache_summary(context.stats))
-        elapsed = time.perf_counter() - start
-        result = ExecutionResult(
-            query_table=context.relations[self.unfolded.query],
-            tables=dict(context.relations),
-            stats=context.stats,
-            elapsed=elapsed,
+        saved = self.tracer
+        tracer = self.tracer = saved if saved is not None else Tracer()
+        mark = len(tracer.spans)
+        try:
+            result = self.execute(cache)
+        finally:
+            self.tracer = saved
+        text = render_analysis(
+            tracer.spans[mark:], self.order, self.recursive_groups, result
         )
-        return result, "\n\n".join(reports)
+        return result, text
 
     def _store_load(self, cache, context, fingerprint):
         """One persistent-store lookup, with hit/miss accounting.
@@ -1302,9 +1126,7 @@ class IFlexEngine:
             constraints.append(cons)
             for atom in rule.body_atoms(PredicateAtom):
                 if atom.name in self.unfolded.intensional:
-                    # every upstream token is set by evaluation order;
-                    # .get only matters on cacheless explain paths where
-                    # the fingerprint is never consulted
+                    # every upstream token is set by evaluation order
                     upstream.append((atom.name, tokens.get(atom.name)))
         return _Fingerprint(
             bases=tuple(bases),

@@ -50,13 +50,56 @@ __all__ = [
 ]
 
 
+def _cache_traffic(stats):
+    return (
+        stats.verify_cache_hits + stats.refine_cache_hits,
+        stats.verify_cache_misses + stats.refine_cache_misses,
+    )
+
+
+def _eval_counts(stats):
+    return (
+        stats.verify_calls + stats.index_verify_calls,
+        stats.refine_calls + stats.index_refine_calls,
+    )
+
+
 class Operator:
-    """Base class; subclasses define ``attrs`` and ``execute``."""
+    """Base class; subclasses define ``attrs`` and ``_execute``."""
 
     attrs = ()
 
     def execute(self, context):
+        """Run the operator (and, through ``_execute``, its subtree).
+
+        With a tracer on the context the call records one ``operator``
+        span named by :meth:`describe`, nested under whatever span is
+        open (the predicate, a partition, the parent operator).  Its
+        attributes carry the output cardinalities and the EvalCache
+        traffic of the whole subtree, measured like the span's window.
+        """
+        tracer = getattr(context, "tracer", None)
+        if tracer is None:
+            return self._execute(context)
+        hits, misses = _cache_traffic(context.stats)
+        with tracer.span(self.describe(), "operator", **self.span_attrs()) as span:
+            table = self._execute(context)
+            hits_after, misses_after = _cache_traffic(context.stats)
+            span.attrs.update(
+                tuples=len(table),
+                assignments=table.assignment_count(),
+                maybe=table.maybe_count(),
+                cache_hits=hits_after - hits,
+                cache_misses=misses_after - misses,
+            )
+        return table
+
+    def _execute(self, context):
         raise NotImplementedError
+
+    def span_attrs(self):
+        """Extra attributes for this operator's trace span."""
+        return {}
 
     def children(self):
         return []
@@ -79,7 +122,7 @@ class ScanExtensional(Operator):
         self.table_name = table_name
         self.attrs = (attr,)
 
-    def execute(self, context):
+    def _execute(self, context):
         table = CompactTable(self.attrs)
         for doc in context.corpus.table(self.table_name):
             table.add(CompactTuple([Cell.exact(doc_span(doc))]))
@@ -97,7 +140,7 @@ class ScanIntensional(Operator):
         self.predicate = predicate
         self.attrs = tuple(attrs)
 
-    def execute(self, context):
+    def _execute(self, context):
         source = context.relations.get(self.predicate)
         if source is None:
             raise EvaluationError("relation %r not yet computed" % (self.predicate,))
@@ -122,7 +165,7 @@ class TableSource(Operator):
         self.table = table
         self.attrs = table.attrs
 
-    def execute(self, context):
+    def _execute(self, context):
         return self.table
 
     def describe(self):
@@ -146,7 +189,7 @@ class FromOp(Operator):
     def children(self):
         return [self.child]
 
-    def execute(self, context):
+    def _execute(self, context):
         source_table = self.child.execute(context)
         index = source_table.attr_index(self.source_attr)
         table = CompactTable(self.attrs)
@@ -179,7 +222,7 @@ class ConstraintSelect(Operator):
     def children(self):
         return [self.child]
 
-    def execute(self, context):
+    def _execute(self, context):
         source = self.child.execute(context)
         return apply_constraint_to_table(
             source, self.attr, self.feature, self.value, self.priors, context
@@ -205,12 +248,8 @@ def apply_constraint_to_table(source, attr, feature, value, priors, context, mar
     if tracer is None:
         return _constraint_pass(source, attr, feature, value, priors, context, mark_maybe)
     stats = context.stats
-    before = (
-        stats.verify_calls + stats.index_verify_calls,
-        stats.refine_calls + stats.index_refine_calls,
-        stats.verify_cache_hits + stats.refine_cache_hits,
-        stats.verify_cache_misses + stats.refine_cache_misses,
-    )
+    verify, refine = _eval_counts(stats)
+    hits, misses = _cache_traffic(stats)
     with tracer.span(
         "verify-batch:%s(%s)" % (feature, attr),
         category="feature",
@@ -219,17 +258,13 @@ def apply_constraint_to_table(source, attr, feature, value, priors, context, mar
         value=str(value),
     ) as span:
         table = _constraint_pass(source, attr, feature, value, priors, context, mark_maybe)
-        span.attrs["verify_evals"] = (
-            stats.verify_calls + stats.index_verify_calls - before[0]
-        )
-        span.attrs["refine_evals"] = (
-            stats.refine_calls + stats.index_refine_calls - before[1]
-        )
-        span.attrs["cache_hits"] = (
-            stats.verify_cache_hits + stats.refine_cache_hits - before[2]
-        )
-        span.attrs["cache_misses"] = (
-            stats.verify_cache_misses + stats.refine_cache_misses - before[3]
+        verify_after, refine_after = _eval_counts(stats)
+        hits_after, misses_after = _cache_traffic(stats)
+        span.attrs.update(
+            verify_evals=verify_after - verify,
+            refine_evals=refine_after - refine,
+            cache_hits=hits_after - hits,
+            cache_misses=misses_after - misses,
         )
         span.attrs["out_tuples"] = len(table)
     return table
@@ -282,7 +317,7 @@ class ConditionSelect(Operator):
     def children(self):
         return [self.child]
 
-    def execute(self, context):
+    def _execute(self, context):
         source = self.child.execute(context)
         table = CompactTable(self.attrs)
         for t in source:
@@ -345,7 +380,7 @@ class JoinOp(Operator):
     def children(self):
         return [self.left, self.right]
 
-    def execute(self, context):
+    def _execute(self, context):
         left_table = self.left.execute(context)
         right_table = self.right.execute(context)
         table = CompactTable(self.attrs)
@@ -431,7 +466,7 @@ class ProjectOp(Operator):
     def children(self):
         return [self.child]
 
-    def execute(self, context):
+    def _execute(self, context):
         source = self.child.execute(context)
         indexes = [source.attr_index(a) for a in self.attrs]
         table = CompactTable(self.attrs)
@@ -464,7 +499,7 @@ class PPredicateOp(Operator):
     def children(self):
         return [self.child]
 
-    def execute(self, context):
+    def _execute(self, context):
         import itertools
 
         source = self.child.execute(context)
@@ -529,7 +564,7 @@ class AnnotateOp(Operator):
     def children(self):
         return [self.child]
 
-    def execute(self, context):
+    def _execute(self, context):
         source = self.child.execute(context)
         return annotate_table(source, self.existence, self.annotated_attrs, context)
 
@@ -561,7 +596,7 @@ class UnionOp(Operator):
     def children(self):
         return list(self._children)
 
-    def execute(self, context):
+    def _execute(self, context):
         table = CompactTable(self.attrs)
         for child in self._children:
             for t in child.execute(context):

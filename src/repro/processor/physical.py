@@ -23,61 +23,38 @@ compilation is deterministic and cheap relative to extraction, and
 fresh trees mean no operator state is shared across workers.
 """
 
-from contextlib import nullcontext
-
 from repro.ctables.ctable import CompactTable
 from repro.observability.logs import get_logger
+from repro.observability.spans import Tracer
 from repro.processor.context import ExecutionContext
 from repro.processor.plan import compile_predicate
 from repro.processor.schedulers import TaskError, make_scheduler
 from repro.processor.split import PlanSplit, bind_tables
-from repro.processor.tracing import merge_traces, trace_plan
 
 __all__ = ["PhysicalExecutor"]
 
 logger = get_logger("processor")
 
 
-def _partition_span(tracer, corpus, pid):
-    """The per-partition root span (or a no-op without a tracer)."""
-    if tracer is None:
-        return nullcontext()
-    return tracer.span(
-        "partition[%d]" % pid,
-        category="partition",
-        partition=pid,
-        documents=sum(corpus.size_of(name) for name in corpus.table_names()),
-    )
-
-
 class PhysicalExecutor:
     """Executes one (unfolded) program's plans over a partitioned corpus.
 
-    With a ``tracer``, every scheduler ``map`` records a scheduler span
-    and each partition task builds its *own*
-    :class:`~repro.observability.spans.Tracer` whose spans ride back as
-    the last element of the task's result tuple — across the process
-    backend's fork result pipe exactly like ``ExecutionStats`` — and are
-    grafted under the scheduler span on arrival.  Timestamps stay
-    comparable because ``time.perf_counter`` is the system-wide
-    monotonic clock, shared by forked children.
+    Tracing is per call: with a tracer (the calling context's, or the
+    one passed to :meth:`execute_local_partitions`), every scheduler
+    ``map`` records a scheduler span and each partition task builds its
+    *own* :class:`~repro.observability.spans.Tracer` — operators record
+    into it — whose spans ride back as the last element of the task's
+    result tuple (across the process backend's fork result pipe exactly
+    like ``ExecutionStats``) and are grafted under the scheduler span on
+    arrival.  Timestamps stay comparable because ``time.perf_counter``
+    is the system-wide monotonic clock, shared by forked children.
     """
 
-    def __init__(
-        self,
-        program,
-        corpus,
-        features,
-        config,
-        scheduler=None,
-        index_store=None,
-        tracer=None,
-    ):
+    def __init__(self, program, corpus, features, config, scheduler=None, index_store=None):
         self.program = program
         self.corpus = corpus
         self.features = features
         self.config = config
-        self.tracer = tracer
         #: shared per-document feature indexes (thread-shared /
         #: fork-inherited; content-keyed, so sharing is always sound)
         self.index_store = index_store
@@ -131,7 +108,7 @@ class PhysicalExecutor:
     # ------------------------------------------------------------------
     # partition-level execution
     # ------------------------------------------------------------------
-    def _map(self, work, pids, label=""):
+    def _map(self, work, pids, label="", tracer=None):
         """Scheduler ``map`` with partition-attributed failures.
 
         The scheduler reports failures by *task index*; this layer knows
@@ -146,9 +123,9 @@ class PhysicalExecutor:
         adopted into the tracer, so callers see the untraced result
         shapes.
         """
-        if self.tracer is None:
+        if tracer is None:
             return self._map_raw(work, pids)
-        with self.tracer.span(
+        with tracer.span(
             "scheduler.map",
             category="scheduler",
             backend=self.scheduler.name,
@@ -160,7 +137,7 @@ class PhysicalExecutor:
             stripped = []
             for result in results:
                 *rest, spans = result
-                self.tracer.adopt(spans, parent=scheduler_span)
+                tracer.adopt(spans, parent=scheduler_span)
                 stripped.append(tuple(rest))
             return stripped
 
@@ -200,61 +177,45 @@ class PhysicalExecutor:
             tracer=tracer,
         )
 
-    def _worker_tracer(self):
-        """A fresh tracer for one partition task, or ``None``.
+    def _run_partitions(self, pids, roots, label, tracer):
+        """Execute ``roots(pid)`` — a list of operators — per partition.
 
-        Workers never write to the executor's own tracer (thread races;
-        fork children mutate a dead copy) — each task records into its
-        own and the spans travel home inside the result tuple.
+        Returns ``[(tables, stats)]`` in ``pids`` order.  Workers never
+        write to the caller's tracer (thread races; fork children mutate
+        a dead copy): with tracing on, each task records into its own
+        fresh tracer and the spans travel home inside the result tuple.
         """
-        if self.tracer is None:
-            return None
-        from repro.observability.spans import Tracer
+        traced = tracer is not None
 
-        return Tracer()
+        def work(pid):
+            worker_tracer = Tracer() if traced else None
+            context = self._partition_context(pid, worker_tracer)
+            if worker_tracer is None:
+                return [op.execute(context) for op in roots(pid)], context.stats
+            partition = self.partitions[pid]
+            with worker_tracer.span(
+                "partition[%d]" % pid,
+                category="partition",
+                partition=pid,
+                documents=sum(partition.size_of(n) for n in partition.table_names()),
+            ):
+                tables = [op.execute(context) for op in roots(pid)]
+            return tables, context.stats, worker_tracer.spans
 
-    def execute_local_partitions(self, name, pids=None):
+        return self._map(work, list(pids), label=label, tracer=tracer)
+
+    def execute_local_partitions(self, name, pids=None, tracer=None):
         """Run a *fully local* predicate plan on each requested partition.
 
         Returns ``[(table, stats)]`` in partition order.  The engine's
         partition-keyed reuse cache calls this with only the partitions
         whose cached tables could not be reused.
         """
-        pids = list(range(len(self.partitions)) if pids is None else pids)
-
-        def work(pid):
-            tracer = self._worker_tracer()
-            context = self._partition_context(pid, tracer)
-            with _partition_span(tracer, self.partitions[pid], pid):
-                table = compile_predicate(name, self.program).execute(context)
-            if tracer is None:
-                return table, context.stats
-            return table, context.stats, tracer.spans
-
-        return self._map(work, pids, label=name)
-
-    def execute_local_partitions_traced(self, name, pids=None):
-        """Like :meth:`execute_local_partitions`, with operator traces.
-
-        Returns ``[(table, stats, traces)]`` in partition order.
-        ``explain_analyze`` calls this for the partitions a warm result
-        cache could not hydrate, so the report measures exactly the
-        recomputed work.
-        """
-        pids = list(range(len(self.partitions)) if pids is None else pids)
-
-        def work(pid):
-            tracer = self._worker_tracer()
-            context = self._partition_context(pid, tracer)
-            traced = trace_plan(compile_predicate(name, self.program))
-            with _partition_span(tracer, self.partitions[pid], pid):
-                table = traced.execute(context)
-            collected = traced.collect()
-            if tracer is None:
-                return table, context.stats, collected
-            return table, context.stats, collected, tracer.spans
-
-        return self._map(work, pids, label=name)
+        pids = range(len(self.partitions)) if pids is None else pids
+        results = self._run_partitions(
+            pids, lambda pid: [compile_predicate(name, self.program)], name, tracer
+        )
+        return [(tables[0], stats) for tables, stats in results]
 
     # ------------------------------------------------------------------
     # whole-plan execution
@@ -271,73 +232,24 @@ class PhysicalExecutor:
         info = self.split(name)
         if not self.parallel or not info.has_local_work:
             return compile_predicate(name, self.program).execute(context)
-
-        def work(pid):
-            tracer = self._worker_tracer()
-            partition_context = self._partition_context(pid, tracer)
-            split = PlanSplit(compile_predicate(name, self.program))
-            with _partition_span(tracer, self.partitions[pid], pid):
-                tables = [op.execute(partition_context) for op in split.local_roots]
-            if tracer is None:
-                return tables, partition_context.stats
-            return tables, partition_context.stats, tracer.spans
-
-        per_partition = self._map(work, list(range(len(self.partitions))), label=name)
+        per_partition = self._run_partitions(
+            range(len(self.partitions)),
+            lambda pid: PlanSplit(compile_predicate(name, self.program)).local_roots,
+            name,
+            context.tracer,
+        )
         for _, stats in per_partition:
             context.stats.merge(stats)
         gathered = self._gather(info, [tables for tables, _ in per_partition])
+        if info.fully_local:
+            # the suffix would be a lone gather leaf: the union is the answer
+            return gathered[0]
         suffix = bind_tables(
             PlanSplit(compile_predicate(name, self.program)),
             gathered,
             partitions=len(self.partitions),
         )
         return suffix.execute(context)
-
-    def execute_plan_traced(self, name, context):
-        """Like :meth:`execute_plan`, with operator-level measurements.
-
-        Returns ``(table, traces)`` where ``traces`` is a depth-ordered
-        list of :class:`~repro.processor.tracing.OperatorTrace` rows.
-        Prefix operators are measured in every partition and merged
-        positionally (tuple counts sum to the serial counts; elapsed is
-        the summed per-partition self time), nested under the suffix's
-        gather leaf so ``explain_analyze`` still attributes cost per
-        operator.
-        """
-        info = self.split(name)
-        if not self.parallel or not info.has_local_work:
-            traced = trace_plan(compile_predicate(name, self.program))
-            table = traced.execute(context)
-            return table, traced.collect()
-
-        def work(pid):
-            tracer = self._worker_tracer()
-            partition_context = self._partition_context(pid, tracer)
-            split = PlanSplit(compile_predicate(name, self.program))
-            traced = [trace_plan(op) for op in split.local_roots]
-            with _partition_span(tracer, self.partitions[pid], pid):
-                tables = [t.execute(partition_context) for t in traced]
-            collected = [t.collect() for t in traced]
-            if tracer is None:
-                return tables, collected, partition_context.stats
-            return tables, collected, partition_context.stats, tracer.spans
-
-        per_partition = self._map(work, list(range(len(self.partitions))), label=name)
-        for _, _, stats in per_partition:
-            context.stats.merge(stats)
-        gathered = self._gather(info, [tables for tables, _, _ in per_partition])
-        merged = [
-            merge_traces([collected[i] for _, collected, _ in per_partition])
-            for i in range(len(info.local_roots))
-        ]
-        suffix = bind_tables(
-            PlanSplit(compile_predicate(name, self.program)),
-            gathered,
-            partitions=len(self.partitions),
-        )
-        traced_suffix = trace_plan(suffix)
-        table = traced_suffix.execute(context)
-        return table, _collect_with_prefixes(traced_suffix, merged)
 
     def _gather(self, info, tables_per_partition):
         """Union each local root's per-partition tables, root by root."""
@@ -349,30 +261,3 @@ class PhysicalExecutor:
             for i in range(len(info.local_roots))
         ]
 
-
-def _collect_with_prefixes(traced, merged_by_index):
-    """Suffix traces with each gather leaf's merged prefix nested under it."""
-    from repro.processor.split import GatherOp
-    from repro.processor.tracing import OperatorTrace
-
-    out = [traced.trace]
-    operator = traced._operator
-    if isinstance(operator, GatherOp):
-        base_depth = traced.trace.depth + 1
-        for row in merged_by_index[operator.index]:
-            out.append(
-                OperatorTrace(
-                    describe=row.describe,
-                    depth=row.depth + base_depth,
-                    elapsed=row.elapsed,
-                    subtree_elapsed=row.subtree_elapsed,
-                    out_tuples=row.out_tuples,
-                    out_assignments=row.out_assignments,
-                    maybe_tuples=row.maybe_tuples,
-                    cache_hits=row.cache_hits,
-                    cache_misses=row.cache_misses,
-                )
-            )
-    for child in traced.children():
-        out.extend(_collect_with_prefixes(child, merged_by_index))
-    return out

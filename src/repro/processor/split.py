@@ -76,8 +76,11 @@ class GatherOp(Operator):
         self.partitions = partitions
         self.index = index
 
-    def execute(self, context):
+    def _execute(self, context):
         return self.table
+
+    def span_attrs(self):
+        return {"index": self.index}
 
     def describe(self):
         return "Gather[(%s), %d partitions, %d tuples]" % (

@@ -1,18 +1,20 @@
-"""Operator-level execution tracing (EXPLAIN ANALYZE).
+"""EXPLAIN ANALYZE rendering over operator spans.
 
-Wraps a compiled plan so each operator records its output cardinality,
-wall time, and EvalCache traffic.  Used by ``IFlexEngine.explain_analyze``
-and by the benchmarks to attribute cost inside a plan.
+Operators record their own spans (``Operator.execute`` with a tracer on
+the context), so an analyzed run is an ordinary traced
+``IFlexEngine.execute``.  This module turns the spans under each
+``predicate:`` / ``fixpoint:`` span, plus the run's reuse summary, into
+the per-operator report: output cardinalities, self time, and EvalCache
+traffic per operator.
 """
 
-import time
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, replace
 
 __all__ = [
-    "TracedPlan",
-    "OperatorTrace",
-    "trace_plan",
-    "merge_traces",
+    "OperatorRow",
+    "operator_rows",
+    "render_analysis",
     "render_traces",
     "render_cache_summary",
     "render_failures",
@@ -20,37 +22,27 @@ __all__ = [
 
 
 @dataclass
-class OperatorTrace:
-    """One operator's measurements for one execution.
+class OperatorRow:
+    """One report row: an operator at its depth in the plan tree.
 
-    ``cache_hits`` / ``cache_misses`` are the operator's own EvalCache
-    traffic (verify + refine combined), excluding its children — like
-    ``elapsed``, which is self time.
+    ``elapsed`` and the cache counts are *self* values (the operator's
+    span minus its child operators' spans), summed over the partitions
+    the operator ran in.
     """
 
-    describe: str
     depth: int
+    describe: str
     elapsed: float = 0.0
-    #: wall time of the whole subtree rooted here (self + descendants);
-    #: what the span exporter uses as the operator's window
-    subtree_elapsed: float = 0.0
     out_tuples: int = 0
     out_assignments: int = 0
     maybe_tuples: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
+    #: the local root a ``Gather`` leaf replaced (``None`` elsewhere)
+    index: object = None
 
-    def row(self):
-        return (
-            "%s%s" % ("  " * self.depth, self.describe),
-            "%.1f ms" % (self.elapsed * 1000.0),
-            self.out_tuples,
-            self.out_assignments,
-            self.maybe_tuples,
-            self.cache_hits,
-            self.cache_misses,
-        )
 
+_SUMMED = ("elapsed", "out_tuples", "out_assignments", "maybe_tuples", "cache_hits", "cache_misses")
 
 _TRACE_HEADERS = (
     "operator",
@@ -63,142 +55,169 @@ _TRACE_HEADERS = (
 )
 
 
-class TracedPlan:
-    """A plan decorator measuring every operator in the tree."""
+def _subtree_rows(span, children, depth=0):
+    """Depth-first rows of the operator tree rooted at ``span``."""
+    ops = [c for c in children[span.span_id] if c.category == "operator"]
+    attrs = span.attrs
 
-    def __init__(self, operator, depth=0):
-        self._operator = operator
-        self.attrs = operator.attrs
-        self.trace = OperatorTrace(operator.describe(), depth)
-        # subtree totals; self values are derived by subtracting the
-        # children's *subtree* totals (subtracting their self values
-        # would re-attribute grandchild time/traffic to this operator)
-        self._subtree_elapsed = 0.0
-        self._subtree_hits = 0
-        self._subtree_misses = 0
-        self._children = [
-            TracedPlan(child, depth + 1) for child in operator.children()
-        ]
-        # rebind the wrapped operator's children to the traced versions
-        self._rebind_children()
+    def own(key):
+        return attrs.get(key, 0) - sum(c.attrs.get(key, 0) for c in ops)
 
-    def _rebind_children(self):
-        op = self._operator
-        traced = {id(t._operator): t for t in self._children}
-        for attr_name in ("child", "left", "right"):
-            child = getattr(op, attr_name, None)
-            if child is not None and id(child) in traced:
-                setattr(op, attr_name, traced[id(child)])
-        if getattr(op, "_children", None):
-            op._children = [
-                traced.get(id(c), c) for c in op._children
-            ]
-
-    # -- Operator protocol -------------------------------------------------
-    def children(self):
-        return list(self._children)
-
-    def describe(self):
-        return self._operator.describe()
-
-    def explain(self, depth=0):
-        return self._operator.explain(depth)
-
-    def execute(self, context):
-        stats = context.stats
-        hits_before = stats.verify_cache_hits + stats.refine_cache_hits
-        misses_before = stats.verify_cache_misses + stats.refine_cache_misses
-        start = time.perf_counter()
-        table = self._operator.execute(context)
-        self._subtree_elapsed = time.perf_counter() - start
-        self._subtree_hits = (
-            stats.verify_cache_hits + stats.refine_cache_hits - hits_before
+    rows = [
+        OperatorRow(
+            depth,
+            span.name,
+            max(0.0, span.duration - sum(c.duration for c in ops)),
+            attrs.get("tuples", 0),
+            attrs.get("assignments", 0),
+            attrs.get("maybe", 0),
+            own("cache_hits"),
+            own("cache_misses"),
+            attrs.get("index"),
         )
-        self._subtree_misses = (
-            stats.verify_cache_misses + stats.refine_cache_misses - misses_before
-        )
-        trace = self.trace
-        trace.subtree_elapsed = self._subtree_elapsed
-        trace.elapsed = max(
-            0.0,
-            self._subtree_elapsed
-            - sum(t._subtree_elapsed for t in self._children),
-        )
-        trace.cache_hits = self._subtree_hits - sum(
-            t._subtree_hits for t in self._children
-        )
-        trace.cache_misses = self._subtree_misses - sum(
-            t._subtree_misses for t in self._children
-        )
-        trace.out_tuples = len(table)
-        trace.out_assignments = table.assignment_count()
-        trace.maybe_tuples = table.maybe_count()
-        return table
-
-    # -- reporting ----------------------------------------------------------
-    def collect(self):
-        out = [self.trace]
-        for child in self._children:
-            out.extend(child.collect())
-        return out
-
-    def report(self):
-        from repro.experiments.report import render_table
-
-        return render_table(_TRACE_HEADERS, [t.row() for t in self.collect()])
+    ]
+    for op in ops:
+        rows.extend(_subtree_rows(op, children, depth + 1))
+    return rows
 
 
-def trace_plan(operator):
-    """Wrap a compiled plan for measurement."""
-    return TracedPlan(operator)
+def _merge(row_lists):
+    """Positionally merge one operator tree's rows from several partitions.
 
-
-def merge_traces(trace_lists):
-    """Combine per-partition traces of *identical* plan copies.
-
-    Plan compilation is deterministic, so each partition's ``collect()``
-    output lists the same operators in the same order; rows merge
-    positionally — counts sum (matching a serial whole-corpus run) and
-    elapsed sums to total self time spent across partitions.
+    Plan compilation is deterministic, so every partition lists the same
+    operators in the same order: counts sum to the serial counts and
+    self times to the total spent across partitions.
     """
-    trace_lists = [list(traces) for traces in trace_lists]
-    if not trace_lists:
-        return []
-    first = trace_lists[0]
-    merged = []
-    for i, row in enumerate(first):
-        out = OperatorTrace(row.describe, row.depth)
-        for traces in trace_lists:
-            if len(traces) != len(first):
-                raise ValueError(
-                    "cannot merge traces of different plan shapes: %d vs %d rows"
-                    % (len(first), len(traces))
-                )
-            other = traces[i]
-            out.elapsed += other.elapsed
-            out.subtree_elapsed += other.subtree_elapsed
-            out.out_tuples += other.out_tuples
-            out.out_assignments += other.out_assignments
-            out.maybe_tuples += other.maybe_tuples
-            out.cache_hits += other.cache_hits
-            out.cache_misses += other.cache_misses
-        merged.append(out)
-    return merged
+    first = row_lists[0]
+    if any(len(rows) != len(first) for rows in row_lists):
+        raise ValueError("cannot merge traces of different plan shapes")
+    return [
+        replace(row, **{k: sum(getattr(rows[i], k) for rows in row_lists) for k in _SUMMED})
+        for i, row in enumerate(first)
+    ]
 
 
-def render_traces(traces):
-    """The ``explain_analyze`` table for an already-collected trace list.
+def operator_rows(spans, root):
+    """The report rows for the operators recorded under ``root``.
 
-    An empty trace list (a plan over an empty corpus, a predicate whose
-    every partition was answered from the reuse cache) renders a valid
+    ``root`` is a predicate span.  Operator trees that ran in partition
+    tasks (``scheduler.map`` > ``partition[i]``) merge across partitions
+    by position; when the plan also has a global suffix, each merged
+    local tree nests under the ``Gather`` row that consumed it.
+    """
+    children = defaultdict(list)
+    for span in spans:
+        children[span.parent_id].append(span)
+    for kids in children.values():
+        kids.sort(key=lambda s: (s.start, s.span_id))
+    suffix = []
+    prefixes = []
+    for span in children[root.span_id]:
+        if span.category == "operator":
+            suffix.extend(_subtree_rows(span, children))
+        elif span.category == "scheduler":
+            partitions = sorted(
+                children[span.span_id], key=lambda p: p.attrs.get("partition", 0)
+            )
+            per_partition = [
+                [
+                    _subtree_rows(op, children)
+                    for op in children[p.span_id]
+                    if op.category == "operator"
+                ]
+                for p in partitions
+            ]
+            prefixes = [_merge(trees) for trees in zip(*per_partition)]
+    if not suffix:
+        return [row for rows in prefixes for row in rows]
+    out = []
+    for row in suffix:
+        out.append(row)
+        if row.index is not None:
+            out.extend(
+                replace(r, depth=r.depth + row.depth + 1) for r in prefixes[row.index]
+            )
+    return out
+
+
+def render_traces(rows):
+    """The per-operator table for a list of :class:`OperatorRow`.
+
+    An empty list (a plan over an empty corpus, a predicate whose every
+    partition was answered from the reuse cache) renders a valid
     placeholder line instead of a headers-only table fragment.
     """
     from repro.experiments.report import render_table
 
-    traces = list(traces)
-    if not traces:
+    if not rows:
         return "(no traced operators)"
-    return render_table(_TRACE_HEADERS, [t.row() for t in traces])
+    return render_table(
+        _TRACE_HEADERS,
+        [
+            (
+                "%s%s" % ("  " * row.depth, row.describe),
+                "%.1f ms" % (row.elapsed * 1000.0),
+                row.out_tuples,
+                row.out_assignments,
+                row.maybe_tuples,
+                row.cache_hits,
+                row.cache_misses,
+            )
+            for row in rows
+        ],
+    )
+
+
+def _predicate_report(name, kind, span, spans):
+    rows = operator_rows(spans, span)
+    reused = span.attrs.get("partitions_reused", 0)
+    if kind == "full" and not reused:
+        if span.attrs.get("store_hits"):
+            return "%s: hydrated from the result cache" % name
+        return "%s: reused from the in-memory cache" % name
+    if rows and reused:
+        return (
+            "%s:\n%s\n(%d clean partition(s) hydrated from the result cache;"
+            " traces cover the recomputed ones)"
+            % (name, render_traces(rows), reused)
+        )
+    if rows:
+        return "%s:\n%s" % (name, render_traces(rows))
+    if kind == "incremental":
+        return "%s: added constraint(s) applied to the cached table" % name
+    return "%s: all %d partition(s) hydrated from the result cache" % (name, reused)
+
+
+def render_analysis(spans, order, recursive_groups, result):
+    """The EXPLAIN ANALYZE report for one traced execution.
+
+    ``spans`` are the spans that execution recorded (retried attempts
+    included: the *last* span per predicate is the surviving one);
+    ``order`` and ``recursive_groups`` are the engine's evaluation
+    groups.  One section per group, the cache summary, then the failure
+    section when the error policy contained anything.
+    """
+    last = {span.name: span for span in spans if span.category == "plan"}
+    reports = []
+    for group in order:
+        kind = result.reuse_summary[group[0]]
+        if group not in recursive_groups:
+            name = group[0]
+            span = last["predicate:%s" % name]
+            reports.append(_predicate_report(name, kind, span, spans))
+        elif kind == "full":
+            reports.append(
+                "%s: recursive group reused from the result cache" % " + ".join(group)
+            )
+        else:
+            reports.append(
+                "%s: recursive group evaluated semi-naively to fixpoint in %d "
+                "iteration(s)"
+                % (" + ".join(group), last["fixpoint:%s" % "+".join(group)].attrs["iterations"])
+            )
+    reports.append(render_cache_summary(result.stats))
+    reports.append(render_failures(result.report))
+    return "\n\n".join(r for r in reports if r)
 
 
 def _rate(hits, misses):

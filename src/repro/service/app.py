@@ -95,6 +95,15 @@ def stream_result(meta, result):
     return NDJSONStream(lines())
 
 
+#: ``POST /sessions`` tuning fields: ``(name, kind, valid, expected)``
+_SESSION_SETTINGS = (
+    ("max_iterations", int, lambda v: v >= 1, "an integer >= 1"),
+    ("questions_per_iteration", int, lambda v: v >= 1, "an integer >= 1"),
+    ("subset_fraction", (int, float), lambda v: 0 < v <= 1, "a number in (0, 1]"),
+    ("answer_timeout", (int, float), lambda v: v > 0, "a number > 0"),
+)
+
+
 class ServiceApp:
     """Routes WSGI requests onto one :class:`ExtractionService`."""
 
@@ -225,15 +234,27 @@ class ServiceApp:
         return [body]
 
     @staticmethod
-    def _field(body, name, kind=str, required=True, default=None):
+    def _field(
+        body, name, kind=str, required=True, default=None, valid=None, expected=None
+    ):
+        """``body[name]`` checked against ``kind`` and the ``valid`` predicate.
+
+        JSON booleans never pass as numbers (``True`` is an ``int`` in
+        Python); ``expected`` words the 400 message, which always names
+        the field.
+        """
         value = body.get(name, default)
         if value is None:
             if required:
                 raise ServiceError("missing required field %r" % name)
             return default
-        if not isinstance(value, kind):
+        if (
+            not isinstance(value, kind)
+            or (isinstance(value, bool) and kind is not bool)
+            or (valid is not None and not valid(value))
+        ):
             raise ServiceError(
-                "field %r must be %s" % (name, kind.__name__)
+                "field %r must be %s" % (name, expected or kind.__name__)
             )
         return value
 
@@ -314,13 +335,13 @@ class ServiceApp:
 
     def _create_session(self, body):
         program_id = self._field(body, "program_id")
-        wrapped = self.service.sessions.create(
-            program_id,
-            max_iterations=body.get("max_iterations"),
-            questions_per_iteration=body.get("questions_per_iteration"),
-            subset_fraction=body.get("subset_fraction"),
-            answer_timeout=body.get("answer_timeout"),
-        )
+        settings = {
+            name: self._field(
+                body, name, kind, required=False, valid=valid, expected=expected
+            )
+            for name, kind, valid, expected in _SESSION_SETTINGS
+        }
+        wrapped = self.service.sessions.create(program_id, **settings)
         return 201, wrapped.status()
 
     def _list_sessions(self, body):

@@ -10,12 +10,10 @@ from repro.observability.spans import (
     span_tree_image,
     spans_from_chrome,
     spans_from_json,
-    spans_from_traces,
     spans_to_chrome,
     spans_to_json,
     write_chrome_trace,
 )
-from repro.processor.tracing import OperatorTrace
 
 
 def make_tree():
@@ -75,44 +73,76 @@ class TestTracer:
 
 
 class TestSpansFromTraces:
-    def traces(self):
-        # depth-first rows of: root(project) > select > scan
-        return [
-            OperatorTrace("Project", 0, elapsed=0.1, subtree_elapsed=0.6, out_tuples=2),
-            OperatorTrace("Select", 1, elapsed=0.2, subtree_elapsed=0.5, out_tuples=2),
-            OperatorTrace("Scan", 2, elapsed=0.3, subtree_elapsed=0.3, out_tuples=5),
-        ]
+    """Operator spans recorded by a traced plan execution."""
 
-    def test_nesting_follows_depth(self):
+    def traced(self, figure2_program, figure1_corpus):
+        from repro.alog.unfold import unfold_program
+        from repro.processor.context import ExecutionContext
+        from repro.processor.plan import compile_predicate
+
+        unfolded = unfold_program(figure2_program)
         tracer = Tracer()
-        spans = spans_from_traces(self.traces(), tracer, anchor=0.0)
+        plan = compile_predicate("houses", unfolded)
+        table = plan.execute(ExecutionContext(unfolded, figure1_corpus, tracer=tracer))
+        return plan, table, tracer.spans
+
+    def test_nesting_follows_depth(self, figure2_program, figure1_corpus):
+        plan, _, spans = self.traced(figure2_program, figure1_corpus)
+        by_id = {s.span_id: s for s in spans}
+        operators = [s for s in spans if s.category == "operator"]
         parents = {
-            s.name: parent
-            for s, parent in (
-                (span, {x.span_id: x.name for x in spans}.get(span.parent_id))
-                for span in spans
-            )
+            s.name: by_id[s.parent_id].name if s.parent_id in by_id else None
+            for s in operators
         }
-        assert parents == {"Project": None, "Select": "Project", "Scan": "Select"}
 
-    def test_windows_use_subtree_time_and_nest(self):
-        spans = spans_from_traces(self.traces(), Tracer(), anchor=0.0)
-        by_name = {s.name: s for s in spans}
-        assert by_name["Project"].duration == pytest.approx(0.6)
-        assert by_name["Select"].duration == pytest.approx(0.5)
-        # each child's window lies inside its parent's window
-        assert by_name["Select"].start >= by_name["Project"].start
-        assert by_name["Select"].end <= by_name["Project"].end + 1e-9
-        assert by_name["Scan"].start >= by_name["Select"].start
-        assert by_name["Scan"].end <= by_name["Select"].end + 1e-9
+        def expected(op, parent=None):
+            yield op.describe(), parent
+            for child in op.children():
+                yield from expected(child, op.describe())
 
-    def test_attrs_carry_counts(self):
-        spans = spans_from_traces(self.traces(), Tracer(), anchor=0.0)
-        assert spans[2].attrs["tuples"] == 5
-        assert spans[0].attrs["self_time_s"] == pytest.approx(0.1)
+        assert parents == dict(expected(plan))
+        assert len(operators) == len(list(expected(plan)))
 
-    def test_empty_traces(self):
-        assert spans_from_traces([], Tracer()) == []
+    def test_windows_use_subtree_time_and_nest(self, figure2_program, figure1_corpus):
+        _, _, spans = self.traced(figure2_program, figure1_corpus)
+        by_id = {s.span_id: s for s in spans}
+        nested = 0
+        for span in spans:
+            parent = by_id.get(span.parent_id)
+            if span.category != "operator" or parent is None:
+                continue
+            # each child's window lies inside its parent's window
+            assert parent.start <= span.start <= span.end <= parent.end
+            nested += 1
+        assert nested > 0
+
+    def test_attrs_carry_counts(self, figure2_program, figure1_corpus):
+        plan, table, spans = self.traced(figure2_program, figure1_corpus)
+        by_name = {s.name: s for s in spans if s.category == "operator"}
+        root = by_name[plan.describe()]
+        assert root.attrs["tuples"] == len(table)
+        assert root.attrs["assignments"] == table.assignment_count()
+        assert root.attrs["maybe"] == table.maybe_count()
+        assert by_name["Scan[housePages -> x]"].attrs["tuples"] == 2
+        for span in by_name.values():
+            assert span.attrs["cache_hits"] >= 0 and span.attrs["cache_misses"] >= 0
+
+    def test_empty_traces(self, figure2_program, figure1_corpus):
+        from repro.processor.executor import IFlexEngine, RuleCache
+        from repro.processor.tracing import operator_rows, render_traces
+
+        tracer = Tracer()
+        engine = IFlexEngine(figure2_program, figure1_corpus, tracer=tracer)
+        cache = RuleCache()
+        engine.execute(cache)
+        mark = len(tracer.spans)
+        engine.execute(cache)
+        warm = tracer.spans[mark:]
+        # a predicate answered wholly from the cache runs no operators
+        assert not [s for s in warm if s.category == "operator"]
+        predicate = [s for s in warm if s.name == "predicate:houses"][0]
+        assert operator_rows(warm, predicate) == []
+        assert render_traces(operator_rows(warm, predicate)) == "(no traced operators)"
 
 
 class TestJsonRoundTrip:

@@ -1,10 +1,23 @@
 """EXPLAIN ANALYZE / tracing tests."""
 
-import pytest
-
+from repro.observability.spans import Tracer
+from repro.processor.context import ExecConfig
 from repro.processor.executor import IFlexEngine
 from repro.processor.plan import compile_predicate
-from repro.processor.tracing import trace_plan
+from repro.processor.tracing import operator_rows
+
+
+def _traced_run(program, corpus, name):
+    """Execute one predicate plan under a tracer; ``(table, root rows)``."""
+    from repro.alog.unfold import unfold_program
+    from repro.processor.context import ExecutionContext
+
+    unfolded = unfold_program(program)
+    tracer = Tracer()
+    context = ExecutionContext(unfolded, corpus, tracer=tracer)
+    with tracer.span("predicate:%s" % name, "plan") as root:
+        table = compile_predicate(name, unfolded).execute(context)
+    return table, operator_rows(tracer.spans, root)
 
 
 class TestTracedPlan:
@@ -23,31 +36,84 @@ class TestTracedPlan:
         assert "ms" in report
 
     def test_traces_record_cardinalities(self, figure2_program, figure1_corpus):
-        from repro.alog.unfold import unfold_program
-        from repro.processor.context import ExecutionContext
-
-        unfolded = unfold_program(figure2_program)
-        context = ExecutionContext(unfolded, figure1_corpus)
-        traced = trace_plan(compile_predicate("houses", unfolded))
-        table = traced.execute(context)
-        traces = traced.collect()
-        root = traces[0]
+        table, rows = _traced_run(figure2_program, figure1_corpus, "houses")
+        root = rows[0]
+        assert root.depth == 0 and all(r.depth > 0 for r in rows[1:])
         assert root.out_tuples == len(table)
-        scan = [t for t in traces if t.describe.startswith("Scan")][0]
+        assert root.out_assignments == table.assignment_count()
+        scan = [r for r in rows if r.describe.startswith("Scan")][0]
         assert scan.out_tuples == 2
 
     def test_self_time_excludes_children(self, figure2_program, figure1_corpus):
-        from repro.alog.unfold import unfold_program
-        from repro.processor.context import ExecutionContext
-
-        unfolded = unfold_program(figure2_program)
-        context = ExecutionContext(unfolded, figure1_corpus)
-        traced = trace_plan(compile_predicate("houses", unfolded))
-        traced.execute(context)
-        total_self = sum(t.elapsed for t in traced.collect())
-        assert total_self >= 0
+        _, rows = _traced_run(figure2_program, figure1_corpus, "houses")
+        assert all(r.elapsed >= 0 for r in rows)
         # every operator reported something
-        assert all(t.out_tuples >= 0 for t in traced.collect())
+        assert all(r.out_tuples >= 0 for r in rows)
+        # self cache traffic never double-counts a child's traffic
+        assert all(r.cache_hits >= 0 and r.cache_misses >= 0 for r in rows)
+
+    def test_an_engine_tracer_is_left_in_place(self, figure2_program, figure1_corpus):
+        tracer = Tracer()
+        engine = IFlexEngine(figure2_program, figure1_corpus, tracer=tracer)
+        engine.explain_analyze()
+        assert engine.tracer is tracer
+        assert any(s.category == "operator" for s in tracer.spans)
+        # without one, the report uses a private tracer and leaves none
+        bare = IFlexEngine(figure2_program, figure1_corpus)
+        bare.explain_analyze()
+        assert bare.tracer is None
+
+
+UNION_SOURCE = """
+pages(x) :- housePages(x).
+pages(x) :- schoolPages(x).
+Q(x, <p>) :- pages(x), from(@x, p), numeric(p) = yes.
+"""
+
+
+class TestPartitionMerge:
+    def _report_rows(self, corpus, workers):
+        from repro.xlog import Program
+
+        program = Program.parse(
+            UNION_SOURCE, extensional=["housePages", "schoolPages"], query="Q"
+        )
+        engine = IFlexEngine(
+            program, corpus, config=ExecConfig(workers=workers, backend="thread")
+        )
+        tracer = engine.tracer = Tracer()
+        engine.execute()
+        roots = {
+            s.name: s for s in tracer.spans if s.name.startswith("predicate:")
+        }
+        return operator_rows(tracer.spans, roots["predicate:pages"])
+
+    def test_partition_rows_merge_under_their_gather(self, figure1_corpus):
+        serial = self._report_rows(figure1_corpus, 1)
+        parallel = self._report_rows(figure1_corpus, 2)
+        assert parallel[0].describe == "Union[2]"
+        gathers = [r for r in parallel if r.describe.startswith("Gather")]
+        assert [g.depth for g in gathers] == [1, 1]
+        # each gather is followed by its local root's rows, one level
+        # deeper, merged across both partitions
+        scans = [r for r in parallel if r.describe.startswith("Scan")]
+        assert [r.describe for r in scans] == [
+            "Scan[housePages -> x]",
+            "Scan[schoolPages -> x]",
+        ]
+        for gather, scan in zip(gathers, scans):
+            local = parallel[parallel.index(gather) + 1:parallel.index(scan) + 1]
+            assert all(r.depth > gather.depth for r in local)
+
+        def counts(rows):
+            return [
+                (r.describe, r.out_tuples, r.out_assignments, r.maybe_tuples)
+                for r in rows
+                if not r.describe.startswith("Gather")
+            ]
+
+        # merged partition counts sum to the serial counts
+        assert counts(parallel) == counts(serial)
 
 
 class TestRenderEdgeCases:

@@ -29,6 +29,37 @@ def start_session(client, **extra):
     return resp.json["session_id"]
 
 
+class TestCreateValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_iterations", 0),
+            ("max_iterations", 2.5),
+            ("max_iterations", "3"),
+            ("max_iterations", True),
+            ("questions_per_iteration", -1),
+            ("questions_per_iteration", False),
+            ("subset_fraction", 0),
+            ("subset_fraction", 1.5),
+            ("subset_fraction", "0.5"),
+            ("subset_fraction", True),
+            ("answer_timeout", 0),
+            ("answer_timeout", -2.0),
+            ("answer_timeout", [1]),
+            ("answer_timeout", True),
+        ],
+    )
+    def test_bad_session_settings_are_400_naming_the_field(
+        self, client, service, field, value
+    ):
+        ingest_pages(client, range(3))
+        pid = submit_program(client).json["program_id"]
+        resp = client.post("/sessions", {"program_id": pid, field: value})
+        assert resp.code == 400
+        assert repr(field) in resp.json["error"]
+        assert service.sessions.describe() == []
+
+
 class TestLifecycle:
     def test_unknown_program_404(self, client):
         assert client.post("/sessions", {"program_id": "zzz"}).code == 404

@@ -222,6 +222,45 @@ class TestObservabilityFlags:
         }
         assert {"partition", "scheduler"} <= categories
 
+    def test_analyze_json_reports_the_same_run(self, tmp_path, capsys, pages_dir, program_file):
+        """``--analyze`` measures the run it describes: the same table and
+        the same reuse accounting as a plain run, cold and warm."""
+        import json
+
+        from repro.observability.spans import span_tree_image, spans_from_chrome
+
+        def run(mode, phase, *extra):
+            metrics_path = tmp_path / ("%s-%s.metrics.json" % (mode, phase))
+            trace_path = tmp_path / ("%s-%s.trace.json" % (mode, phase))
+            code = main(
+                ["run", str(program_file), "--table", "pages=%s" % pages_dir,
+                 "--query", "q", "--workers", "2", "--json",
+                 "--result-cache", str(tmp_path / ("%s-cache" % mode)),
+                 "--metrics-out", str(metrics_path),
+                 "--trace-out", str(trace_path), *extra]
+            )
+            assert code == 0
+            out = capsys.readouterr().out
+            table = json.loads(out[out.rindex("\n{\n") + 1:] if extra else out)
+            metrics = json.loads(metrics_path.read_text())
+            spans = sorted(span_tree_image(spans_from_chrome(trace_path.read_text())))
+            return table, metrics, spans, out
+
+        for phase in ("cold", "warm"):
+            table, metrics, spans, _ = run("plain", phase)
+            analyzed_table, analyzed_metrics, analyzed_spans, report = run(
+                "analyze", phase, "--analyze"
+            )
+            assert analyzed_table == table
+            assert analyzed_metrics == metrics
+            # the same spans, operators included: one run, two renderings
+            assert analyzed_spans == spans
+        by_name = {m["name"]: m for m in metrics["metrics"]}
+        assert sum(
+            s["value"] for s in by_name["repro.exec.partitions_reused"]["series"]
+        ) == 2
+        assert "items: all 2 partition(s) hydrated from the result cache" in report
+
 
 class TestNumericArgValidation:
     """Previously-unvalidated numeric flags now fail at parse time."""
