@@ -2,9 +2,9 @@
 
 Runs Table 2 tasks with realistic constraint chains (the refinements a
 session would push down: ``bold_font`` / ``capitalized`` / length caps)
-under four configurations — the naive span-by-span path, the scalar
-indexed path (``use_batch=False``), the default vectorized-batch path,
-and a warm re-execution on the batch engine — and records verify/refine
+under three configurations — the naive span-by-span path, the default
+indexed vectorized-batch path, and a warm re-execution on the indexed
+engine — and records verify/refine
 call counts, batch-kernel counts, cache hit rates, and wall-clock.
 Chained constraints are the interesting case: every refined sub-span
 re-verifies all prior constraints, so the naive path re-scans the same
@@ -12,18 +12,14 @@ document text once per (hint, prior) pair while the indexed path
 answers from per-document column arrays and the ``EvalCache``.
 
 All configurations must be byte-identical (superset semantics is a
-correctness contract, the index an accelerator), and the scalar and
-batch paths must agree on *every* statistics counter except the two
-batch-attribution fields — the determinism contract the vectorized
-kernels are held to.  The bench also times the batch kernels in
-isolation against the scalar index calls they replace (>= 5x), and the
-columnar artifact cache cold (build + persist) vs warm (memory-map).
+correctness contract, the index an accelerator).  The bench also times
+the batch kernels in isolation against the scalar index calls they
+replace (>= 5x).
 
 Results land in ``benchmarks/results/constraint_pushdown.json``.
 """
 
 import json
-import tempfile
 import time
 from pathlib import Path
 
@@ -64,7 +60,7 @@ TASKS = (
     ),
 )
 
-CONFIGS = ("unindexed", "indexed_scalar", "indexed", "indexed_warm")
+CONFIGS = ("unindexed", "indexed", "indexed_warm")
 
 HEADERS = (
     "task",
@@ -77,10 +73,6 @@ HEADERS = (
     "cache hit rate",
     "identical",
 )
-
-#: statistics fields allowed to differ between the scalar and batch
-#: paths: they attribute *how* an index answered, not what it answered
-BATCH_ONLY_FIELDS = frozenset(("verify_batch", "refine_batch"))
 
 #: isolated kernel comparison: spans per call / timing repetitions
 KERNEL_SPANS = 2000
@@ -137,18 +129,6 @@ def _point(stats, seconds, identical):
     }
 
 
-def _counters_match(scalar_stats, batch_stats):
-    """Scalar/batch stat equality outside the batch-attribution fields."""
-    scalar_fields = vars(scalar_stats)
-    batch_fields = vars(batch_stats)
-    return {
-        name: (scalar_fields[name], batch_fields[name])
-        for name in scalar_fields
-        if name not in BATCH_ONLY_FIELDS
-        and scalar_fields[name] != batch_fields[name]
-    }
-
-
 def pushdown_comparison(task_id, size, chain, scale, seed, metrics=None):
     from repro.observability.metrics import record_stats
     from repro.processor import ExecConfig
@@ -157,9 +137,6 @@ def pushdown_comparison(task_id, size, chain, scale, seed, metrics=None):
     task, program = _constrained_task(task_id, size, chain, seed)
     _, naive_result, naive_seconds = _run_once(
         program, task.corpus, ExecConfig(use_index=False, use_eval_cache=False)
-    )
-    _, scalar_result, scalar_seconds = _run_once(
-        program, task.corpus, ExecConfig(use_batch=False)
     )
     engine, batch_result, batch_seconds = _run_once(
         program, task.corpus, ExecConfig()
@@ -171,17 +148,11 @@ def pushdown_comparison(task_id, size, chain, scale, seed, metrics=None):
     warm_seconds = time.perf_counter() - start
     if metrics is not None:
         record_stats(metrics, naive_result.stats, task=task_id, config="unindexed")
-        record_stats(
-            metrics, scalar_result.stats, task=task_id, config="indexed_scalar"
-        )
         record_stats(metrics, batch_result.stats, task=task_id, config="indexed")
         record_stats(metrics, warm_result.stats, task=task_id, config="indexed_warm")
     reference = _image(naive_result)
     points = {
         "unindexed": _point(naive_result.stats, naive_seconds, True),
-        "indexed_scalar": _point(
-            scalar_result.stats, scalar_seconds, _image(scalar_result) == reference
-        ),
         "indexed": _point(
             batch_result.stats, batch_seconds, _image(batch_result) == reference
         ),
@@ -198,44 +169,9 @@ def pushdown_comparison(task_id, size, chain, scale, seed, metrics=None):
         "task": task_id,
         "size": size,
         "chain": ["%s(%s) %s=%r" % (p, a, f, v) for p, a, f, v in chain],
-        "counter_drift": _counters_match(scalar_result.stats, batch_result.stats),
         "verify_call_reduction": round(min(reduction, 1e9), 2),
         **points,
     }
-
-
-def artifact_cycle(task_id, size, scale, seed):
-    """Cold build-and-persist vs warm memory-map of the columnar bundle."""
-    from repro.experiments.tasks import build_task
-    from repro.processor import ExecConfig, IFlexEngine
-
-    size = max(20, int(round(size * scale)))
-    task = build_task(task_id, size=size, seed=seed)
-    with tempfile.TemporaryDirectory() as cache_dir:
-        cold = IFlexEngine(
-            task.program,
-            task.corpus,
-            config=ExecConfig(artifact_cache=cache_dir),
-            validate=False,
-        )
-        cold.execute()
-        warm = IFlexEngine(
-            task.program,
-            task.corpus,
-            config=ExecConfig(artifact_cache=cache_dir),
-            validate=False,
-        )
-        warm.execute()
-        cold_store, warm_store = cold.index_store.columnar, warm.index_store.columnar
-        bundle = warm_store._bundles[0] if warm_store._bundles else None
-        return {
-            "task": task_id,
-            "build_seconds": round(cold_store.build_seconds, 4),
-            "load_seconds": round(warm_store.load_seconds, 4),
-            "bundle_bytes": int(bundle.nbytes) if bundle is not None else 0,
-            "warm_built_docs": warm_store.built,
-            "warm_mapped": bool(bundle is not None and bundle.mapped),
-        }
 
 
 def kernel_microbench():
@@ -297,13 +233,9 @@ def test_constraint_pushdown(benchmark, bench_scale, bench_seed, artifacts):
             )
             for task_id, size, chain in TASKS
         ]
-        cycles = [
-            artifact_cycle(task_id, size, bench_scale, bench_seed)
-            for task_id, size, _ in TASKS
-        ]
-        return comparisons, cycles, kernel_microbench()
+        return comparisons, kernel_microbench()
 
-    comparisons, cycles, kernels = benchmark.pedantic(body, rounds=1, iterations=1)
+    comparisons, kernels = benchmark.pedantic(body, rounds=1, iterations=1)
     rows = []
     for comparison in comparisons:
         for config in CONFIGS:
@@ -343,7 +275,6 @@ def test_constraint_pushdown(benchmark, bench_scale, bench_seed, artifacts):
     aggregate = total_naive / total_indexed if total_indexed else float("inf")
     payload = {
         "tasks": comparisons,
-        "artifact_cache": cycles,
         "kernels": kernels,
         "aggregate": {
             "unindexed_verify_calls": total_naive,
@@ -357,10 +288,6 @@ def test_constraint_pushdown(benchmark, bench_scale, bench_seed, artifacts):
     # superset semantics: index and kernels are accelerators, never a change
     for config in CONFIGS:
         assert all(c[config]["identical"] for c in comparisons), config
-    # the scalar and batch paths agree on every non-batch counter
-    assert all(not c["counter_drift"] for c in comparisons), [
-        c["counter_drift"] for c in comparisons
-    ]
     # batch kernels actually carry the constraint work on these chains:
     # every span answers from a vectorized kernel, none from the naive
     # feature fallback
@@ -376,5 +303,3 @@ def test_constraint_pushdown(benchmark, bench_scale, bench_seed, artifacts):
     # by >= 5x in isolation (end-to-end wall-clock is dispatch-bound;
     # the JSON records both so the attribution is auditable)
     assert all(k["speedup"] >= 5.0 for k in kernels), kernels
-    # a warm artifact cache maps the bundle instead of rebuilding it
-    assert all(c["warm_mapped"] and c["warm_built_docs"] == 0 for c in cycles), cycles

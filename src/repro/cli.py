@@ -127,22 +127,6 @@ def build_parser():
             "chains, rules, and partitions",
         )
         p.add_argument(
-            "--no-batch",
-            action="store_true",
-            help="disable batched (vectorized) Verify/Refine kernels: "
-            "constraints evaluate span by span through the scalar "
-            "indexes (escape hatch; results and statistics are "
-            "identical either way)",
-        )
-        p.add_argument(
-            "--artifact-cache",
-            metavar="DIR",
-            help="content-addressed cache directory for columnar corpus "
-            "artifacts: cold runs build and persist the column tables "
-            "once, warm runs memory-map them (no tokenization), and "
-            "forked workers map the same read-only files",
-        )
-        p.add_argument(
             "--result-cache",
             metavar="DIR",
             help="persistent partition-result cache directory: evaluated "
@@ -397,11 +381,6 @@ def build_parser():
         help="scheduler for per-partition work",
     )
     serve.add_argument(
-        "--artifact-cache",
-        metavar="DIR",
-        help="content-addressed cache directory for columnar corpus artifacts",
-    )
-    serve.add_argument(
         "--result-cache",
         metavar="DIR",
         help="persistent partition-result cache directory; survives "
@@ -431,7 +410,6 @@ def build_parser():
     )
     serve.add_argument("--no-index", action="store_true")
     serve.add_argument("--no-eval-cache", action="store_true")
-    serve.add_argument("--no-batch", action="store_true")
     serve.add_argument("--no-incremental", action="store_true")
     serve.add_argument(
         "--max-fixpoint-iterations",
@@ -504,8 +482,6 @@ def _exec_config(args):
         backend=args.backend,
         use_index=not getattr(args, "no_index", False),
         use_eval_cache=not getattr(args, "no_eval_cache", False),
-        use_batch=not getattr(args, "no_batch", False),
-        artifact_cache=getattr(args, "artifact_cache", None),
         on_error=getattr(args, "on_error", "fail-fast"),
         max_retries=getattr(args, "max_retries", 2),
         partition_timeout=getattr(args, "partition_timeout", None),
@@ -906,8 +882,6 @@ def _cmd_serve(args):
         backend=args.backend,
         use_index=not args.no_index,
         use_eval_cache=not args.no_eval_cache,
-        use_batch=not args.no_batch,
-        artifact_cache=args.artifact_cache,
         result_cache=args.result_cache,
         incremental=not args.no_incremental,
         partition_docs=args.partition_docs,

@@ -1,55 +1,32 @@
-"""The columnar storage tier: numpy-backed per-document artifacts.
+"""The columnar storage tier: numpy-backed per-document columns.
 
 The feature indexes in :mod:`repro.features.index` answer
 ``Verify``/``Refine`` from sorted position tables.  This package owns
 the *storage* of those tables: every document's token offsets,
 word/capitalised-run tables, number-token positions, and region
 interval arrays live as ``int64`` numpy columns
-(:class:`~repro.columnar.arrays.DocColumns`), buildable once per
-corpus, packed into a single flat buffer
-(:class:`~repro.columnar.store.CorpusArtifacts`) and persisted/loaded
-via ``.npy`` + ``np.memmap`` under a content-addressed cache directory
-(:class:`~repro.columnar.store.ColumnarStore`).
+(:class:`~repro.columnar.arrays.DocColumns`), built lazily in memory
+the first time an index over the document is needed.  The batch
+``verify_batch``/``refine_batch`` kernels operate directly on the
+columns with ``np.searchsorted``.
 
-Splitting storage from index logic buys three things:
-
-* **vectorized evaluation** — the batch ``verify_batch``/``refine_batch``
-  kernels operate directly on the columns with ``np.searchsorted``;
-* **warm starts** — a second engine over the same corpus maps the
-  on-disk artifact instead of re-tokenizing every document;
-* **zero-copy workers** — forked worker processes inherit the same
-  read-only mapping, so the fork payload carries ``(path, digest)``
-  references instead of pickled index structures.
+It also holds the persistent partition-result cache
+(:mod:`repro.columnar.results`).
 """
 
-from repro.columnar.arrays import LAYOUT_VERSION, DocColumns, build_doc_columns
+from repro.columnar.arrays import DocColumns, build_doc_columns
 from repro.columnar.results import (
     ResultStore,
     load_result,
     prune_cache_dir,
     save_result,
 )
-from repro.columnar.store import (
-    ColumnarStore,
-    CorpusArtifacts,
-    build_artifacts,
-    corpus_digest,
-    load_artifacts,
-    save_artifacts,
-)
 
 __all__ = [
-    "LAYOUT_VERSION",
     "DocColumns",
     "build_doc_columns",
-    "ColumnarStore",
-    "CorpusArtifacts",
     "ResultStore",
-    "build_artifacts",
-    "corpus_digest",
-    "load_artifacts",
     "load_result",
     "prune_cache_dir",
-    "save_artifacts",
     "save_result",
 ]

@@ -20,26 +20,20 @@ indexes need, as ``int64`` arrays:
     prefix-max precomputed.
 
 Columns are derived purely from immutable document content, so they can
-be built once, shared across threads, inherited by forked workers, and
-persisted (see :mod:`repro.columnar.store`) — there is nothing to
-invalidate.
+be built once, shared across threads, and inherited by forked workers —
+there is nothing to invalidate.
 """
 
 import numpy as np
 
 from repro.text.tokenize import NUMBER, WORD
 
-__all__ = ["LAYOUT_VERSION", "DocColumns", "build_doc_columns"]
-
-#: Bumped when the column layout changes; folded into the artifact
-#: digest so on-disk bundles from an older layout rebuild instead of
-#: silently loading wrong.
-LAYOUT_VERSION = 1
+__all__ = ["DocColumns", "build_doc_columns"]
 
 _I64 = np.int64
 _EMPTY = np.empty(0, dtype=_I64)
 
-#: Scalar column names, in canonical (persisted) order.
+#: Scalar column names, in canonical order.
 SCALAR_COLUMNS = (
     "token_starts",
     "token_ends",
@@ -73,7 +67,7 @@ class DocColumns:
         return sorted(self._regions)
 
     def columns(self):
-        """``(name, array)`` pairs in canonical order (for persistence)."""
+        """``(name, array)`` pairs: scalars, then each region kind's three."""
         out = [(name, getattr(self, name)) for name in SCALAR_COLUMNS]
         for kind in self.region_kinds():
             starts, ends, maxend = self._regions[kind]
@@ -81,31 +75,6 @@ class DocColumns:
             out.append(("region:%s:ends" % kind, ends))
             out.append(("region:%s:maxend" % kind, maxend))
         return out
-
-    @classmethod
-    def from_columns(cls, doc_id, named):
-        """Rebuild from ``name -> array`` (inverse of :meth:`columns`)."""
-        scalars = {}
-        regions = {}
-        for name, array in named.items():
-            if name.startswith("region:"):
-                _, kind, part = name.split(":")
-                regions.setdefault(kind, {})[part] = array
-            else:
-                scalars[name] = array
-        packed = {
-            kind: (
-                parts.get("starts", _EMPTY),
-                parts.get("ends", _EMPTY),
-                parts.get("maxend", _EMPTY),
-            )
-            for kind, parts in regions.items()
-        }
-        return cls(doc_id, regions=packed, **scalars)
-
-    @property
-    def nbytes(self):
-        return sum(array.nbytes for _, array in self.columns())
 
     def __repr__(self):
         return "DocColumns(%r, %d tokens)" % (self.doc_id, len(self.token_starts))

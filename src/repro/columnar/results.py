@@ -1,29 +1,28 @@
 """Persistent, content-addressed partition-result cache.
 
-The columnar tier caches *inputs* (token/region columns); this module
-caches *outputs*: evaluated :class:`~repro.ctables.ctable.CompactTable`
-partition results, keyed by the executor's rule fingerprint token — a
+The columnar tier holds *inputs* (token/region columns, in memory);
+this module caches *outputs*: evaluated
+:class:`~repro.ctables.ctable.CompactTable` partition results, keyed by the executor's rule fingerprint token — a
 SHA-256 over the rule split, its upstream tokens, and the partition's
 :attr:`~repro.text.corpus.Corpus.content_digest`.  A key therefore
 changes whenever the plan *or* any document content in the partition
 changes, which is what makes delta execution safe: after an edit, only
 the partitions whose digests moved miss the cache.
 
-Layout mirrors the columnar bundles, two files per entry::
+Two files per entry::
 
     <key>.res.npy        flat int64 buffer (repro.ctables.codec)
     <key>.res.meta.json  codec sidecar + store envelope (key, total)
 
-and so does the discipline: writes go through ``mkstemp`` +
-``os.replace`` (a crashed writer leaves no half-entry), and *any*
-load-side defect — missing file, garbage buffer, version or key
-mismatch, a span that no longer fits its document — yields ``None`` so
-the executor recomputes.  The cache is an accelerator, never a source
+Writes go through ``mkstemp`` + ``os.replace`` (a crashed writer
+leaves no half-entry), and *any* load-side defect — missing file,
+garbage buffer, version or key mismatch, a span that no longer fits its
+document — yields ``None`` so the executor recomputes.  The cache is an accelerator, never a source
 of truth.
 
-:func:`prune_cache_dir` keeps a shared artifact directory bounded: when
-entry-count or byte caps are exceeded it evicts whole entries (columnar
-and result alike) oldest-first by mtime.
+:func:`prune_cache_dir` keeps a cache directory bounded: when
+entry-count or byte caps are exceeded it evicts whole entries
+oldest-first by mtime.
 """
 
 import json
@@ -47,7 +46,10 @@ logger = get_logger("columnar")
 _I64 = np.int64
 
 #: suffixes that group a cache entry's files; longest first so
-#: ``.res.meta.json`` is never mistaken for a columnar ``.meta.json``
+#: ``.res.meta.json`` is never mistaken for a ``.meta.json``.  The
+#: ``.cols.npy``/``.meta.json`` pair is the corpus column bundle older
+#: versions persisted, often into the same directory: nothing reads it
+#: any more, but prune still evicts it.
 _ENTRY_SUFFIXES = (".res.meta.json", ".res.npy", ".meta.json", ".cols.npy")
 
 
@@ -147,8 +149,8 @@ def _entry_groups(cache_dir):
 def prune_cache_dir(cache_dir, max_entries=None, max_bytes=None, keep=()):
     """Evict cache entries beyond the caps; returns the entries removed.
 
-    An *entry* is the file group sharing one ``<key>`` stem — a columnar
-    bundle or a persisted result.  Eviction is whole-entry, oldest
+    An *entry* is the file group sharing one ``<key>`` stem — a persisted
+    result or an old column bundle.  Eviction is whole-entry, oldest
     mtime first, with mtime *ties broken by key name*: filesystem
     timestamps are coarse (whole seconds on some mounts), so entries
     written in one burst routinely share an mtime and "oldest first"

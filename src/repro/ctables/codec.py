@@ -26,7 +26,7 @@ store skips persisting rather than ever serving an inexact table.
 Decoding is equally strict: any structural defect — unknown kind, an
 index out of range, a span outside its document, leftover or missing
 buffer words — raises :class:`CodecError`, which the store layer maps
-to "rebuild" exactly like a corrupt columnar bundle.
+to "recompute".
 """
 
 import ast

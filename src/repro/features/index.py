@@ -15,9 +15,8 @@ sub-spans directly from the precomputed arrays.
 
 The position tables themselves live in the columnar storage tier
 (:mod:`repro.columnar`): ``int64`` numpy columns built once per
-document — or mapped from a persisted corpus artifact — and shared by
-every index over that document.  On top of the scalar contract the
-indexes expose *batch* kernels (:meth:`FeatureIndex.verify_batch` /
+document and shared by every index over that document.  On top of the
+scalar contract the indexes expose *batch* kernels (:meth:`FeatureIndex.verify_batch` /
 :meth:`FeatureIndex.refine_batch`): one ``np.searchsorted`` over a
 whole span batch instead of a Python-level bisection per span.
 
@@ -48,7 +47,7 @@ shares one :class:`TokenArrays` per document across all features.
 
 import numpy as np
 
-from repro.columnar.store import ColumnarStore
+from repro.columnar.arrays import build_doc_columns
 from repro.features.base import (
     DISTINCT_NO,
     DISTINCT_YES,
@@ -80,21 +79,16 @@ class TokenArrays:
     arrays are sorted and the tokens fully inside ``[start, end)`` form
     the contiguous index range returned by :meth:`range_in` — the
     ``searchsorted`` form of ``Document.tokens_in``.  The arrays are
-    views of the document's :class:`~repro.columnar.arrays.DocColumns`
-    (built ad hoc when the caller has no columnar store).
+    views of the document's :class:`~repro.columnar.arrays.DocColumns`.
     """
 
     __slots__ = ("doc", "columns", "starts", "ends")
 
-    def __init__(self, doc, columns=None):
-        if columns is None:
-            from repro.columnar.arrays import build_doc_columns
-
-            columns = build_doc_columns(doc)
+    def __init__(self, doc):
         self.doc = doc
-        self.columns = columns
-        self.starts = columns.token_starts
-        self.ends = columns.token_ends
+        self.columns = build_doc_columns(doc)
+        self.starts = self.columns.token_starts
+        self.ends = self.columns.token_ends
 
     @property
     def tokens(self):
@@ -180,24 +174,19 @@ class IndexStore:
     race to build the same index; both build the same value, so the
     duplicate work is benign (``built`` is therefore a diagnostic
     counter, not part of :class:`~repro.processor.context.ExecutionStats`).
-
-    ``columnar`` is the :class:`~repro.columnar.store.ColumnarStore`
-    the position tables come from; passing the engine's store in means
-    a mapped corpus artifact feeds every index without re-tokenizing.
     """
 
-    __slots__ = ("_arrays", "_indexes", "built", "columnar")
+    __slots__ = ("_arrays", "_indexes", "built")
 
-    def __init__(self, columnar=None):
+    def __init__(self):
         self._arrays = {}
         self._indexes = {}
         self.built = 0
-        self.columnar = columnar if columnar is not None else ColumnarStore()
 
     def arrays(self, doc):
         arrays = self._arrays.get(doc.doc_id)
         if arrays is None:
-            arrays = TokenArrays(doc, self.columnar.columns_for(doc))
+            arrays = TokenArrays(doc)
             self._arrays[doc.doc_id] = arrays
         return arrays
 
@@ -220,16 +209,13 @@ class IndexStore:
 
         Needed only when a document is *edited in place* (same id, new
         content) — the resident service's upsert path; mere additions
-        and removals never stale anything.  The columnar store is
-        invalidated too, so rebuilt indexes read fresh columns.
+        and removals never stale anything.
         """
         doc_ids = set(doc_ids)
         for doc_id in doc_ids:
             self._arrays.pop(doc_id, None)
         for key in [k for k in self._indexes if k[1] in doc_ids]:
             del self._indexes[key]
-        if self.columnar is not None:
-            self.columnar.invalidate(doc_ids)
 
     def __len__(self):
         return len(self._indexes)

@@ -62,16 +62,6 @@ class ExecConfig:
     #: Memoize Verify/Refine results across constraint chains, rules and
     #: partitions (the :class:`EvalCache`).
     use_eval_cache: bool = True
-    #: Evaluate a constraint over a cell's whole assignment multiset
-    #: with the vectorized batch kernels (one array op per table pass)
-    #: instead of a per-assignment loop; ``False`` forces the scalar
-    #: path (the CLI's ``--no-batch``).  Results and statistics are
-    #: identical either way.
-    use_batch: bool = True
-    #: Directory for persisted columnar artifacts (content-addressed
-    #: ``.npy`` bundles, see :mod:`repro.columnar`); ``None`` keeps
-    #: columns in memory only (the CLI's ``--artifact-cache``).
-    artifact_cache: object = None
     #: Error policy for document-attributable failures (a feature or
     #: p-predicate raising on a malformed document): ``fail-fast``
     #: surfaces the enriched exception, ``skip`` quarantines the

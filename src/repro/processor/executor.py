@@ -400,11 +400,7 @@ class IFlexEngine:
         # are keyed by immutable document content, so sharing never
         # changes results.
         if getattr(self.config, "use_index", True):
-            if index_store is not None:
-                self.index_store = index_store
-            else:
-                self.index_store = IndexStore(columnar=self._make_columnar())
-            self._prepare_artifacts()
+            self.index_store = index_store if index_store is not None else IndexStore()
         else:
             self.index_store = None
         if getattr(self.config, "use_eval_cache", True):
@@ -468,12 +464,11 @@ class IFlexEngine:
         """Re-point this resident engine at a mutated (or new) corpus.
 
         The engine-as-library entry point the service's ingestion path
-        uses: shared acceleration state (index store, eval cache,
-        columnar store, result store, the default rule cache) stays
-        resident — reuse fingerprints are content-addressed, so stale
-        entries simply miss — while everything derived from the corpus
-        *view* (active corpus, partitioning, the doc-id decode map) is
-        rebuilt.  ``edited_docs`` names documents replaced *in place*
+        uses: shared acceleration state (index store, eval cache, result
+        store, the default rule cache) stays resident — reuse
+        fingerprints are content-addressed, so stale entries simply
+        miss — while everything derived from the corpus *view* (active
+        corpus, partitioning, the doc-id decode map) is rebuilt.  ``edited_docs`` names documents replaced *in place*
         (same id, new content): their content-keyed cache entries are
         the one thing content addressing cannot age out, so they are
         invalidated explicitly.  Quarantined documents stay quarantined.
@@ -492,40 +487,7 @@ class IFlexEngine:
         )
         self.physical = self._make_physical()
         self._docs_map = None
-        if self.index_store is not None:
-            self._prepare_artifacts()
         return self
-
-    def _make_columnar(self):
-        """A columnar store honouring ``config.artifact_cache``."""
-        from repro.columnar import ColumnarStore
-
-        return ColumnarStore(
-            cache_dir=getattr(self.config, "artifact_cache", None)
-        )
-
-    def _prepare_artifacts(self):
-        """Build-or-map the corpus's columnar bundle when caching is on.
-
-        Only an explicit ``artifact_cache`` triggers eager preparation:
-        it pays one corpus pass up front so warm starts map the bundle
-        and forked workers receive ``(path, digest)`` refs instead of
-        rebuilding.  Without a cache directory, columns stay lazy —
-        built per document on first Verify/Refine, exactly as cheap as
-        before.
-        """
-        store = getattr(self.index_store, "columnar", None)
-        if store is None or store.cache_dir is None:
-            return
-        seen = set()
-        docs = []
-        for name in self.corpus.table_names():
-            for doc in self.corpus.table(name):
-                if doc.doc_id not in seen:
-                    seen.add(doc.doc_id)
-                    docs.append(doc)
-        if docs:
-            store.prepare(docs)
 
     def _make_physical(self):
         """The physical execution layer, or None on the serial path.
@@ -1095,7 +1057,7 @@ class IFlexEngine:
 
         Returns the hydrated table or ``None``; corrupt and stale
         entries count as misses (the store logs and the caller
-        recomputes — same contract as the columnar bundles).
+        recomputes).
         """
         table = cache.store.load(fingerprint.token, self._docs_by_id())
         if table is None:

@@ -273,17 +273,13 @@ def apply_constraint_to_table(source, attr, feature, value, priors, context, mar
 def _constraint_pass(source, attr, feature, value, priors, context, mark_maybe):
     index = source.attr_index(attr)
     table = CompactTable(source.attrs)
-    # The batched path hands the whole column to the vectorized batch
-    # kernels (one array op per document instead of a per-assignment
-    # loop) — byte- and counter-identical to the scalar loop below.  A
-    # duplicated (feature, value) in the priors would interleave the
-    # prior rechecks with this constraint's own cache keys, which only
-    # the scalar order accounts correctly, so that (degenerate) case
-    # stays scalar.
-    use_batch = getattr(context.config, "use_batch", True) and (
-        (feature, value) not in tuple(priors)
-    )
-    if use_batch:
+    # The whole column goes to the vectorized batch kernels (one array
+    # op per document instead of a per-assignment loop).  A duplicated
+    # (feature, value) in the priors would interleave the prior
+    # rechecks with this constraint's own cache keys, which only the
+    # per-cell order accounts correctly, so that (degenerate) case
+    # stays per cell.
+    if (feature, value) not in tuple(priors):
         tuples = list(source)
         new_cells = apply_constraint_to_cells(
             [t.cells[index] for t in tuples], feature, value, priors, context

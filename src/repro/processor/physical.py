@@ -83,13 +83,6 @@ class PhysicalExecutor:
         #: ``repro.sched.payload_bytes`` metric; 0 in-process)
         self.payload_bytes = 0
 
-    def _artifact_refs(self):
-        """Columnar-bundle mmap refs for the fork payload (maybe empty)."""
-        store = getattr(self.index_store, "columnar", None)
-        if store is None:
-            return ()
-        return tuple(store.artifact_refs())
-
     @property
     def parallel(self):
         return len(self.partitions) > 1
@@ -144,11 +137,7 @@ class PhysicalExecutor:
     def _map_raw(self, work, pids):
         try:
             return self.scheduler.map(
-                work,
-                pids,
-                shared=self._shared,
-                timeout=self.timeout,
-                artifacts=self._artifact_refs(),
+                work, pids, shared=self._shared, timeout=self.timeout
             )
         except TaskError as error:
             failure = error.failure if error.failure is not None else error

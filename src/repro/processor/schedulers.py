@@ -190,13 +190,9 @@ class Scheduler:
     ``shared`` is an optional sequence of objects both sides of a
     process boundary already hold (fork-inherited corpus documents);
     backends that ship results between address spaces send them by
-    reference instead of by value.  ``artifacts`` is the columnar
-    artifact set as ``(path, digest)`` mmap references (see
-    :meth:`~repro.columnar.store.ColumnarStore.artifact_refs`):
-    registered in the fork payload so workers map the same read-only
-    files instead of receiving unpickled copies.  In-process backends
-    ignore both.  ``timeout`` bounds one task's result in seconds (see
-    the module docstring for per-backend enforcement strength).
+    reference instead of by value.  In-process backends ignore it.
+    ``timeout`` bounds one task's result in seconds (see the module
+    docstring for per-backend enforcement strength).
 
     After every :meth:`map`, ``last_map_payload_bytes`` holds the bytes
     that actually crossed an address-space boundary for that call
@@ -211,7 +207,7 @@ class Scheduler:
     last_map_payload_bytes = 0
     payload_bytes = 0
 
-    def map(self, fn, items, shared=(), timeout=None, artifacts=()):
+    def map(self, fn, items, shared=(), timeout=None):
         raise NotImplementedError
 
 
@@ -225,7 +221,7 @@ class SerialBackend(Scheduler):
         # partitioned semantics can be tested without concurrency)
         self.workers = max(1, int(workers))
 
-    def map(self, fn, items, shared=(), timeout=None, artifacts=()):
+    def map(self, fn, items, shared=(), timeout=None):
         self.last_map_payload_bytes = 0
         return _serial_map(fn, list(items), timeout)
 
@@ -264,7 +260,7 @@ class ThreadBackend(Scheduler):
 
     name = "thread"
 
-    def map(self, fn, items, shared=(), timeout=None, artifacts=()):
+    def map(self, fn, items, shared=(), timeout=None):
         items = list(items)
         self.last_map_payload_bytes = 0
         if self.workers == 1 or len(items) <= 1:
@@ -326,22 +322,15 @@ class _ForkPayload:
     ``(token, position)`` pair is a stable cross-process reference for
     exactly as long as the payload is published — the span of one
     ``map``.
-
-    ``artifacts`` holds columnar-bundle ``(path, digest)`` refs: a few
-    strings, not array data.  Workers re-open the referenced read-only
-    files with ``mmap`` (:func:`repro.columnar.store.
-    attach_process_artifacts`), so the corpus's column tables are never
-    pickled across the pipe in either direction.
     """
 
-    __slots__ = ("fn", "items", "shared", "shared_index", "artifacts")
+    __slots__ = ("fn", "items", "shared", "shared_index")
 
-    def __init__(self, fn, items, shared, artifacts=()):
+    def __init__(self, fn, items, shared):
         self.fn = fn
         self.items = items
         self.shared = list(shared)
         self.shared_index = {id(obj): i for i, obj in enumerate(self.shared)}
-        self.artifacts = tuple(artifacts)
 
 
 def _resolve_shared(token, index):
@@ -384,13 +373,6 @@ def _invoke_fork_payload(task):
     """
     token, index = task
     payload = _FORK_PAYLOADS[token]
-    if payload.artifacts:
-        try:
-            from repro.columnar.store import attach_process_artifacts
-
-            attach_process_artifacts(payload.artifacts)
-        except Exception:  # the artifact map is an accelerator only
-            logger.warning("worker could not map columnar artifacts")
     try:
         result = payload.fn(payload.items[index])
     except Exception as exc:
@@ -412,13 +394,6 @@ class ProcessBackend(Scheduler):
     terminated, killing the hung worker — the only backend that can
     enforce, not just detect.
 
-    ``share_results=False`` disables the shared-object reference table:
-    results (and the documents inside their compact tables) come back
-    pickled *by value*, the pre-reference-shipping behaviour.  It exists
-    for the payload benchmarks — byte-identical answers, orders of
-    magnitude more bytes across the pipe — and as a safety hatch should
-    a document class ever stop round-tripping by reference.
-
     Payload accounting: ``last_map_payload_bytes`` after a pooled
     :meth:`map` is the pickled size of the inbound ``(token, index)``
     task references plus every outbound result blob — the bytes that
@@ -427,15 +402,14 @@ class ProcessBackend(Scheduler):
 
     name = "process"
 
-    def __init__(self, workers, share_results=True):
+    def __init__(self, workers):
         self.workers = max(1, int(workers))
-        self.share_results = bool(share_results)
         try:
             self._context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
             self._context = None
 
-    def map(self, fn, items, shared=(), timeout=None, artifacts=()):
+    def map(self, fn, items, shared=(), timeout=None):
         items = list(items)
         self.last_map_payload_bytes = 0
         if self.workers == 1 or len(items) <= 1 or self._context is None:
@@ -443,9 +417,7 @@ class ProcessBackend(Scheduler):
                 logger.warning("fork unavailable; process backend running serially")
             return _serial_map(fn, items, timeout)
         token = next(_FORK_TOKENS)
-        _FORK_PAYLOADS[token] = _ForkPayload(
-            fn, items, shared if self.share_results else (), artifacts
-        )
+        _FORK_PAYLOADS[token] = _ForkPayload(fn, items, shared)
         shipped = 0
         try:
             with self._context.Pool(min(self.workers, len(items))) as pool:

@@ -308,7 +308,14 @@ class ServiceApp:
     def _submit_program(self, body):
         source = self._field(body, "source")
         query = self._field(body, "query", required=False)
-        tables = self._field(body, "tables", kind=list, required=False)
+        tables = self._field(
+            body,
+            "tables",
+            kind=list,
+            required=False,
+            valid=lambda names: all(isinstance(n, str) and n for n in names),
+            expected="a list of non-empty table names",
+        )
         host, resubmitted = self.service.submit_program(
             source, query=query, tables=tables
         )

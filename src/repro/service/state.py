@@ -4,8 +4,7 @@ One :class:`ExtractionService` owns the state every request shares:
 
 * one mutable :class:`~repro.text.corpus.Corpus` documents are ingested
   into and removed from;
-* one :class:`~repro.features.index.IndexStore` (with its
-  :class:`~repro.columnar.store.ColumnarStore`), one
+* one :class:`~repro.features.index.IndexStore`, one
   :class:`~repro.processor.context.EvalCache`, and one
   :class:`~repro.columnar.results.ResultStore` — shared by *every*
   submitted program, exactly as a single batch run shares them across
@@ -135,14 +134,9 @@ class ExtractionService:
         # corpus-wide acceleration state, shared across programs and
         # sessions exactly as one engine shares it across partitions
         if getattr(self.config, "use_index", True):
-            from repro.columnar import ColumnarStore
             from repro.features.index import IndexStore
 
-            self.index_store = IndexStore(
-                columnar=ColumnarStore(
-                    cache_dir=getattr(self.config, "artifact_cache", None)
-                )
-            )
+            self.index_store = IndexStore()
         else:
             self.index_store = None
         self.eval_cache = (
@@ -277,9 +271,9 @@ class ExtractionService:
 
         Returns ``(added, replaced_ids)``.  Replaced documents — same
         ``doc_id``, new content — are the one mutation content-addressed
-        caches cannot age out by missing, so their index / eval-cache /
-        columnar entries are invalidated explicitly before the engines
-        rebind.
+        caches cannot age out by missing, so their index (with its
+        columns) and eval-cache entries are invalidated explicitly
+        before the engines rebind.
         """
         if not table or not str(table).strip():
             raise ServiceError("ingest needs a table name")

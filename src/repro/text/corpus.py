@@ -7,9 +7,34 @@ paper's experimental setup (section 6), each page is divided into
 "number of tuples per table" equals the number of record documents.
 """
 
+import hashlib
 import random
 
-__all__ = ["Corpus"]
+__all__ = ["Corpus", "corpus_digest"]
+
+
+def _doc_content(doc):
+    """The text a document contributes to :func:`corpus_digest`."""
+    parts = [repr(doc.doc_id), repr(doc.text)]
+    for kind in sorted(doc.regions):
+        if doc.regions[kind]:
+            parts.append("%s=%r" % (kind, doc.regions[kind]))
+    return "\x1f".join(parts)
+
+
+def corpus_digest(docs):
+    """Content digest of a document collection (order-sensitive).
+
+    A SHA-256 over each document's id, text, and region intervals.  The
+    ``columnar-v1`` prefix is frozen: persisted result-cache keys fold
+    this digest in, so changing any hashed byte would orphan them.
+    """
+    h = hashlib.sha256()
+    h.update(b"columnar-v1")
+    for doc in docs:
+        h.update(b"\x1e")
+        h.update(_doc_content(doc).encode("utf-8"))
+    return h.hexdigest()[:24]
 
 
 class Corpus:
@@ -41,17 +66,12 @@ class Corpus:
         """A short hex digest of the full corpus *content*.
 
         Unlike :attr:`signature`, which only sees doc ids, this hashes
-        every document's id, text, and regions (via
-        ``columnar.store.corpus_digest``) per table — so editing a
-        document in place changes the digest.  The persistent result
+        every document's id, text, and regions (via :func:`corpus_digest`)
+        per table — so editing a document in place changes the digest.  The persistent result
         cache keys partition results on it.  Cached after first use;
         :meth:`add_table` invalidates.
         """
         if self._content_digest is None:
-            import hashlib
-
-            from repro.columnar.store import corpus_digest
-
             hasher = hashlib.sha256()
             for name in self.table_names():
                 hasher.update(name.encode("utf-8"))

@@ -1,14 +1,16 @@
 """Result-store persistence: round trips, corruption, pruning.
 
-Mirrors ``tests/columnar/test_store.py``: whatever is on disk,
-:func:`load_result` either returns a table repr-identical to the one
-saved, or ``None`` so the executor recomputes — never an exception,
-never a wrong table.  :func:`prune_cache_dir` keeps shared artifact
-directories bounded without ever touching unknown files.
+Whatever is on disk, :func:`load_result` either returns a table
+repr-identical to the one saved, or ``None`` so the executor recomputes
+— never an exception, never a wrong table — including after a writer
+crashed mid-save.
+:func:`prune_cache_dir` keeps shared cache directories bounded without
+ever touching unknown files.
 """
 
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -24,6 +26,18 @@ from repro.text import parse_html
 from repro.text.span import Span
 
 KEY = "a" * 24
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+
+def _subprocess_env():
+    """The environment a ``python -c`` child needs to import the repo."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
 
 
 @pytest.fixture
@@ -210,13 +224,40 @@ class TestPruning:
         assert stray.exists() and partial.exists()
 
     def test_columnar_bundles_prune_as_entries(self, tmp_path):
-        from repro.columnar import build_artifacts, save_artifacts
+        from tests.columnar.test_store import write_old_bundle
 
-        doc = parse_html("c1", "<p>columnar</p>")
-        built = build_artifacts([doc])
-        save_artifacts(built, str(tmp_path))
+        write_old_bundle(tmp_path, [parse_html("c1", "<p>columnar</p>")])
         assert prune_cache_dir(str(tmp_path), max_entries=0) == 1
         assert os.listdir(str(tmp_path)) == []
+
+    def test_old_bundle_in_result_cache_runs_cold_then_prunes(self, tmp_path):
+        """A shared directory's truncated old bundle: cold run, then evicted."""
+        from tests.columnar.test_store import (
+            _run,
+            _table_image,
+            write_old_bundle,
+        )
+
+        docs = [
+            parse_html("d%d" % i, "<p>item %d costs <b>%d</b></p>" % (i, 40 * i))
+            for i in range(4)
+        ]
+        data_path, meta_path = write_old_bundle(tmp_path, docs)
+        with open(data_path, "r+b") as handle:
+            handle.truncate(32)
+        for path in (data_path, meta_path):
+            os.utime(path, (1_000_000, 1_000_000))  # the oldest entry
+        cached = _run(docs, str(tmp_path))
+        assert _table_image(cached.query_table) == _table_image(
+            _run(docs).query_table
+        )
+        assert cached.stats.result_cache_hits == 0
+        entries = {name.split(".")[0] for name in os.listdir(str(tmp_path))}
+        assert prune_cache_dir(str(tmp_path), max_entries=len(entries) - 1) == 1
+        assert not os.path.exists(data_path) and not os.path.exists(meta_path)
+        warm = _run(docs, str(tmp_path))
+        assert warm.stats.result_cache_misses == 0
+        assert _table_image(warm.query_table) == _table_image(cached.query_table)
 
     def test_store_counts_evictions(self, table, docs, tmp_path):
         store = ResultStore(str(tmp_path), max_entries=2)
@@ -303,16 +344,10 @@ class TestConcurrentStores:
         """Two processes saving and pruning the same --result-cache dir
         never crash and never load a corrupt entry (loads return None
         and the next save rewrites)."""
-        import pathlib
         import subprocess
         import sys
 
-        root = pathlib.Path(__file__).resolve().parents[2]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(root / "src"), str(root)]
-            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
+        env = _subprocess_env()
         code = (
             "from tests.columnar.test_results import _hammer; "
             "_hammer(%r, %d)"
@@ -321,7 +356,7 @@ class TestConcurrentStores:
             subprocess.Popen(
                 [sys.executable, "-c", code % (str(tmp_path), offset)],
                 env=env,
-                cwd=str(root),
+                cwd=str(ROOT),
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
             )
@@ -342,3 +377,73 @@ class TestConcurrentStores:
                 count += 1
                 assert [t.maybe for t in loaded.tuples] == [False]
         assert count >= 1  # the directory is not simply empty
+
+
+#: exit status of the crash child; an ordinary failure exits 1
+CRASH_STATUS = 87
+
+
+def _crash_run(cache_dir):
+    """Child for the crash test: die on the first result sidecar rename.
+
+    The entry's ``.res.npy`` is already in place and its sidecar sits in
+    a ``.json.tmp`` file, exactly as a writer killed at that instant
+    would leave them.
+    """
+    from tests.columnar.test_store import _run
+
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if str(dst).endswith(".res.meta.json"):
+            os._exit(CRASH_STATUS)
+        return real_replace(src, dst)
+
+    os.replace = replace
+    _run(_crash_docs(), cache_dir)
+
+
+def _crash_docs():
+    return [
+        parse_html("c%d" % i, "<p>lot %d sold for <b>%d</b></p>" % (i, 60 + i))
+        for i in range(4)
+    ]
+
+
+class TestCrashMidSave:
+    @pytest.mark.timeout(120)
+    def test_restart_after_crash_recomputes_byte_identical(self, tmp_path):
+        import subprocess
+        import sys
+
+        from repro.columnar.results import _entry_groups
+        from tests.columnar.test_store import _run, _table_image
+
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "from tests.columnar.test_results import _crash_run; "
+                "_crash_run(%r)" % str(tmp_path),
+            ],
+            env=_subprocess_env(),
+            cwd=str(ROOT),
+            capture_output=True,
+            timeout=90,
+        )
+        assert proc.returncode == CRASH_STATUS, proc.stderr.decode()
+        leftovers = [n for n in os.listdir(str(tmp_path)) if n.endswith(".tmp")]
+        assert leftovers  # the crash left its half-written sidecar behind
+        groups = _entry_groups(str(tmp_path))
+        assert not any(
+            path.endswith(".tmp") for files in groups.values() for path, _, _ in files
+        )
+        docs = _crash_docs()
+        restarted = _run(docs, str(tmp_path))
+        assert _table_image(restarted.query_table) == _table_image(
+            _run(docs).query_table
+        )
+        assert restarted.stats.result_cache_misses >= 1
+        warm = _run(docs, str(tmp_path))
+        assert warm.stats.result_cache_misses == 0
+        assert _table_image(warm.query_table) == _table_image(restarted.query_table)

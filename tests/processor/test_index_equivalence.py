@@ -9,10 +9,10 @@ multisets.  These tests enforce that on hypothesis-generated documents
 and constraint chains, and at engine level on a Table 2 task.
 
 The vectorized batch kernels carry the same contract one step further:
-the batched path must match the scalar-indexed path not just byte for
+batched evaluation must match per-cell evaluation not just byte for
 byte in its answers but on *every* statistics counter except the two
-batch-attribution fields (``verify_batch`` / ``refine_batch``), across
-all three scheduler backends.
+batch-attribution fields (``verify_batch`` / ``refine_batch``), and a
+partitioned run's counters must not depend on the scheduler backend.
 """
 
 import pytest
@@ -232,14 +232,14 @@ class TestConstraintChainEquivalence:
 
 
 class TestBatchScalarEquivalence:
-    """The vectorized batch path against the scalar path it replaces."""
+    """The vectorized batch path against per-cell evaluation."""
 
     def _context_pair(self):
-        """(scalar, batch) contexts, both indexed + cached."""
+        """(per-cell, batch) contexts, both indexed + cached."""
         program = Program.parse("q(x) :- base(x).", extensional=["base"])
         corpus = Corpus({"base": []})
         return (
-            ExecutionContext(program, corpus, config=ExecConfig(use_batch=False)),
+            ExecutionContext(program, corpus, config=ExecConfig()),
             ExecutionContext(program, corpus, config=ExecConfig()),
         )
 
@@ -363,13 +363,17 @@ class TestEngineEquivalence:
 
 
 class TestBatchAcrossBackends:
-    """Scalar-indexed vs vectorized-batch, per scheduler backend."""
+    """The batch path per scheduler backend, and lazily built columns."""
+
+    @staticmethod
+    def _t1(size):
+        from repro.experiments.tasks import build_task
+
+        return build_task("T1", size=size, seed=0)
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_results_and_counters_identical(self, backend):
-        from repro.experiments.tasks import build_task
-
-        task = build_task("T1", size=24, seed=0)
+        task = self._t1(24)
         program = task.program.add_constraint(
             "extractIMDB", "title", "bold_font", "distinct_yes"
         ).add_constraint(
@@ -377,81 +381,75 @@ class TestBatchAcrossBackends:
         ).add_constraint(
             "extractIMDB", "votes", "max_length", 30
         )
-        scalar = IFlexEngine(
-            program,
-            task.corpus,
-            config=ExecConfig(workers=4, backend=backend, use_batch=False),
-            validate=False,
-        ).execute()
-        batch = IFlexEngine(
-            program,
-            task.corpus,
-            config=ExecConfig(workers=4, backend=backend),
-            validate=False,
-        ).execute()
-        assert result_image(batch) == result_image(scalar)
-        assert_stats_equal_modulo_batch(scalar.stats, batch.stats)
+
+        def run(**config):
+            return IFlexEngine(
+                program, task.corpus, config=ExecConfig(**config), validate=False
+            ).execute()
+
+        naive = run(use_index=False, use_eval_cache=False)
+        serial = run(workers=4, backend="serial")
+        batch = run(workers=4, backend=backend)
+        assert result_image(batch) == result_image(naive)
+        assert vars(batch.stats) == vars(serial.stats)
         # the kernels actually carried work on this chain
         assert batch.stats.verify_batch > 0
         assert batch.stats.refine_batch > 0
-        assert scalar.stats.verify_batch == 0 == scalar.stats.refine_batch
 
-    def test_artifact_cache_round_trip_matches(self, tmp_path):
-        """Cold build, warm mmap, and cache-free runs are byte-identical."""
-        from repro.experiments.tasks import build_task
+    def test_artifact_cache_round_trip_matches(self):
+        """Cold lazy builds, warm reuse, and unindexed runs are byte-identical."""
+        from repro.features.index import IndexStore
 
-        task = build_task("T1", size=14, seed=0)
+        task = self._t1(14)
         program = task.program.add_constraint(
             "extractIMDB", "title", "max_length", 60
         )
-        plain = IFlexEngine(program, task.corpus, validate=False).execute()
-        cold_engine = IFlexEngine(
+        plain = IFlexEngine(
             program,
             task.corpus,
-            config=ExecConfig(artifact_cache=str(tmp_path)),
-            validate=False,
-        )
-        cold = cold_engine.execute()
-        warm_engine = IFlexEngine(
-            program,
-            task.corpus,
-            config=ExecConfig(artifact_cache=str(tmp_path)),
-            validate=False,
-        )
-        warm = warm_engine.execute()
-        assert result_image(cold) == result_image(plain)
-        assert result_image(warm) == result_image(plain)
-        assert_stats_equal_modulo_batch(plain.stats, cold.stats)
-        assert_stats_equal_modulo_batch(plain.stats, warm.stats)
-        # the cold engine built and persisted; the warm engine mapped
-        cold_store = cold_engine.index_store.columnar
-        warm_store = warm_engine.index_store.columnar
-        assert cold_store.built > 0
-        assert warm_store.built == 0
-        assert warm_store._bundles and warm_store._bundles[0].mapped
-
-    def test_corrupt_cache_rebuilds_and_matches(self, tmp_path):
-        from repro.experiments.tasks import build_task
-
-        task = build_task("T1", size=14, seed=0)
-        plain = IFlexEngine(task.program, task.corpus, validate=False).execute()
-        IFlexEngine(
-            task.program,
-            task.corpus,
-            config=ExecConfig(artifact_cache=str(tmp_path)),
+            config=ExecConfig(use_index=False),
             validate=False,
         ).execute()
-        for bundle_file in tmp_path.glob("*.cols.npy"):
-            bundle_file.write_bytes(b"corrupt")
-        rebuilt_engine = IFlexEngine(
+        store = IndexStore()
+        cold = IFlexEngine(
+            program, task.corpus, index_store=store, validate=False
+        ).execute()
+        built = store.built
+        warm = IFlexEngine(
+            program, task.corpus, index_store=store, validate=False
+        ).execute()
+        assert result_image(cold) == result_image(plain)
+        assert result_image(warm) == result_image(plain)
+        assert vars(warm.stats) == vars(cold.stats)
+        # the cold engine built its columns on first use; the warm one
+        # reused every one of them
+        assert built > 0
+        assert store.built == built
+
+    def test_corrupt_cache_rebuilds_and_matches(self, tmp_path):
+        """An old column bundle in the result-cache directory is ignored."""
+        from repro.text.corpus import corpus_digest
+
+        task = self._t1(14)
+        plain = IFlexEngine(task.program, task.corpus, validate=False).execute()
+        docs = [
+            doc
+            for name in task.corpus.table_names()
+            for doc in task.corpus.table(name)
+        ]
+        bundle = tmp_path / ("%s.cols.npy" % corpus_digest(docs))
+        bundle.write_bytes(b"corrupt")
+        engine = IFlexEngine(
             task.program,
             task.corpus,
-            config=ExecConfig(artifact_cache=str(tmp_path)),
+            config=ExecConfig(workers=2, result_cache=str(tmp_path)),
             validate=False,
         )
-        rebuilt = rebuilt_engine.execute()
+        rebuilt = engine.execute()
         assert result_image(rebuilt) == result_image(plain)
-        assert rebuilt_engine.index_store.columnar.built > 0
+        assert rebuilt.stats.result_cache_hits == 0
+        assert engine.index_store.built > 0
+        assert bundle.read_bytes() == b"corrupt"
 
 
 class TestPartitionCounterMerge:

@@ -60,6 +60,20 @@ class TestCreateValidation:
         assert service.sessions.describe() == []
 
 
+class TestProgramValidation:
+    @pytest.mark.parametrize(
+        "tables",
+        [[1, "pages"], [["pages"]], ["pages", ""], [None], [True], "pages"],
+    )
+    def test_bad_tables_entries_are_400_naming_the_field(
+        self, client, service, tables
+    ):
+        resp = submit_program(client, tables=tables)
+        assert resp.code == 400
+        assert repr("tables") in resp.json["error"]
+        assert service.programs == {}
+
+
 class TestLifecycle:
     def test_unknown_program_404(self, client):
         assert client.post("/sessions", {"program_id": "zzz"}).code == 404

@@ -175,6 +175,22 @@ class TestArgValidation:
             build_parser().parse_args(["session", "p.alog", "--max-iterations", "0"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "p.alog", "--no-batch"],
+            ["explain", "p.alog", "--artifact-cache", "d"],
+            ["session", "p.alog", "--no-batch"],
+            ["serve", "--artifact-cache", "d"],
+            ["serve", "--no-batch"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_removed_flags_exit_2(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
     def test_valid_values_accepted(self):
         args = build_parser().parse_args(
             ["run", "p.alog", "--workers", "3", "--max-retries", "0",
@@ -309,7 +325,7 @@ class TestServeCommand:
         args = build_parser().parse_args(
             [
                 "serve", "--port", "0", "--table", "pages=/tmp/p",
-                "--result-cache", "/tmp/rc", "--artifact-cache", "/tmp/ac",
+                "--result-cache", "/tmp/rc",
                 "--rate-limit", "5", "--rate-burst", "10",
                 "--partition-docs", "2", "--workers", "3",
                 "--backend", "thread", "--no-index",

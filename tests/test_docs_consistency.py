@@ -59,8 +59,6 @@ class TestCliDocs:
         for flag in (
             "--no-index",
             "--no-eval-cache",
-            "--no-batch",
-            "--artifact-cache",
             "--result-cache",
             "--no-incremental",
             "--metrics-out",
@@ -79,13 +77,16 @@ class TestCliDocs:
 
 class TestPerformanceDocs:
     def test_columnar_contract_matches_code(self):
-        """The documented columnar artifact lifecycle names real API."""
+        """The documented in-memory columnar tier names real API."""
         import repro.columnar as columnar
+        import repro.text.corpus as corpus
 
         text = (DOCS / "performance.md").read_text(encoding="utf-8")
-        for name in ("corpus_digest", "build_artifacts", "save_artifacts"):
+        for name in ("DocColumns", "build_doc_columns"):
             assert name in text, name
             assert hasattr(columnar, name), name
+        assert "corpus_digest" in text
+        assert hasattr(corpus, "corpus_digest")
         # the documented batch counters are real ExecutionStats fields
         from repro.processor.context import ExecutionStats
 
