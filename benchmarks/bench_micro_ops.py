@@ -12,7 +12,7 @@ from repro.processor.library import jaccard, make_similar
 from repro.processor.operators import JoinOp, TableSource
 from repro.text.corpus import Corpus
 from repro.text.html_parser import parse_html
-from repro.text.span import doc_span
+from repro.text.span import Span, doc_span
 from repro.xlog.parser import parse_rules
 from repro.xlog.program import Program
 from repro.datagen.books import generate_books
@@ -128,3 +128,53 @@ def test_bench_blocked_similarity_join(benchmark, context):
 
     out = benchmark.pedantic(join.execute, args=(context,), rounds=3, iterations=1)
     assert len(out) >= 1
+
+
+def test_bench_ordering_join(benchmark, context):
+    """T9-shaped ``np < bp``: expansion cells of exact price spans on both
+    sides, decided from per-side bounds; checked against brute force."""
+    import random
+
+    rng = random.Random(9)
+
+    def side(attr, prefix):
+        table = CompactTable((attr,))
+        for i in range(60):
+            prices = ["$%d.%02d" % (rng.randint(5, 90), rng.randint(0, 99)) for _ in range(5)]
+            doc = parse_html("%s%d" % (prefix, i), "<p>%s</p>" % " / ".join(prices))
+            spans = []
+            for price in prices:
+                start = doc.text.index(price)
+                spans.append(Span(doc, start, start + len(price)))
+            table.add(CompactTuple([Cell.expansion(tuple(Exact(s) for s in spans))]))
+        return table
+
+    left, right = side("np", "a"), side("bp", "b")
+    cond = ComparisonCondition(make_side(attr="np"), "<", make_side(attr="bp"))
+    join = JoinOp(TableSource(left), TableSource(right), [cond])
+    out = benchmark.pedantic(join.execute, args=(context,), rounds=3, iterations=1)
+
+    def texts(cell):
+        return sorted(a.value.text for a in cell.assignments)
+
+    expected = []
+    for lt in left:
+        for rt in right:
+            pairs = [
+                (l, r)
+                for l in lt.cells[0].assignments
+                for r in rt.cells[0].assignments
+                if l.value.numeric_value < r.value.numeric_value
+            ]
+            if pairs:
+                every = len(pairs) == len(lt.cells[0].assignments) * len(rt.cells[0].assignments)
+                expected.append(
+                    (
+                        sorted({l.value.text for l, _ in pairs}),
+                        sorted({r.value.text for _, r in pairs}),
+                        not every,
+                    )
+                )
+    got = [(texts(t.cells[0]), texts(t.cells[1]), t.maybe) for t in out]
+    assert got == expected
+    assert 0 < len(out) < len(left) * len(right)

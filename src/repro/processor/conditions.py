@@ -19,20 +19,44 @@ numeric values, and equality against a constant only for occurrences
 of that constant — both enumerable in linear time.  The generic
 fallback enumerates up to ``enum_cap`` values and degrades to
 keep-as-maybe beyond it.
+
+Ordering comparisons are decided from each side's numeric bounds, not
+pair by pair: a left value can satisfy ``l < r`` iff it is below the
+right side's maximum, and every combination satisfies iff
+``max(L) < min(R)`` with every value on both sides numeric.  Values
+with no numeric reading (text, ``None``, NaN) never satisfy one.
+
+Every fact a condition needs about one side — its enumeration, its
+numbers and bounds, the cell filtered against a bound, its token set —
+depends on that side's cell alone.  A join evaluates its conditions
+once per *pair*, so it passes a ``memo`` dict that keeps those facts
+per distinct cell for the join's execution (see :func:`_memoized`).
 """
 
+import bisect
+import functools
+import itertools
+import operator
 import re
 from dataclasses import dataclass
 
 from repro.ctables.assignments import Contain, Exact, value_key, value_number
 from repro.errors import ExecutionFailure
+from repro.processor.library import token_set
 from repro.text.span import Span
 from repro.text.tokenize import NUMBER
 from repro.xlog.comparisons import comparison_holds
 
-__all__ = ["ComparisonCondition", "PFunctionCondition", "ConditionResult"]
+__all__ = ["ComparisonCondition", "PFunctionCondition", "ConditionResult", "cell_tokens"]
 
-_ORDERING_OPS = ("<", "<=", ">", ">=")
+_ORDERING_OPS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+#: ``bound op n`` is ``n _FLIPPED[op] bound``
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 @dataclass
@@ -44,6 +68,10 @@ class ConditionResult:
     filtered: dict
     #: True when an enumeration cap was hit (forces conservative maybe)
     capped: bool = False
+
+
+def _capped():
+    return ConditionResult(some=True, all=False, filtered={}, capped=True)
 
 
 class _Side:
@@ -60,6 +88,40 @@ class _Side:
     @property
     def is_const(self):
         return self.attr is None
+
+    @functools.cached_property
+    def const_numbers(self):
+        """A constant side of an ordering comparison, computed once."""
+        return _Numbers([self.const], True, True, 0)
+
+
+def _memoized(memo, key, cell, compute, stats=None):
+    """``compute()``, once per distinct ``cell`` when a join passes a memo.
+
+    ``key`` starts with ``id(cell)``.  Cells created during one pair (a
+    narrowed cell read by the next condition) can be freed and their ids
+    reused, so the entry holds the cell itself — keeping it alive — and
+    a hit also requires identity.  With ``stats``, a hit replays the
+    ``values_enumerated`` / ``cap_hits`` deltas of the first
+    computation, so :class:`ExecutionStats` do not depend on the memo.
+    """
+    if memo is None:
+        return compute()
+    entry = memo.get(key)
+    if entry is not None and entry[0] is cell:
+        _, value, counted = entry
+        if counted is not None:
+            stats.values_enumerated += counted[0]
+            stats.cap_hits += counted[1]
+        return value
+    if stats is None:
+        value, counted = compute(), None
+    else:
+        enumerated, cap_hits = stats.values_enumerated, stats.cap_hits
+        value = compute()
+        counted = (stats.values_enumerated - enumerated, stats.cap_hits - cap_hits)
+    memo[key] = (cell, value, counted)
+    return value
 
 
 def _effective(value, offset):
@@ -92,26 +154,38 @@ def _occurrence_candidates(assignment, text):
     return out
 
 
-def _enumerate_side(cell, context, op, other_const):
+def _has_contain(cell):
+    return any(isinstance(a, Contain) for a in cell.assignments)
+
+
+def _cell_values(cell, context, memo):
+    """``V(cell)`` up to ``enum_cap`` as ``(values, full)``, counted."""
+
+    def compute():
+        values, full = cell.enumerate_values(context.config.enum_cap)
+        context.stats.values_enumerated += len(values)
+        if not full:
+            context.stats.cap_hits += 1
+        return values, full
+
+    return _memoized(memo, (id(cell), "values"), cell, compute, context.stats)
+
+
+def _enumerate_side(cell, context, op, other_const, memo):
     """``(values, complete, exhaustive)`` for one attribute side.
 
     ``complete`` means every *possibly satisfying* value is included;
     ``exhaustive`` means every possible value of the cell is included
     (needed to conclude ``all``).
     """
-    cap = context.config.enum_cap
-    has_contain = any(isinstance(a, Contain) for a in cell.assignments)
+    has_contain = _has_contain(cell)
     if has_contain and op in _ORDERING_OPS:
         values = []
         for a in cell.assignments:
             values.extend(_numeric_candidates(a))
         context.stats.values_enumerated += len(values)
         return _dedup(values), True, False
-    if (
-        has_contain
-        and op in ("=",)
-        and other_const is not None
-    ):
+    if has_contain and op == "=" and other_const is not None:
         values = []
         text = other_const.text if isinstance(other_const, Span) else str(other_const)
         for a in cell.assignments:
@@ -122,11 +196,51 @@ def _enumerate_side(cell, context, op, other_const):
                 values.extend(_numeric_candidates(a))
         context.stats.values_enumerated += len(values)
         return _dedup(values), True, False
-    values, full = cell.enumerate_values(cap)
-    context.stats.values_enumerated += len(values)
-    if not full:
-        context.stats.cap_hits += 1
+    values, full = _cell_values(cell, context, memo)
     return values, full, full
+
+
+class _Numbers:
+    """One side of an ordering comparison, reduced to its numbers.
+
+    ``numbers`` pairs the value key of every numeric value (offset
+    applied, NaN excluded) with its number, in ascending order of the
+    number; ``ordered`` holds the numbers alone, ``lo``/``hi`` bound them.
+    ``filterable`` says whether the side's cell can be narrowed.
+    """
+
+    __slots__ = (
+        "values", "complete", "exhaustive", "filterable", "numbers", "ordered", "lo", "hi",
+        "all_numeric",
+    )
+
+    def __init__(self, values, complete, exhaustive, offset, filterable=False):
+        self.values = values
+        self.complete = complete
+        self.exhaustive = exhaustive
+        self.filterable = filterable
+        numbers = []
+        for value in values:
+            number = value_number(value)
+            if number is not None and number == number:  # NaN orders with nothing
+                numbers.append((value_key(value), number + offset))
+        if len(numbers) > 1:
+            numbers.sort(key=operator.itemgetter(1))
+        self.numbers = numbers
+        self.ordered = [n for _, n in numbers]
+        self.all_numeric = len(numbers) == len(values)
+        self.lo = self.ordered[0] if numbers else None
+        self.hi = self.ordered[-1] if numbers else None
+
+    def satisfying(self, test, bound):
+        """``(start, stop)``: the slice of ``numbers`` with ``test(n, bound)``."""
+        if test == "<":
+            return 0, bisect.bisect_left(self.ordered, bound)
+        if test == "<=":
+            return 0, bisect.bisect_right(self.ordered, bound)
+        if test == ">":
+            return bisect.bisect_right(self.ordered, bound), len(self.ordered)
+        return bisect.bisect_left(self.ordered, bound), len(self.ordered)
 
 
 def _dedup(values):
@@ -137,10 +251,23 @@ def _filterable(cell):
     return all(isinstance(a, Exact) for a in cell.assignments)
 
 
-def _filtered_cell(cell, keep_values):
-    keep = {value_key(v) for v in keep_values}
-    assignments = [a for a in cell.assignments if value_key(a.value) in keep]
-    return cell.with_assignments(assignments)
+def _filtered_cell(cell, keep):
+    """``cell`` restricted to the assignments whose value key is in ``keep``."""
+    return cell.with_assignments([a for a in cell.assignments if value_key(a.value) in keep])
+
+
+def _side_width(cell, linear):
+    """Upper bound on the values one side can contribute to the pairs."""
+    if linear and _has_contain(cell):
+        # the linear (numeric / occurrence) path; bound by tokens
+        return max(
+            1,
+            sum(
+                len(a.anchor_span.tokens) if isinstance(a, Contain) else 1
+                for a in cell.assignments
+            ),
+        )
+    return max(1, cell.value_count())
 
 
 class ComparisonCondition:
@@ -161,7 +288,7 @@ class ComparisonCondition:
 
         return "%s %s %s" % (show(self.left), self.op, show(self.right))
 
-    def _too_wide(self, cells_by_attr, context):
+    def _too_wide(self, cells_by_attr, context, memo):
         """Cheap pre-check: would enumeration blow the pair cap?
 
         Uses ``value_count`` upper bounds so no values are materialised
@@ -174,50 +301,110 @@ class ComparisonCondition:
             if side.is_const:
                 continue
             cell = cells_by_attr[side.attr]
-            has_contain = any(isinstance(a, Contain) for a in cell.assignments)
-            if has_contain and (
-                self.op in _ORDERING_OPS
-                or (self.op == "=" and other.is_const)
-            ):
-                # the linear (numeric / occurrence) path; bound by tokens
-                product *= max(
-                    1,
-                    sum(
-                        len(a.anchor_span.tokens) if isinstance(a, Contain) else 1
-                        for a in cell.assignments
-                    ),
-                )
-            else:
-                product *= max(1, cell.value_count())
+            linear = self.op in _ORDERING_OPS or (self.op == "=" and other.is_const)
+            product *= _memoized(
+                memo,
+                (id(cell), "width", linear),
+                cell,
+                lambda: _side_width(cell, linear),
+            )
         return product > context.config.pair_cap
 
-    def evaluate(self, cells_by_attr, context):
-        if self._too_wide(cells_by_attr, context):
-            context.stats.cap_hits += 1
-            return ConditionResult(some=True, all=False, filtered={}, capped=True)
+    def _sides(self, cells_by_attr, context, memo):
+        """Per side ``(values, complete, exhaustive)``, or ``_Numbers``
+
+        for an ordering comparison.
+        """
+        ordering = self.op in _ORDERING_OPS
         sides = []
-        capped = False
-        exhaustive_all = True
         for side, other in ((self.left, self.right), (self.right, self.left)):
             if side.is_const:
-                sides.append(([side.const], True, True))
+                sides.append(side.const_numbers if ordering else ([side.const], True, True))
                 continue
-            other_const = other.const if other.is_const else None
             cell = cells_by_attr[side.attr]
-            values, complete, exhaustive = _enumerate_side(
-                cell, context, self.op, other_const
-            )
-            if not complete:
-                capped = True
-            exhaustive_all = exhaustive_all and exhaustive
-            sides.append((values, complete, exhaustive))
-        if capped:
-            return ConditionResult(some=True, all=False, filtered={}, capped=True)
-        left_values = sides[0][0]
-        right_values = sides[1][0]
+            other_const = other.const if other.is_const else None
+            if ordering:
+                sides.append(
+                    _memoized(
+                        memo,
+                        (id(cell), "numbers", side.offset),
+                        cell,
+                        lambda: _Numbers(
+                            *_enumerate_side(cell, context, self.op, None, memo),
+                            side.offset,
+                            _filterable(cell),
+                        ),
+                        context.stats,
+                    )
+                )
+            else:
+                sides.append(_enumerate_side(cell, context, self.op, other_const, memo))
+        return sides
+
+    def evaluate(self, cells_by_attr, context, memo=None):
+        if self._too_wide(cells_by_attr, context, memo):
+            context.stats.cap_hits += 1
+            return _capped()
+        left, right = self._sides(cells_by_attr, context, memo)
+        if self.op in _ORDERING_OPS:
+            complete = left.complete and right.complete
+            left_values, right_values = left.values, right.values
+        else:
+            complete = left[1] and right[1]
+            left_values, right_values = left[0], right[0]
+        if not complete:
+            return _capped()
         if len(left_values) * len(right_values) > context.config.pair_cap:
             context.stats.cap_hits += 1
-            return ConditionResult(some=True, all=False, filtered={}, capped=True)
+            return _capped()
+        if self.op in _ORDERING_OPS:
+            return self._decide_ordering(left, right, cells_by_attr, memo)
+        return self._decide_pairs(left, right, cells_by_attr)
+
+    def _decide_ordering(self, left, right, cells_by_attr, memo):
+        """``some``/``all``/filtered cells from the two sides' bounds."""
+        if not (left.numbers and right.numbers):
+            return ConditionResult(some=False, all=False, filtered={})
+        holds = _ORDERING_OPS[self.op]
+        if self.op in ("<", "<="):
+            # l < r for some r iff l < max(R); every pair iff max(L) < min(R)
+            left_bound, right_bound = right.hi, left.lo
+            all_pairs = holds(left.hi, right.lo)
+        else:
+            left_bound, right_bound = right.lo, left.hi
+            all_pairs = holds(left.lo, right.hi)
+        if not holds(right_bound, left_bound):
+            return ConditionResult(some=False, all=False, filtered={})
+        all_flag = (
+            all_pairs
+            and left.all_numeric
+            and right.all_numeric
+            and left.exhaustive
+            and right.exhaustive
+        )
+        filtered = {}
+        for side, numbers, test, bound in (
+            (self.left, left, self.op, left_bound),
+            (self.right, right, _FLIPPED[self.op], right_bound),
+        ):
+            if not numbers.filterable:
+                continue
+            cell = cells_by_attr[side.attr]
+            # cells narrow to a prefix or suffix of their sorted numbers,
+            # so the slice, not the bound, identifies the result
+            start, stop = numbers.satisfying(test, bound)
+            filtered[side.attr] = _memoized(
+                memo,
+                (id(cell), "filter", side.offset, start, stop),
+                cell,
+                lambda: _slice_filtered(cell, numbers, start, stop),
+            )
+        return ConditionResult(some=True, all=all_flag, filtered=filtered, capped=False)
+
+    def _decide_pairs(self, left, right, cells_by_attr):
+        """``=`` / ``!=``: test every combination of the two sides."""
+        left_values, _, left_exhaustive = left
+        right_values, _, right_exhaustive = right
         sat_left, sat_right = set(), set()
         some = False
         all_combos_satisfy = bool(left_values) and bool(right_values)
@@ -233,7 +420,7 @@ class ComparisonCondition:
                     sat_right.add(value_key(rv))
                 else:
                     all_combos_satisfy = False
-        all_flag = some and all_combos_satisfy and exhaustive_all
+        all_flag = some and all_combos_satisfy and left_exhaustive and right_exhaustive
         filtered = {}
         if some:
             for side, sat in ((self.left, sat_left), (self.right, sat_right)):
@@ -241,13 +428,34 @@ class ComparisonCondition:
                     continue
                 cell = cells_by_attr[side.attr]
                 if _filterable(cell):
-                    keep = [
-                        a.value
-                        for a in cell.assignments
-                        if value_key(a.value) in sat
-                    ]
-                    filtered[side.attr] = _filtered_cell(cell, keep)
+                    filtered[side.attr] = _filtered_cell(cell, sat)
         return ConditionResult(some=some, all=all_flag, filtered=filtered, capped=False)
+
+
+def _slice_filtered(cell, numbers, start, stop):
+    """``cell`` narrowed to the values of ``numbers.numbers[start:stop]``."""
+    if numbers.all_numeric and stop - start == len(numbers.numbers):
+        return cell  # every value satisfies: nothing to narrow
+    return _filtered_cell(cell, {key for key, _ in numbers.numbers[start:stop]})
+
+
+def cell_tokens(cell, memo=None):
+    """Tokens under any anchor span (or scalar value) of a cell.
+
+    A superset of the tokens of every value the cell can take, so an
+    empty overlap between two cells *proves* a share-a-token similarity
+    function cannot hold — which makes both token blocking in joins and
+    the one-sided refutation below exact.
+    """
+
+    def compute():
+        tokens = set()
+        for assignment in cell.assignments:
+            span = assignment.anchor_span
+            tokens |= token_set(span if span is not None else assignment.value)
+        return tokens
+
+    return _memoized(memo, (id(cell), "tokens"), cell, compute)
 
 
 class PFunctionCondition:
@@ -268,47 +476,31 @@ class PFunctionCondition:
             ", ".join(s.attr if not s.is_const else repr(s.const) for s in self.sides),
         )
 
-    def _side_tokens(self, side, cells_by_attr):
-        """Union of token sets over a side's anchor spans / values.
-
-        A superset of the tokens of every value the side can take, so
-        an empty cross-side intersection *proves* a share-a-token
-        similarity function cannot hold.
-        """
-        from repro.processor.library import token_set
-
+    def _side_tokens(self, side, cells_by_attr, memo):
         if side.is_const:
             return token_set(side.const)
-        tokens = set()
-        for assignment in cells_by_attr[side.attr].assignments:
-            span = assignment.anchor_span
-            tokens |= token_set(span if span is not None else assignment.value)
-        return tokens
+        return cell_tokens(cells_by_attr[side.attr], memo)
 
-    def evaluate(self, cells_by_attr, context):
-        import itertools
-
+    def evaluate(self, cells_by_attr, context, memo=None):
         # A procedural function needs concrete values.  ``contain``
         # families are kept approximate — except that for share-a-token
         # similarity functions an empty token overlap is an exact
         # refutation, which is what makes one-sided refinements shrink
         # the result before both sides are exact.
-        has_contain = False
-        for side in self.sides:
-            if side.is_const:
-                continue
-            if any(isinstance(a, Contain) for a in cells_by_attr[side.attr].assignments):
-                has_contain = True
-                break
+        has_contain = any(
+            _has_contain(cells_by_attr[side.attr])
+            for side in self.sides
+            if not side.is_const
+        )
         if has_contain:
             if getattr(self.func, "blockable", False) and len(self.sides) == 2:
-                left_tokens = self._side_tokens(self.sides[0], cells_by_attr)
+                left_tokens = self._side_tokens(self.sides[0], cells_by_attr, memo)
                 if left_tokens:
-                    right_tokens = self._side_tokens(self.sides[1], cells_by_attr)
-                    if not (left_tokens & right_tokens):
+                    right_tokens = self._side_tokens(self.sides[1], cells_by_attr, memo)
+                    if left_tokens.isdisjoint(right_tokens):
                         return ConditionResult(some=False, all=False, filtered={})
             context.stats.cap_hits += 1
-            return ConditionResult(some=True, all=False, filtered={}, capped=True)
+            return _capped()
         product = 1
         for side in self.sides:
             if side.is_const:
@@ -316,34 +508,29 @@ class PFunctionCondition:
             product *= max(1, cells_by_attr[side.attr].value_count())
         if product > context.config.pair_cap:
             context.stats.cap_hits += 1
-            return ConditionResult(some=True, all=False, filtered={}, capped=True)
+            return _capped()
 
         per_side = []
         capped = False
         for side in self.sides:
             if side.is_const:
-                per_side.append(([side.const], True))
+                per_side.append([side.const])
                 continue
-            cell = cells_by_attr[side.attr]
-            values, full = cell.enumerate_values(context.config.enum_cap)
-            context.stats.values_enumerated += len(values)
-            if not full:
-                context.stats.cap_hits += 1
-                capped = True
-            per_side.append((values, full))
+            values, full = _cell_values(cells_by_attr[side.attr], context, memo)
+            capped = capped or not full
+            per_side.append(values)
         if capped:
-            return ConditionResult(some=True, all=False, filtered={}, capped=True)
+            return _capped()
         combo_count = 1
-        for values, _ in per_side:
+        for values in per_side:
             combo_count *= len(values)
         if combo_count > context.config.pair_cap:
             context.stats.cap_hits += 1
-            return ConditionResult(some=True, all=False, filtered={}, capped=True)
-        combos = itertools.product(*[values for values, _ in per_side])
+            return _capped()
         sat_per_side = [set() for _ in per_side]
         some = False
         all_flag = True
-        for combo in combos:
+        for combo in itertools.product(*per_side):
             try:
                 truth = bool(self.func(*combo))
             except Exception as exc:
@@ -368,8 +555,7 @@ class PFunctionCondition:
                     continue
                 cell = cells_by_attr[side.attr]
                 if _filterable(cell):
-                    keep = [a.value for a in cell.assignments if value_key(a.value) in sat]
-                    filtered[side.attr] = _filtered_cell(cell, keep)
+                    filtered[side.attr] = _filtered_cell(cell, sat)
         return ConditionResult(
             some=some, all=some and all_flag, filtered=filtered, capped=False
         )

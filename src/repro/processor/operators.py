@@ -12,6 +12,7 @@ from repro.ctables.assignments import Contain
 from repro.ctables.ctable import Cell, CompactTable, CompactTuple
 from repro.errors import EnumerationLimitError, EvaluationError, ExecutionFailure
 from repro.processor.bannotate import annotate_table
+from repro.processor.conditions import cell_tokens
 from repro.processor.constraints import (
     apply_constraint_to_cell,
     apply_constraint_to_cells,
@@ -327,23 +328,23 @@ class ConditionSelect(Operator):
         return "Select[%r]" % (self.condition,)
 
 
-def apply_condition(compact_tuple, attrs, condition, context):
-    """Evaluate one condition on one tuple; None means dropped."""
+def apply_condition(compact_tuple, attrs, condition, context, memo=None):
+    """Evaluate one condition on one tuple; None means dropped.
+
+    ``memo`` keeps per-cell facts across the calls of one join (see
+    :mod:`repro.processor.conditions`).
+    """
     cells_by_attr = dict(zip(attrs, compact_tuple.cells))
-    result = condition.evaluate(cells_by_attr, context)
+    result = condition.evaluate(cells_by_attr, context, memo)
     if not result.some:
         return None
     new_tuple = compact_tuple
-    fully_filtered_expansions = 0
-    involved = condition.involved
     for attr, cell in result.filtered.items():
-        index = attrs.index(attr)
-        if cell.is_expansion:
-            fully_filtered_expansions += 1
-        new_tuple = new_tuple.with_cell(index, cell)
+        new_tuple = new_tuple.with_cell(attrs.index(attr), cell)
     if not result.all:
         # Certainty survives only the single-attr expansion-cell case:
         # each surviving expansion value is its own (certain) tuple.
+        involved = condition.involved
         safe = (
             not result.capped
             and len(involved) == 1
@@ -361,7 +362,9 @@ class JoinOp(Operator):
     Nested loops over the Cartesian product; when one condition is a
     blockable similarity p-function, a token index over the right side
     prunes pairs that share no token (they cannot satisfy the
-    condition, so pruning is exact, not approximate).
+    condition, so pruning is exact, not approximate).  The conditions
+    still run once per pair, but over facts computed once per distinct
+    cell: one memo dict per execution is passed to every evaluation.
     """
 
     def __init__(self, left, right, conditions=()):
@@ -380,9 +383,10 @@ class JoinOp(Operator):
         left_table = self.left.execute(context)
         right_table = self.right.execute(context)
         table = CompactTable(self.attrs)
+        memo = {}
         blocking = self._blocking_condition(context)
         if blocking is not None:
-            pairs = self._blocked_pairs(left_table, right_table, blocking)
+            pairs = self._blocked_pairs(left_table, right_table, blocking, memo)
         else:
             pairs = (
                 (lt, rt) for lt in left_table for rt in right_table
@@ -390,7 +394,9 @@ class JoinOp(Operator):
         for lt, rt in pairs:
             combined = CompactTuple(lt.cells + rt.cells, maybe=lt.maybe or rt.maybe)
             for condition in self.conditions:
-                combined = apply_condition(combined, self.attrs, condition, context)
+                combined = apply_condition(
+                    combined, self.attrs, condition, context, memo
+                )
                 if combined is None:
                     break
             if combined is not None:
@@ -418,38 +424,23 @@ class JoinOp(Operator):
                         return (condition, left_attr, right_attr)
         return None
 
-    def _blocked_pairs(self, left_table, right_table, blocking):
+    def _blocked_pairs(self, left_table, right_table, blocking, memo):
         _, left_attr, right_attr = blocking
         right_index = {}
         for position, rt in enumerate(right_table):
-            for token in _cell_tokens(rt.cells[right_table.attr_index(right_attr)]):
+            for token in cell_tokens(rt.cells[right_table.attr_index(right_attr)], memo):
                 right_index.setdefault(token, set()).add(position)
         right_tuples = list(right_table)
         left_index = left_table.attr_index(left_attr)
         for lt in left_table:
             candidates = set()
-            for token in _cell_tokens(lt.cells[left_index]):
+            for token in cell_tokens(lt.cells[left_index], memo):
                 candidates |= right_index.get(token, set())
             for position in sorted(candidates):
                 yield lt, right_tuples[position]
 
     def describe(self):
         return "Join[%s]" % (", ".join(repr(c) for c in self.conditions) or "cross")
-
-
-def _cell_tokens(cell):
-    """Tokens under any anchor span of a cell (same token definition as
-
-    the ``similar`` p-function, so token blocking is exact: a pair that
-    shares no token cannot satisfy a share-a-token similarity).
-    """
-    from repro.processor.library import token_set
-
-    tokens = set()
-    for assignment in cell.assignments:
-        span = assignment.anchor_span
-        tokens |= token_set(span if span is not None else assignment.value)
-    return tokens
 
 
 class ProjectOp(Operator):

@@ -36,6 +36,7 @@ the run's timing and partition-reuse counters.  Streaming happens
 """
 
 import json
+import math
 import re
 
 from repro.ctables.export import cell_to_dict
@@ -360,8 +361,17 @@ class ServiceApp:
     def _session_answer(self, body, session_id):
         if "answer" not in body:
             raise ServiceError("missing required field 'answer'")
+        # null is a valid answer: "I don't know"
+        answer = self._field(
+            body,
+            "answer",
+            kind=(str, int, float),
+            required=False,
+            valid=lambda v: not isinstance(v, float) or math.isfinite(v),
+            expected="a string, a finite number or null",
+        )
         wrapped = self.service.sessions.get(session_id)
-        wrapped.submit_answer(body["answer"])
+        wrapped.submit_answer(answer)
         return 200, {"session_id": session_id, "state": wrapped.state}
 
     def _session_results(self, body, session_id):

@@ -103,7 +103,9 @@ class Corpus:
         Returns the ids that replaced existing documents.
         """
         documents = list(documents)
-        table = self._tables.setdefault(name, [])
+        # validate before creating the table: a rejected batch must not
+        # leave an empty new table behind
+        table = self._tables.get(name, [])
         positions = {doc.doc_id: i for i, doc in enumerate(table)}
         seen = set()
         replaced = []
@@ -121,6 +123,7 @@ class Corpus:
                     "doc_id %r already in table %r" % (doc.doc_id, name)
                 )
             replaced.append(doc.doc_id)
+        table = self._tables.setdefault(name, table)
         for doc in documents:
             at = positions.get(doc.doc_id)
             if at is None:

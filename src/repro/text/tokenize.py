@@ -62,14 +62,17 @@ def parse_number(text):
     """Parse ``text`` as a number, or return ``None``.
 
     Accepts thousands separators and a leading currency symbol, because
-    extracted price spans frequently include one.
+    extracted price spans frequently include one, plus a sign and one
+    decimal point.
     """
     cleaned = text.strip().lstrip("$").replace(",", "")
-    if not cleaned:
+    # float() alone would also read "nan", "Infinity", "1_000" and "1e5",
+    # none of which the tokenizer calls a NUMBER
+    if not cleaned.lstrip("+-").replace(".", "", 1).isdigit():
         return None
     try:
         value = float(cleaned)
-    except ValueError:
+    except ValueError:  # "+-5", or digits float() cannot read ("²")
         return None
     if value.is_integer() and "." not in cleaned:
         return int(value)

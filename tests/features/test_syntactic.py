@@ -50,6 +50,24 @@ class TestNumeric:
             assert "12" not in s.text
 
 
+    @pytest.mark.parametrize("text", ["nan", "NaN", "Infinity", "-inf", "1_000"])
+    def test_float_only_spellings_are_not_numbers(self, registry, text):
+        """Verify and Refine agree: no NUMBER token, so no number."""
+        f = registry.get("numeric")
+        span = span_of(text)
+        assert not f.verify(span, "yes")
+        assert f.verify(span, "no")
+        # Refine(yes) keeps only NUMBER tokens; none of them spans the text
+        assert span.text not in {s.text for _, s in f.refine(span, "yes")}
+
+    @pytest.mark.parametrize("text", ["351,000", "$35.99", "42", "-7"])
+    def test_verify_agrees_with_refine_on_numbers(self, registry, text):
+        f = registry.get("numeric")
+        span = span_of(text)
+        assert f.verify(span, "yes")
+        assert f.refine(span, "yes")
+
+
 class TestCapitalized:
     def test_verify(self, registry):
         f = registry.get("capitalized")

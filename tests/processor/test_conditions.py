@@ -62,6 +62,13 @@ class TestComparisonAgainstConstant:
         result = cond.evaluate({"p": cell}, context)
         assert not result.some
 
+    @pytest.mark.parametrize("text", ["Infinity", "inf", "NaN", "1_000"])
+    def test_float_only_spelling_never_orders(self, context, text):
+        for op in (">", ">=", "<", "<="):
+            cond = ComparisonCondition(make_side(attr="p"), op, make_side(const=100))
+            result = cond.evaluate({"p": Cell((Exact(span_of(text)),))}, context)
+            assert not result.some
+
     def test_equality_against_string_const(self, context):
         cell = Cell((Contain(span_of("find Basktall HS here")),))
         cond = ComparisonCondition(make_side(attr="s"), "=", make_side(const="Basktall HS"))

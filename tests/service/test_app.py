@@ -94,6 +94,17 @@ class TestDocuments:
         )
         assert bad.code == 400
 
+    def test_rejected_ingest_creates_no_table(self, client, service):
+        ingest_pages(client, range(2))
+        digest = client.get("/corpus").json["content_digest"]
+        resp = ingest_pages(client, [0, 0], table="fresh")
+        assert resp.code == 400
+        assert "duplicate" in resp.json["error"]
+        info = client.get("/corpus").json
+        assert info["tables"] == {"pages": 2}
+        assert info["content_digest"] == digest
+        assert service.corpus.table_names() == ["pages"]
+
     def test_remove_document(self, client):
         ingest_pages(client, range(2))
         resp = client.delete("/documents/d0")

@@ -74,6 +74,46 @@ class TestProgramValidation:
         assert service.programs == {}
 
 
+class TestAnswerValidation:
+    @pytest.mark.parametrize("answer", [True, False, [1], {"a": 1}, ["yes"]])
+    def test_bad_answer_is_400_and_session_keeps_running(
+        self, client, service, answer
+    ):
+        sid = start_session(client)
+        assert wait_for(
+            lambda: client.get("/sessions/%s" % sid).json["pending_question"]
+        )
+        resp = client.post("/sessions/%s/answer" % sid, {"answer": answer})
+        assert resp.code == 400
+        assert repr("answer") in resp.json["error"]
+        status = client.get("/sessions/%s" % sid).json
+        assert status["state"] == "running"
+        assert status["pending_question"]
+        assert status["questions_answered"] == 0
+        assert client.delete("/sessions/%s" % sid).code == 200
+
+    def test_non_finite_number_is_400(self, client, service):
+        sid = start_session(client)
+        assert wait_for(
+            lambda: client.get("/sessions/%s" % sid).json["pending_question"]
+        )
+        # json.dumps writes NaN, which Python's JSON parser accepts
+        resp = client.post("/sessions/%s/answer" % sid, {"answer": float("nan")})
+        assert resp.code == 400
+        assert repr("answer") in resp.json["error"]
+        assert client.delete("/sessions/%s" % sid).code == 200
+
+    @pytest.mark.parametrize("answer", ["yes", 3, 2.5, None])
+    def test_valid_answer_is_accepted(self, client, service, answer):
+        sid = start_session(client)
+        assert wait_for(
+            lambda: client.get("/sessions/%s" % sid).json["pending_question"]
+        )
+        resp = client.post("/sessions/%s/answer" % sid, {"answer": answer})
+        assert resp.code == 200
+        assert client.delete("/sessions/%s" % sid).code == 200
+
+
 class TestLifecycle:
     def test_unknown_program_404(self, client):
         assert client.post("/sessions", {"program_id": "zzz"}).code == 404

@@ -95,6 +95,26 @@ class TestPerformanceDocs:
             assert "`%s`" % field in text or field in text, field
             assert hasattr(stats, field), field
 
+    def test_join_condition_contract_matches_code(self):
+        """The documented join memo is the real call chain."""
+        import inspect
+
+        from repro.processor.conditions import ComparisonCondition, PFunctionCondition
+        from repro.processor.operators import apply_condition
+
+        text = (DOCS / "performance.md").read_text(encoding="utf-8")
+        assert "## Join condition evaluation" in text
+        assert "memo" in inspect.signature(apply_condition).parameters
+        for condition in (ComparisonCondition, PFunctionCondition):
+            assert "memo" in inspect.signature(condition.evaluate).parameters
+        for path in (
+            "tests/processor/test_join_memo.py",
+            "tests/processor/test_conditions_property.py",
+            "benchmarks/bench_micro_ops.py",
+        ):
+            assert path in text, path
+            assert (DOCS.parent / path).exists(), path
+
     def test_incremental_contract_matches_code(self):
         """The documented delta-execution lifecycle names real API."""
         import repro.columnar as columnar

@@ -119,6 +119,20 @@ class TestMutation:
         with pytest.raises(ValueError):
             corpus.add_documents("A", [d, d], replace=True)
 
+    def test_rejected_batch_creates_no_table(self):
+        corpus = Corpus({"A": docs("a", 1)})
+        d = Document("dup", "x")
+        with pytest.raises(ValueError):
+            corpus.add_documents("B", [d, d])
+        assert corpus.table_names() == ["A"]
+        assert "B" not in corpus
+
+    def test_rejected_batch_leaves_existing_table_unchanged(self):
+        corpus = Corpus({"A": docs("a", 2)})
+        with pytest.raises(ValueError):
+            corpus.add_documents("A", [Document("new", "x"), Document("a-0", "y")])
+        assert [d.doc_id for d in corpus.table("A")] == ["a-0", "a-1"]
+
     def test_replace_keeps_position(self):
         corpus = Corpus({"A": docs("a", 3)})
         replaced = corpus.add_documents(

@@ -61,7 +61,23 @@ class TestParseNumber:
     def test_parses(self, text, expected):
         assert parse_number(text) == expected
 
-    @pytest.mark.parametrize("text", ["", "abc", "12abc", "$", "1 2", "--3"])
+    @pytest.mark.parametrize(
+        "text,expected", [("-5", -5), ("+5", 5), ("$-5", -5), (".5", 0.5), ("5.", 5.0)]
+    )
+    def test_sign_and_decimal_point(self, text, expected):
+        assert parse_number(text) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        ["nan", "NaN", "-nan", "inf", "Infinity", "-inf", "+Infinity", "1_000",
+         "$1_000", "1e5"],
+    )
+    def test_rejects_spellings_only_float_accepts(self, text):
+        assert parse_number(text) is None
+
+    @pytest.mark.parametrize(
+        "text", ["", "abc", "12abc", "$", "1 2", "--3", "+-5", "1.2.3", "0x10", "-$5", "²"]
+    )
     def test_rejects(self, text):
         assert parse_number(text) is None
 
