@@ -178,3 +178,28 @@ def test_bench_ordering_join(benchmark, context):
     got = [(texts(t.cells[0]), texts(t.cells[1]), t.maybe) for t in out]
     assert got == expected
     assert 0 < len(out) < len(left) * len(right)
+
+
+def test_bench_table_to_json(benchmark):
+    """A join-shaped result: 10 000 tuples over 100 distinct cells, each
+    encoded once; byte-identical to ``json.dumps`` of the dict export."""
+    import json
+
+    from repro.ctables.export import table_to_dicts, table_to_json
+
+    doc = parse_html("cross", "<p>%s</p>" % " ".join("item%02d" % i for i in range(50)))
+    cells = []
+    for i in range(50):
+        start = doc.text.index("item%02d" % i)
+        cells.append(Cell((Exact(Span(doc, start, start + 6)),)))
+    cells.append(Cell.expansion((Exact(i) for i in range(50))))  # 51st: shared everywhere
+    cells.extend(Cell((Contain(doc_span(doc)), Exact("é%d" % i))) for i in range(49))
+    left, right = cells[:50], cells[50:]
+    table = CompactTable(["l", "r"])
+    for k in range(10000):
+        table.add(CompactTuple([left[k % 50], right[k // 200]], maybe=k % 3 == 0))
+    assert len(table) == 10000
+    assert len({id(c) for t in table for c in t.cells}) == 100
+
+    text = benchmark(table_to_json, table)
+    assert text == json.dumps(table_to_dicts(table), ensure_ascii=False)

@@ -17,6 +17,7 @@ constraints commute, section 4.2) instead of re-extracting from
 scratch; anything downstream re-executes against the updated table.
 """
 
+import logging
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -702,13 +703,14 @@ class IFlexEngine:
                     # table too would short-circuit the delta path on
                     # warm runs
                     cache.store.save(fingerprint.token, table)
-            logger.debug(
-                "%s: %d tuples, %d assignments (%s)",
-                name,
-                table.tuple_count(),
-                table.assignment_count(),
-                kind,
-            )
+            if logger.isEnabledFor(logging.DEBUG):  # the counts walk the table
+                logger.debug(
+                    "%s: %d tuples, %d assignments (%s)",
+                    name,
+                    table.tuple_count(),
+                    table.assignment_count(),
+                    kind,
+                )
         elapsed = time.perf_counter() - start
         return ExecutionResult(
             query_table=context.relations[self.unfolded.query],
@@ -810,14 +812,15 @@ class IFlexEngine:
                     and self._persistable[member]
                 ):
                     cache.store.save(fingerprints[member].token, tables[member])
-            logger.debug(
-                "%s: %d tuples, %d assignments (%s, fixpoint group %s)",
-                member,
-                tables[member].tuple_count(),
-                tables[member].assignment_count(),
-                kind,
-                label,
-            )
+            if logger.isEnabledFor(logging.DEBUG):
+                logger.debug(
+                    "%s: %d tuples, %d assignments (%s, fixpoint group %s)",
+                    member,
+                    tables[member].tuple_count(),
+                    tables[member].assignment_count(),
+                    kind,
+                    label,
+                )
 
     def _fixpoint_reuse(self, group, fingerprints, cache, context):
         """Hydrate a whole recursive group from the caches, or ``None``."""

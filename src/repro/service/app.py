@@ -39,7 +39,7 @@ import json
 import math
 import re
 
-from repro.ctables.export import cell_to_dict
+from repro.ctables.export import JSONTextEncoder
 from repro.service.state import ServiceError
 from repro.text.html_parser import parse_html
 
@@ -63,35 +63,38 @@ class NDJSONStream:
     """A handler result that streams newline-delimited JSON objects."""
 
     def __init__(self, lines):
-        self.lines = lines  # iterable of dicts
+        self.lines = lines  # iterable of JSON texts, one object each
 
     def __iter__(self):
-        for obj in self.lines:
-            yield (json.dumps(obj, ensure_ascii=False) + "\n").encode("utf-8")
+        for line in self.lines:
+            yield (line + "\n").encode("utf-8")
 
 
 def stream_result(meta, result):
-    """The NDJSON lines for one execution result (header/tuples/summary)."""
+    """The NDJSON lines for one execution result (header/tuples/summary).
+
+    Tuple lines are written from the encoder's cell fragments (a cell
+    shared by many tuples is encoded once); each is byte-identical to
+    ``json.dumps({"type": "tuple", "maybe": ..., "cells": {attr:
+    cell_to_dict(cell)}}, ensure_ascii=False)``.
+    """
     table = result.query_table
 
     def lines():
         header = {"type": "header", "attrs": list(table.attrs)}
         header.update(meta)
-        yield header
+        yield json.dumps(header, ensure_ascii=False)
+        encoder = JSONTextEncoder(table)
         for row in table:
-            yield {
-                "type": "tuple",
-                "maybe": row.maybe,
-                "cells": {
-                    attr: cell_to_dict(cell)
-                    for attr, cell in zip(table.attrs, row.cells)
-                },
-            }
+            yield '{"type": "tuple", "maybe": %s, "cells": %s}' % (
+                "true" if row.maybe else "false",
+                encoder.cells(row),
+            )
         summary = {"type": "summary"}
         from repro.service.state import ExtractionService
 
         summary.update(ExtractionService.result_summary(result))
-        yield summary
+        yield json.dumps(summary, ensure_ascii=False)
 
     return NDJSONStream(lines())
 
@@ -308,7 +311,14 @@ class ServiceApp:
 
     def _submit_program(self, body):
         source = self._field(body, "source")
-        query = self._field(body, "query", required=False)
+        # "" would run the default query under a different program id
+        query = self._field(
+            body,
+            "query",
+            required=False,
+            valid=bool,
+            expected="a non-empty predicate name",
+        )
         tables = self._field(
             body,
             "tables",

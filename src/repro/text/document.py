@@ -7,7 +7,6 @@ list items, the page title, and section labels.  Features in
 IE engine never touches HTML directly.
 """
 
-import bisect
 from dataclasses import dataclass
 
 from repro.text.tokenize import tokenize
@@ -96,10 +95,19 @@ class Document:
 
     def tokens_in(self, start, end):
         """Tokens lying entirely inside ``[start, end)``."""
-        starts = [t.start for t in self.tokens]
-        lo = bisect.bisect_left(starts, start)
+        tokens = self.tokens
+        # binary search for the first token starting at or after start
+        # (tokens are sorted and do not overlap)
+        lo, hi = 0, len(tokens)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if tokens[mid].start < start:
+                lo = mid + 1
+            else:
+                hi = mid
         out = []
-        for token in self.tokens[lo:]:
+        for index in range(lo, len(tokens)):
+            token = tokens[index]
             if token.end > end:
                 break
             out.append(token)

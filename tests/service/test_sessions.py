@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from tests.service.conftest import ingest_pages, submit_program
+from tests.service.conftest import PROGRAM_SOURCE, ingest_pages, submit_program
 
 #: generous wall-clock bound for a background session to finish
 DEADLINE = 30.0
@@ -72,6 +72,19 @@ class TestProgramValidation:
         assert resp.code == 400
         assert repr("tables") in resp.json["error"]
         assert service.programs == {}
+
+    @pytest.mark.parametrize("query", ["", 5, ["q"]])
+    def test_bad_query_is_400_naming_the_field(self, client, service, query):
+        resp = submit_program(client, query=query)
+        assert resp.code == 400
+        assert repr("query") in resp.json["error"]
+        assert service.programs == {}
+
+    def test_omitted_query_hosts_the_default(self, client, service):
+        ingest_pages(client, range(2))
+        resp = client.post("/programs", {"source": PROGRAM_SOURCE})
+        assert resp.code == 201
+        assert resp.json["query"] == "q"
 
 
 class TestAnswerValidation:

@@ -34,6 +34,52 @@ def program_file(tmp_path):
     return path
 
 
+#: ``run --json`` over the fixtures, byte for byte
+RUN_JSON = """\
+{
+  "attrs": [
+    "t",
+    "p"
+  ],
+  "tuples": [
+    {
+      "maybe": false,
+      "cells": {
+        "t": {
+          "expansion": false,
+          "assignments": [
+            {
+              "kind": "contain",
+              "span": {
+                "doc": "pages:a.html",
+                "start": 0,
+                "end": 28,
+                "text": "Widget Alpha Price: $120.00\\n"
+              }
+            }
+          ]
+        },
+        "p": {
+          "expansion": false,
+          "assignments": [
+            {
+              "kind": "exact",
+              "span": {
+                "doc": "pages:a.html",
+                "start": 21,
+                "end": 27,
+                "text": "120.00"
+              }
+            }
+          ]
+        }
+      }
+    }
+  ]
+}
+"""
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -74,6 +120,15 @@ class TestCommands:
         assert code == 0
         assert "120.00" in out
         assert "1 tuples" in out
+
+    def test_run_json_output_is_unchanged(self, capsys, pages_dir, program_file):
+        """``run --json`` prints the dict export's ``indent=2`` encoding."""
+        code = main(
+            ["run", str(program_file), "--table", "pages=%s" % pages_dir,
+             "--query", "q", "--json"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == RUN_JSON
 
     def test_explain(self, capsys, pages_dir, program_file):
         code = main(

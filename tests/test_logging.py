@@ -20,6 +20,47 @@ class TestProcessorLogging:
             IFlexEngine(figure2_program, figure1_corpus).execute()
         assert not caplog.records
 
+    def test_debug_off_does_not_walk_tables(
+        self, figure2_program, figure1_corpus, caplog, monkeypatch
+    ):
+        """The per-predicate counts are computed only for a DEBUG record."""
+        from repro.ctables.ctable import CompactTable
+        from tests.processor.test_recursion import chain, edge_corpus, tc_program
+
+        calls = []
+        original = CompactTable.assignment_count
+
+        def counting(table):
+            calls.append(table)
+            return original(table)
+
+        monkeypatch.setattr(CompactTable, "assignment_count", counting)
+        with caplog.at_level(logging.INFO, logger="repro.processor"):
+            IFlexEngine(figure2_program, figure1_corpus).execute()
+            IFlexEngine(tc_program(), edge_corpus(chain(3))).execute()  # fixpoint
+        assert calls == []
+
+    def test_debug_records_carry_the_counts(
+        self, figure2_program, figure1_corpus, caplog
+    ):
+        from tests.processor.test_recursion import chain, edge_corpus, tc_program
+
+        with caplog.at_level(logging.DEBUG, logger="repro.processor"):
+            results = [
+                IFlexEngine(figure2_program, figure1_corpus).execute(),
+                IFlexEngine(tc_program(), edge_corpus(chain(3))).execute(),
+            ]
+        messages = [r.getMessage() for r in caplog.records]
+        for result, name in zip(results, ("houses", "path")):
+            table = result.tables[name]
+            prefix = "%s: %d tuples, %d assignments (computed" % (
+                name,
+                table.tuple_count(),
+                table.assignment_count(),
+            )
+            assert any(m.startswith(prefix) for m in messages), prefix
+        assert any("fixpoint group" in m for m in messages)
+
 
 class TestSessionLogging:
     def test_session_logs_iterations_and_questions(self, caplog):

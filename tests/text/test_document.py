@@ -1,6 +1,7 @@
 """Document model tests."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.text.document import Document, Label
 
@@ -61,6 +62,17 @@ class TestRegionQueries:
         doc = make_doc("one two three")
         tokens = doc.tokens_in(4, 6)  # cuts "two" short
         assert tokens == []
+
+    @given(
+        st.text(alphabet=st.sampled_from("ab1 .,$\n"), max_size=40),
+        st.integers(-5, 45),
+        st.integers(-5, 45),
+    )
+    def test_tokens_in_matches_brute_force(self, text, start, end):
+        """Empty, inverted, out-of-range and mid-token bounds included."""
+        doc = make_doc(text)
+        expected = [t for t in doc.tokens if start <= t.start and t.end <= end]
+        assert doc.tokens_in(start, end) == expected
 
 
 class TestLabels:
