@@ -518,6 +518,10 @@ class ExecutionContext:
         self.evaluator = FeatureEvaluator(index_store, eval_cache, self.stats)
         #: name -> CompactTable for already-evaluated intensional preds
         self.relations = {}
+        #: name -> [CompactTable per corpus partition] for the predicates
+        #: this run evaluated partition by partition (what the chained
+        #: predicates downstream of them scan, partition by partition)
+        self.partition_relations = {}
 
     @property
     def index_store(self):

@@ -17,6 +17,7 @@ constraints commute, section 4.2) instead of re-extracting from
 scratch; anything downstream re-executes against the updated table.
 """
 
+import hashlib
 import logging
 import time
 from contextlib import nullcontext
@@ -205,6 +206,9 @@ class _Fingerprint:
     constraints: tuple    # per-rule sorted (attr, feature, value-repr)
     upstream: tuple       # tokens of referenced intensional tables
     corpus_sig: object
+    #: SHA-256 state over the token payload's ``(bases, constraints``
+    #: prefix, shared by every fingerprint of one :class:`_RulePart`
+    prefix: object = field(default=None, repr=False, compare=False)
 
     @property
     def token(self):
@@ -218,14 +222,86 @@ class _Fingerprint:
         """
         token = self.__dict__.get("_token")
         if token is None:
-            import hashlib
-
-            payload = repr(
-                (self.bases, self.constraints, self.upstream, self.corpus_sig)
+            hasher = self.prefix.copy() if self.prefix is not None else _prefix_hasher(
+                self.bases, self.constraints
             )
-            token = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
+            # together with the prefix: repr((bases, constraints,
+            # upstream, corpus_sig)), the payload tokens have always hashed
+            hasher.update(("%r, %r)" % (self.upstream, self.corpus_sig)).encode("utf-8"))
+            token = hasher.hexdigest()[:24]
             self.__dict__["_token"] = token
         return token
+
+
+def _prefix_hasher(bases, constraints):
+    return hashlib.sha256(("(%r, %r, " % (bases, constraints)).encode("utf-8"))
+
+
+class _RulePart:
+    """The partition-independent half of one predicate's fingerprint.
+
+    Built once per predicate per run: the rule reprs (bases and
+    constraints), the upstream intensional names, and the token's
+    hashed prefix.  :meth:`fingerprint` adds the upstream tokens and the
+    corpus signature — one call per partition on the partitioned path.
+    """
+
+    def __init__(self, rules, intensional):
+        bases = []
+        constraints = []
+        upstream = set()
+        for rule in rules:
+            base, cons = _split_rule(rule)
+            bases.append(base)
+            constraints.append(cons)
+            for atom in rule.body_atoms(PredicateAtom):
+                if atom.name in intensional:
+                    upstream.add(atom.name)
+        self.bases = tuple(bases)
+        self.constraints = tuple(constraints)
+        self.upstream = tuple(sorted(upstream))
+        self.prefix = _prefix_hasher(self.bases, self.constraints)
+
+    def fingerprint(self, tokens, corpus_sig):
+        return _Fingerprint(
+            bases=self.bases,
+            constraints=self.constraints,
+            # every upstream token is set by evaluation order
+            upstream=tuple((name, tokens.get(name)) for name in self.upstream),
+            corpus_sig=corpus_sig,
+            prefix=self.prefix,
+        )
+
+    def matches(self, fingerprint, tokens, corpus_sig):
+        """Would :meth:`fingerprint` equal ``fingerprint``?
+
+        Field by field — what the token hashes — without building one.
+        """
+        return (
+            fingerprint.corpus_sig == corpus_sig
+            and fingerprint.upstream
+            == tuple((name, tokens.get(name)) for name in self.upstream)
+            and fingerprint.bases == self.bases
+            and fingerprint.constraints == self.constraints
+        )
+
+
+class _Run:
+    """Per-execution bookkeeping of the reuse chain."""
+
+    def __init__(self):
+        #: predicate -> whole-corpus fingerprint token
+        self.tokens = {}
+        #: predicate -> [fingerprint token per corpus partition], for the
+        #: predicates that went through the partition-keyed cache (their
+        #: tables are in ``ExecutionContext.partition_relations``)
+        self.partition_tokens = {}
+        #: predicate -> :class:`_RulePart`
+        self.rule_parts = {}
+        #: some predicate went through the partition-keyed cache
+        self.partitioned = False
+        #: corpus partitions a partition-local predicate re-executed on
+        self.recomputed = set()
 
 
 @dataclass
@@ -458,7 +534,7 @@ class IFlexEngine:
         """Quarantine one document and rebuild the partitioned view."""
         self.excluded_docs.add(doc_id)
         self._active = self.corpus.without(self.excluded_docs)
-        self.physical = self._make_physical()
+        self.physical = self._make_physical(self.physical)
         self._docs_map = None
 
     def rebind_corpus(self, corpus=None, edited_docs=()):
@@ -486,11 +562,11 @@ class IFlexEngine:
             if self.excluded_docs
             else self.corpus
         )
-        self.physical = self._make_physical()
+        self.physical = self._make_physical(self.physical)
         self._docs_map = None
         return self
 
-    def _make_physical(self):
+    def _make_physical(self, previous=None):
         """The physical execution layer, or None on the serial path.
 
         With one worker the engine executes plans directly (the original
@@ -498,6 +574,7 @@ class IFlexEngine:
         ``partition_docs`` chunking configured, as the resident service
         does — it routes every plan through
         :class:`~repro.processor.physical.PhysicalExecutor`.
+        ``previous`` is the executor it replaces after a corpus change.
         """
         if getattr(self.config, "workers", 1) <= 1 and not getattr(
             self.config, "partition_docs", None
@@ -511,6 +588,8 @@ class IFlexEngine:
             self.features,
             self.config,
             index_store=self.index_store,
+            order=[g[0] for g in self.order if g not in self.recursive_groups],
+            previous=previous,
         )
 
     def _self_recursive(self, name):
@@ -641,18 +720,19 @@ class IFlexEngine:
         """One uninterrupted execution over the active corpus."""
         start = time.perf_counter()
         context = self._context()
-        tokens = {}
+        run = _Run()
         reuse_summary = {}
         for group in self.order:
             if group in self.recursive_groups:
-                self._execute_fixpoint(group, context, cache, tokens, reuse_summary)
+                self._execute_fixpoint(group, context, cache, run, reuse_summary)
                 continue
             name = group[0]
-            fingerprint = self._fingerprint(name, tokens)
+            fingerprint = self._fingerprint(name, run)
             table = None
             kind = None
+            reused = 0
             stats = context.stats
-            before = (stats.result_cache_hits, stats.partitions_reused)
+            store_hits = stats.result_cache_hits
             with self._span("predicate:%s" % name, "plan", predicate=name) as span:
                 if cache is not None:
                     entry = cache.get(name)
@@ -660,7 +740,19 @@ class IFlexEngine:
                         table = entry.table
                         kind = "full"
                     elif self._partitioned_path(name):
-                        table, kind = self._execute_partitioned(name, context, cache)
+                        if (
+                            self.physical.upstream(name)
+                            and cache.store is not None
+                            and self._persistable[name]
+                        ):
+                            # a chained predicate persists its merged table
+                            table = self._store_load(cache, context, fingerprint)
+                            if table is not None:
+                                kind = "full"
+                        if table is None:
+                            table, kind, reused = self._execute_partitioned(
+                                name, context, cache, run
+                            )
                     else:
                         if cache.store is not None and self._persistable[name]:
                             table = self._store_load(cache, context, fingerprint)
@@ -678,12 +770,12 @@ class IFlexEngine:
                 if span is not None:
                     # what explain_analyze renders the reuse lines from
                     span.attrs.update(
-                        store_hits=stats.result_cache_hits - before[0],
-                        partitions_reused=stats.partitions_reused - before[1],
+                        store_hits=stats.result_cache_hits - store_hits,
+                        partitions_reused=reused,
                     )
             reuse_summary[name] = kind
             context.relations[name] = table
-            tokens[name] = fingerprint.token
+            run.tokens[name] = fingerprint.token
             if cache is not None:
                 if kind == "full":
                     cache.full_hits += 1
@@ -696,12 +788,8 @@ class IFlexEngine:
                     kind == "computed"
                     and cache.store is not None
                     and self._persistable[name]
-                    and not self._partitioned_path(name)
+                    and not self._stored_per_partition(name)
                 ):
-                    # partitioned predicates persist per partition slice
-                    # (inside _execute_partitioned); spilling the merged
-                    # table too would short-circuit the delta path on
-                    # warm runs
                     cache.store.save(fingerprint.token, table)
             if logger.isEnabledFor(logging.DEBUG):  # the counts walk the table
                 logger.debug(
@@ -711,6 +799,12 @@ class IFlexEngine:
                     table.assignment_count(),
                     kind,
                 )
+        if run.partitioned:
+            # counted per corpus partition, over every partition-local
+            # predicate of the run (see _execute_partitioned)
+            recomputed = len(run.recomputed)
+            context.stats.partitions_recomputed += recomputed
+            context.stats.partitions_reused += len(self.physical.partitions) - recomputed
         elapsed = time.perf_counter() - start
         return ExecutionResult(
             query_table=context.relations[self.unfolded.query],
@@ -719,6 +813,16 @@ class IFlexEngine:
             elapsed=elapsed,
             reuse_summary=reuse_summary,
         )
+
+    def _stored_per_partition(self, name):
+        """Does ``name`` persist per partition slice, not merged?
+
+        Partitioned predicates that read documents do: spilling their
+        merged table too would short-circuit the delta path on warm
+        runs.  Chained predicates hold their partition tables in memory
+        only and persist the merged table, one save per computation.
+        """
+        return self._partitioned_path(name) and not self.physical.upstream(name)
 
     def _execute_plan(self, name, context):
         """One predicate's table: direct on the serial path, partitioned
@@ -743,8 +847,6 @@ class IFlexEngine:
         per-member fingerprints (and the persistent store keys derived
         from them) stay process-stable.
         """
-        import hashlib
-
         payload = []
         upstream = set()
         for member in group:
@@ -771,7 +873,7 @@ class IFlexEngine:
                 ("%s:%s" % (digest, member)).encode("utf-8")
             ).hexdigest()[:24]
 
-    def _execute_fixpoint(self, group, context, cache, tokens, reuse_summary):
+    def _execute_fixpoint(self, group, context, cache, run, reuse_summary):
         """Evaluate one recursive group, against the caches first.
 
         Fixpoint results reuse only wholesale: the members of a
@@ -783,8 +885,8 @@ class IFlexEngine:
         which survive a final filter.  A computed group's fixpoint span
         records its iteration count.
         """
-        self._group_tokens(group, tokens)
-        fingerprints = {m: self._fingerprint(m, tokens) for m in group}
+        self._group_tokens(group, run.tokens)
+        fingerprints = {m: self._fingerprint(m, run) for m in group}
         label = "+".join(group)
         with self._span("fixpoint:%s" % label, "plan", predicates=label) as span:
             tables = None
@@ -953,63 +1055,104 @@ class IFlexEngine:
         finally:
             context.relations[name] = saved
 
-    def _execute_partitioned(self, name, context, cache):
-        """A fully document-local predicate with a partition-keyed cache.
+    def _execute_partitioned(self, name, context, cache, run):
+        """A partition-local predicate with a partition-keyed cache.
 
         Each corpus partition gets its own fingerprint (same rules, the
-        partition's corpus signature) and its own full-hit / incremental
-        / compute decision; only partitions that could not be reused are
-        re-extracted, on the scheduler.  Returns ``(merged table, kind)``
-        where ``kind`` summarises the weakest reuse across partitions.
+        partition's corpus signature — and, for a chained predicate, the
+        upstream's token for that partition) and its own full-hit /
+        incremental / compute decision; only partitions that could not
+        be reused are re-executed, on the scheduler.  Returns ``(merged
+        table, kind, partitions reused)`` where ``kind`` summarises the
+        weakest reuse across partitions.
 
-        Fully-local plans never scan intensional tables (joins over them
-        are global by construction), so the partition fingerprints need
-        no upstream tokens.
+        The run counts *corpus partitions*: one is recomputed when a
+        partition-local predicate re-executed on it because its cached
+        result was stale or, for a predicate that reads documents,
+        absent.  A chained predicate re-deriving a partition it holds no
+        entry for, from an upstream table that was itself reused (the
+        first delta in a process that hydrated the upstream from the
+        result store), leaves that partition counted as reused: nothing
+        in it changed.  Chained partition tables are never persisted.
         """
         from repro.ctables.ctable import CompactTable
 
         partitions = self.physical.partitions
-        store = cache.store if self._persistable[name] else None
+        upstream = self.physical.upstream(name)
+        if upstream is None:
+            store = cache.store if self._persistable[name] else None
+            seeds, upstream_tokens = None, None
+        else:
+            store = None
+            seeds, upstream_tokens = self._upstream_partitions(
+                upstream, context, cache, run
+            )
+        part = self._rule_part(name, run)
         tables = []
         kinds = []
         fingerprints = []
-        for pid, partition in enumerate(partitions):
-            fingerprint = self._fingerprint(
-                name, {}, corpus_sig=("content", partition.content_digest)
-            )
-            fingerprints.append(fingerprint)
+        fresh = []  # partitions whose cache entry is replaced
+        dirty = set()
+        for pid, corpus_sig in enumerate(self.physical.corpus_sigs()):
+            tokens = {upstream: upstream_tokens[pid]} if upstream else {}
             entry = cache.get(name, partition=pid)
+            if entry is not None and part.matches(entry.fingerprint, tokens, corpus_sig):
+                # the clean-partition fast path: no new fingerprint, no
+                # token to hash, nothing to put back
+                fingerprints.append(entry.fingerprint)
+                tables.append(entry.table)
+                kinds.append("full")
+                continue
+            fingerprint = part.fingerprint(tokens, corpus_sig)
+            fingerprints.append(fingerprint)
+            fresh.append(pid)
             table, kind = None, "full"
-            if entry is not None and entry.fingerprint.token == fingerprint.token:
-                table = entry.table
-            if table is None and store is not None:
+            if store is not None:
                 table = self._store_load(cache, context, fingerprint)
             if table is None and entry is not None:
                 table = self._incremental(name, entry, fingerprint, context)
                 kind = "incremental"
+            if table is None and (
+                upstream is None or entry is not None or pid in run.recomputed
+            ):
+                dirty.add(pid)
             tables.append(table)
             kinds.append(kind)
         missing = [pid for pid, table in enumerate(tables) if table is None]
         # the delta accounting: clean partitions fold in from cache,
         # dirty ones (content digest moved, or cold) re-execute
-        context.stats.partitions_reused += len(partitions) - len(missing)
-        context.stats.partitions_recomputed += len(missing)
+        run.partitioned = True
+        run.recomputed |= dirty
         if missing:
             computed = self.physical.execute_local_partitions(
-                name, missing, tracer=context.tracer
+                name, missing, tracer=context.tracer, upstream=seeds
             )
             for pid, (table, stats) in zip(missing, computed):
                 tables[pid] = table
                 kinds[pid] = "computed"
                 context.stats.merge(stats)
-        for pid, table in enumerate(tables):
-            cache.put(name, fingerprints[pid], table, partition=pid)
+        for pid in fresh:
+            cache.put(name, fingerprints[pid], tables[pid], partition=pid)
             if store is not None and kinds[pid] == "computed":
-                store.save(fingerprints[pid].token, table)
+                store.save(fingerprints[pid].token, tables[pid])
+        context.partition_relations[name] = tables
+        run.partition_tokens[name] = [fp.token for fp in fingerprints]
         merged = CompactTable.union(tables, attrs=self.physical.split(name).root.attrs)
-        return merged, next(
-            kind for kind in ("computed", "incremental", "full") if kind in kinds
-        )
+        kind = next(k for k in ("computed", "incremental", "full") if k in kinds)
+        return merged, kind, len(partitions) - len(missing)
+
+    def _upstream_partitions(self, upstream, context, cache, run):
+        """``(tables, tokens)`` by partition of a chained predicate's upstream.
+
+        Normally the upstream just went through the partition-keyed
+        cache this run.  When it was a whole-table hit instead, its
+        partitions resolve now, through the same cache (on a resident
+        engine: all in-memory hits), traced under a span of their own.
+        """
+        if upstream not in run.partition_tokens:
+            with self._span("partitions:%s" % upstream, "plan", predicate=upstream):
+                self._execute_partitioned(upstream, context, cache, run)
+        return context.partition_relations[upstream], run.partition_tokens[upstream]
 
     def explain(self):
         """The compiled plan for every predicate, as text."""
@@ -1071,37 +1214,24 @@ class IFlexEngine:
         return table
 
     # ------------------------------------------------------------------
-    def _fingerprint(self, name, tokens, corpus_sig=None):
-        """The predicate's reuse fingerprint.
+    def _rule_part(self, name, run):
+        part = run.rule_parts.get(name)
+        if part is None:
+            part = run.rule_parts[name] = _RulePart(
+                self.unfolded.rules_for(name), self.unfolded.intensional
+            )
+        return part
 
-        The default corpus signature is the active corpus's *content*
-        digest — doc ids alone would serve stale results after an
-        in-place document edit, which the persistent store must never
-        do.  ``corpus_sig`` overrides it for partition-keyed entries
-        (the partitioned path fingerprints each corpus slice
-        separately).
+    def _fingerprint(self, name, run):
+        """The predicate's whole-corpus reuse fingerprint.
+
+        The corpus signature is the active corpus's *content* digest —
+        doc ids alone would serve stale results after an in-place
+        document edit, which the persistent store must never do.  (The
+        partitioned path fingerprints each corpus slice separately.)
         """
-        rules = self.unfolded.rules_for(name)
-        bases = []
-        constraints = []
-        upstream = []
-        for rule in rules:
-            base, cons = _split_rule(rule)
-            bases.append(base)
-            constraints.append(cons)
-            for atom in rule.body_atoms(PredicateAtom):
-                if atom.name in self.unfolded.intensional:
-                    # every upstream token is set by evaluation order
-                    upstream.append((atom.name, tokens.get(atom.name)))
-        return _Fingerprint(
-            bases=tuple(bases),
-            constraints=tuple(constraints),
-            upstream=tuple(sorted(set(upstream))),
-            corpus_sig=(
-                ("content", self._active.content_digest)
-                if corpus_sig is None
-                else corpus_sig
-            ),
+        return self._rule_part(name, run).fingerprint(
+            run.tokens, ("content", self._active.content_digest)
         )
 
     def _incremental(self, name, entry, fingerprint, context):

@@ -13,6 +13,13 @@ and the operator trees.  For each predicate it
    exact serial tuple order);
 4. executes the global suffix once against the merged tables.
 
+A predicate whose plan is a tuple-local pipeline over a scan of an
+earlier partition-local predicate (a *chained* predicate, see
+:mod:`repro.processor.split`) is partition-local too: the engine's
+partition-keyed cache runs it partition by partition, each partition
+context seeded with the upstream's table for that same partition, so a
+delta re-executes only the partitions it dirtied all down the chain.
+
 With one worker (the default) every plan executes exactly as the
 original single-threaded engine did — same operators, same context,
 same statistics — so serial behaviour is the identity baseline the
@@ -24,6 +31,7 @@ fresh trees mean no operator state is shared across workers.
 """
 
 from repro.ctables.ctable import CompactTable
+from repro.errors import ExecutionFailure
 from repro.observability.logs import get_logger
 from repro.observability.spans import Tracer
 from repro.processor.context import ExecutionContext
@@ -50,8 +58,22 @@ class PhysicalExecutor:
     is the system-wide monotonic clock, shared by forked children.
     """
 
-    def __init__(self, program, corpus, features, config, scheduler=None, index_store=None):
+    def __init__(
+        self,
+        program,
+        corpus,
+        features,
+        config,
+        scheduler=None,
+        index_store=None,
+        order=(),
+        previous=None,
+    ):
         self.program = program
+        #: the non-recursive predicates in evaluation order: a plan may
+        #: scan one of them partition by partition only if it comes
+        #: earlier (recursive groups always run globally)
+        self.order = tuple(order)
         self.corpus = corpus
         self.features = features
         self.config = config
@@ -66,12 +88,19 @@ class PhysicalExecutor:
         if partition_docs:
             # fixed-size chunks: boundaries are positionally stable, so
             # a resident engine's partition-keyed reuse survives corpus
-            # growth (appends only touch the tail chunks)
-            self.partitions = corpus.chunk(partition_docs)
+            # growth (appends only touch the tail chunks); ``previous``,
+            # the executor this one replaces after a corpus change,
+            # lends its unchanged chunks (an empty corpus chunks to
+            # itself, which is never lent)
+            reuse = ()
+            if previous is not None and previous.partitions[0] is not previous.corpus:
+                reuse = previous.partitions
+            self.partitions = corpus.chunk(partition_docs, reuse=reuse)
         else:
             self.partitions = corpus.partition(workers) if workers > 1 else [corpus]
         self.timeout = getattr(config, "partition_timeout", None)
         self._splits = {}
+        self._corpus_sigs = None
         #: fork-inherited objects result spans point into; the process
         #: backend ships these by reference instead of re-pickling the
         #: corpus once per partition
@@ -87,16 +116,37 @@ class PhysicalExecutor:
     def parallel(self):
         return len(self.partitions) > 1
 
+    def corpus_sigs(self):
+        """``("content", digest)`` per partition, computed once.
+
+        The corpus half of every partition fingerprint, shared by all
+        the partition-local predicates of every run on this executor.
+        """
+        if self._corpus_sigs is None:
+            self._corpus_sigs = [("content", p.content_digest) for p in self.partitions]
+        return self._corpus_sigs
+
     # ------------------------------------------------------------------
-    # plan analysis (cached per predicate; used for routing decisions)
+    # plan analysis (resolved once, in evaluation order)
     # ------------------------------------------------------------------
     def split(self, name):
+        if not self._splits:
+            chained = {}
+            for pred in self.order:
+                split = PlanSplit(compile_predicate(pred, self.program), chained)
+                self._splits[pred] = split
+                if split.fully_local:
+                    chained[pred] = split.anchored
         if name not in self._splits:
             self._splits[name] = PlanSplit(compile_predicate(name, self.program))
         return self._splits[name]
 
     def fully_local(self, name):
         return self.split(name).fully_local
+
+    def upstream(self, name):
+        """The chained predicate ``name``'s partition-local plan scans."""
+        return self.split(name).upstream
 
     # ------------------------------------------------------------------
     # partition-level execution
@@ -151,13 +201,15 @@ class PhysicalExecutor:
                 self.scheduler, "last_map_payload_bytes", 0
             )
 
-    def _partition_context(self, pid, tracer=None):
+    def _partition_context(self, pid, tracer=None, seeds=None):
+        """A context over partition ``pid``; ``seeds`` maps a chained
+        upstream predicate to its tables by partition id."""
         # The index store is shared (document content never changes);
         # the eval cache is *fresh* per partition so hit/miss counters
         # are backend-independent and sum to the serial counts — cache
         # keys are document-scoped and partitions document-disjoint, so
         # a shared cache could not produce extra hits anyway.
-        return ExecutionContext(
+        context = ExecutionContext(
             self.program,
             self.partitions[pid],
             self.features,
@@ -165,6 +217,9 @@ class PhysicalExecutor:
             index_store=self.index_store,
             tracer=tracer,
         )
+        for name, tables in (seeds or {}).items():
+            context.relations[name] = tables[pid]
+        return context
 
     def _run_partitions(self, pids, roots, label, tracer):
         """Execute ``roots(pid)`` — a list of operators — per partition.
@@ -193,18 +248,37 @@ class PhysicalExecutor:
 
         return self._map(work, list(pids), label=label, tracer=tracer)
 
-    def execute_local_partitions(self, name, pids=None, tracer=None):
+    def execute_local_partitions(self, name, pids=None, tracer=None, upstream=None):
         """Run a *fully local* predicate plan on each requested partition.
 
         Returns ``[(table, stats)]`` in partition order.  The engine's
         partition-keyed reuse cache calls this with only the partitions
         whose cached tables could not be reused.
+
+        A chained predicate needs ``upstream``, its upstream's tables by
+        partition id, and runs in this process, partition by partition:
+        its work is tuple-local over tables already in memory, so a
+        scheduler round trip (a fork per call on the process backend,
+        every result pickled home) would cost more than the work.
         """
         pids = range(len(self.partitions)) if pids is None else pids
-        results = self._run_partitions(
-            pids, lambda pid: [compile_predicate(name, self.program)], name, tracer
-        )
-        return [(tables[0], stats) for tables, stats in results]
+        chained = self.upstream(name)
+        if chained is None:
+            results = self._run_partitions(
+                pids, lambda pid: [compile_predicate(name, self.program)], name, tracer
+            )
+            return [(tables[0], stats) for tables, stats in results]
+        out = []
+        for pid in pids:
+            context = self._partition_context(pid, tracer, {chained: upstream})
+            try:
+                table = compile_predicate(name, self.program).execute(context)
+            except ExecutionFailure as failure:
+                if failure.partition is None:
+                    failure.partition = pid
+                raise
+            out.append((table, context.stats))
+        return out
 
     # ------------------------------------------------------------------
     # whole-plan execution
@@ -216,11 +290,24 @@ class PhysicalExecutor:
         scheduler; serial runs (or plans with no local work, e.g. pure
         joins over intensional tables) execute the tree directly.
         Partition statistics merge into ``context.stats``, so counters
-        match a serial execution exactly.
+        match a serial execution exactly.  A fully local predicate's
+        per-partition tables stay in ``context.partition_relations``
+        for the chained predicates downstream of it.
         """
         info = self.split(name)
         if not self.parallel or not info.has_local_work:
             return compile_predicate(name, self.program).execute(context)
+        if info.fully_local:
+            computed = self.execute_local_partitions(
+                name,
+                tracer=context.tracer,
+                upstream=context.partition_relations.get(info.upstream),
+            )
+            for _, stats in computed:
+                context.stats.merge(stats)
+            tables = context.partition_relations[name] = [t for t, _ in computed]
+            # the suffix would be a lone gather leaf: the union is the answer
+            return CompactTable.union(tables, attrs=info.root.attrs)
         per_partition = self._run_partitions(
             range(len(self.partitions)),
             lambda pid: PlanSplit(compile_predicate(name, self.program)).local_roots,
@@ -230,9 +317,6 @@ class PhysicalExecutor:
         for _, stats in per_partition:
             context.stats.merge(stats)
         gathered = self._gather(info, [tables for tables, _ in per_partition])
-        if info.fully_local:
-            # the suffix would be a lone gather leaf: the union is the answer
-            return gathered[0]
         suffix = bind_tables(
             PlanSplit(compile_predicate(name, self.program)),
             gathered,

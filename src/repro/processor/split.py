@@ -22,6 +22,18 @@ The analysis is purely structural, so re-compiling the same predicate
 yields the same split: the physical layer relies on this to execute the
 prefix per partition from fresh plan copies and align the results.
 
+*Chained* predicates.  Context-free, a scan of an intensional table is
+global: it reads a merged table.  The physical layer, though, holds the
+per-partition tables of every predicate it ran partition by partition,
+so it passes ``chained`` — those predicates, resolved in evaluation
+order, with their doc-anchored output positions — and a scan of one of
+them becomes a local leaf reading the partition's own table.  That
+only ever makes a *whole* plan local (a tuple-local pipeline over one
+chained scan, such as ``Select → Project → Annotate[none]``); a plan
+that is not wholly local splits exactly as it does without context, so
+joins, unions and annotated ψ over keys that are not doc-anchored stay
+global and ``repro lint --plan`` (context-free) never moves.
+
 An attribute is *document-anchored* when every value it can hold is a
 span of the tuple's single source document (span identity includes the
 ``doc_id``, so grouping by such an attribute can never merge tuples
@@ -37,6 +49,7 @@ from repro.processor.operators import (
     PPredicateOp,
     ProjectOp,
     ScanExtensional,
+    ScanIntensional,
     UnionOp,
 )
 
@@ -90,36 +103,46 @@ class GatherOp(Operator):
         )
 
 
-def _locality(op):
+def _locality(op, chained):
     """``(local, doc_attrs)`` for one subtree.
 
     ``local`` — executing per partition and unioning equals executing
     whole-corpus; ``doc_attrs`` — output attributes guaranteed to hold
-    spans of the tuple's single source document.
+    spans of the tuple's single source document.  ``chained`` maps the
+    predicates whose per-partition tables are at hand to their
+    doc-anchored output positions (empty: the context-free judgment).
     """
     if isinstance(op, ScanExtensional):
         return True, set(op.attrs)
+    if isinstance(op, ScanIntensional):
+        anchored = chained.get(op.predicate)
+        if anchored is None:
+            # reads a merged table
+            return False, set()
+        # the partition's own slice of a partition-local predicate; the
+        # scan renames attributes positionally
+        return True, {op.attrs[i] for i in anchored}
     if isinstance(op, FromOp):
-        local, docs = _locality(op.child)
+        local, docs = _locality(op.child, chained)
         # the generated cell is expand({contain(s_i)}) over anchors of
         # the source document, so the output attr is doc-anchored too
         return local, docs | {op.out_attr}
     if isinstance(op, (ConstraintSelect, ConditionSelect)):
         # per-tuple filters; surviving cells hold subsets of the input
         # assignments, so doc anchoring is preserved
-        return _locality(op.child)
+        return _locality(op.child, chained)
     if isinstance(op, ProjectOp):
-        local, docs = _locality(op.child)
+        local, docs = _locality(op.child, chained)
         return local, docs & set(op.attrs)
     if isinstance(op, PPredicateOp):
         # the procedure runs once per possible input tuple: per-tuple
         # work.  Input cells are re-written to enumerated values — for a
         # doc-anchored attr those are spans of the same document — while
         # procedure *outputs* are arbitrary and never doc-anchored.
-        local, docs = _locality(op.child)
+        local, docs = _locality(op.child, chained)
         return local, set(docs)
     if isinstance(op, AnnotateOp):
-        local, docs = _locality(op.child)
+        local, docs = _locality(op.child, chained)
         effective = [a for a in op.annotated_attrs if a in op.child.attrs]
         if not effective:
             # existence-only ψ flags tuples individually
@@ -136,8 +159,8 @@ def _locality(op):
         # multiset relative to a serial child-by-child union, so unions
         # stay in the suffix (their children may still be local)
         return False, set()
-    # JoinOp pairs tuples across documents; ScanIntensional/TableSource/
-    # GatherOp read merged tables; unknown operators: conservatively global
+    # JoinOp pairs tuples across documents; TableSource/GatherOp read
+    # merged tables; unknown operators: conservatively global
     return False, set()
 
 
@@ -148,11 +171,11 @@ def subtree_locality(op):
     document-local and which output attributes are doc-anchored; the
     same judgment :func:`split_plan` uses, exposed for static analysis.
     """
-    return _locality(op)
+    return _locality(op, {})
 
 
 def _collect_local_roots(op, out):
-    local, _ = _locality(op)
+    local, _ = _locality(op, {})
     if local:
         out.append(op)
         return
@@ -161,15 +184,36 @@ def _collect_local_roots(op, out):
 
 
 class PlanSplit:
-    """One compiled plan, analyzed into prefix subtrees + suffix."""
+    """One compiled plan, analyzed into prefix subtrees + suffix.
 
-    def __init__(self, root):
+    With ``chained`` (see the module docstring) a plan that is wholly
+    local over a chained scan is one local root whose ``upstream`` names
+    the chained predicate; any other plan splits context-free.
+    ``anchored`` holds the doc-anchored output positions of a wholly
+    local plan — what a chained scan of this predicate inherits.
+    """
+
+    def __init__(self, root, chained=None):
         self.root = root
         self.local_roots = []
-        _collect_local_roots(root, self.local_roots)
+        #: the chained predicate a wholly local plan scans, if any
+        self.upstream = None
+        self.anchored = frozenset()
+        local, docs = _locality(root, chained or {})
+        if local:
+            self.local_roots.append(root)
+            scans = [op for op in walk_plan(root) if isinstance(op, ScanIntensional)]
+            if scans:
+                self.upstream = scans[0].predicate
+        else:
+            _collect_local_roots(root, self.local_roots)
         #: the whole plan is document-local (the common shape for an
         #: unfolded single-rule extraction predicate)
         self.fully_local = len(self.local_roots) == 1 and self.local_roots[0] is root
+        if self.fully_local:
+            self.anchored = frozenset(
+                i for i, attr in enumerate(root.attrs) if attr in docs
+            )
 
     @property
     def has_local_work(self):

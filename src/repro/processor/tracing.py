@@ -112,9 +112,10 @@ def operator_rows(spans, root):
         kids.sort(key=lambda s: (s.start, s.span_id))
     suffix = []
     prefixes = []
+    in_process = []
     for span in children[root.span_id]:
         if span.category == "operator":
-            suffix.extend(_subtree_rows(span, children))
+            in_process.append(_subtree_rows(span, children))
         elif span.category == "scheduler":
             partitions = sorted(
                 children[span.span_id], key=lambda p: p.attrs.get("partition", 0)
@@ -128,6 +129,10 @@ def operator_rows(spans, root):
                 for p in partitions
             ]
             prefixes = [_merge(trees) for trees in zip(*per_partition)]
+    if in_process:
+        # one tree, or a chained predicate's partitions run one after
+        # another in this process: the same plan each time, so merged
+        suffix = _merge(in_process)
     if not suffix:
         return [row for rows in prefixes for row in rows]
     out = []

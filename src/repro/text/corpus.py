@@ -14,12 +14,20 @@ __all__ = ["Corpus", "corpus_digest"]
 
 
 def _doc_content(doc):
-    """The text a document contributes to :func:`corpus_digest`."""
-    parts = [repr(doc.doc_id), repr(doc.text)]
-    for kind in sorted(doc.regions):
-        if doc.regions[kind]:
-            parts.append("%s=%r" % (kind, doc.regions[kind]))
-    return "\x1f".join(parts)
+    """The bytes a document contributes to :func:`corpus_digest`.
+
+    Memoized on the document: re-chunking a resident corpus builds new
+    partition corpora on every ingest, but their documents (and so
+    these bytes) are the same objects.
+    """
+    content = doc._content
+    if content is None:
+        parts = [repr(doc.doc_id), repr(doc.text)]
+        for kind in sorted(doc.regions):
+            if doc.regions[kind]:
+                parts.append("%s=%r" % (kind, doc.regions[kind]))
+        content = doc._content = "\x1f".join(parts).encode("utf-8")
+    return content
 
 
 def corpus_digest(docs):
@@ -33,7 +41,7 @@ def corpus_digest(docs):
     h.update(b"columnar-v1")
     for doc in docs:
         h.update(b"\x1e")
-        h.update(_doc_content(doc).encode("utf-8"))
+        h.update(_doc_content(doc))
     return h.hexdigest()[:24]
 
 
@@ -263,7 +271,7 @@ class Corpus:
                 parts.append(part)
         return parts or [self]
 
-    def chunk(self, size):
+    def chunk(self, size, reuse=()):
         """Split into contiguous chunks of at most ``size`` documents.
 
         Chunk ``j`` holds ``docs[j*size:(j+1)*size]`` of every table —
@@ -276,22 +284,41 @@ class Corpus:
         adds) the tail chunks.  That stability is what lets the resident
         service's delta path recompute exactly the partitions the
         ingested documents landed in.
+
+        ``reuse`` is an earlier chunking (same ``size``) of this corpus:
+        a chunk holding the very same document objects comes back as
+        the earlier corpus object, its :attr:`content_digest` already
+        computed, so re-chunking after an ingest re-hashes only the
+        chunks that changed.
         """
         size = max(1, int(size))
         largest = max(
             (len(self._tables[name]) for name in self._tables), default=0
         )
         count = max(1, -(-largest // size))
+        names = self.table_names()
         parts = []
         for j in range(count):
+            lo, hi = j * size, (j + 1) * size
+            slices = [(name, self._tables[name][lo:hi]) for name in names]
+            if not any(docs for _, docs in slices):
+                continue
+            prior = reuse[j] if j < len(reuse) else None
+            if prior is not None and prior._holds(slices):
+                parts.append(prior)
+                continue
             part = Corpus()
-            empty = True
-            for name in self.table_names():
-                docs = self._tables[name]
-                lo, hi = j * size, (j + 1) * size
-                part.add_table(name, docs[lo:hi])
-                if hi > lo and docs[lo:hi]:
-                    empty = False
-            if not empty:
-                parts.append(part)
+            for name, docs in slices:
+                part.add_table(name, docs)
+            parts.append(part)
         return parts or [self]
+
+    def _holds(self, slices):
+        """Are these exactly ``slices`` — same tables, same objects?"""
+        if self.table_names() != [name for name, _ in slices]:
+            return False
+        for name, docs in slices:
+            mine = self._tables[name]
+            if len(mine) != len(docs) or any(a is not b for a, b in zip(mine, docs)):
+                return False
+        return True

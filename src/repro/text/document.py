@@ -53,7 +53,7 @@ class Document:
         Free-form provenance (source table, record index, ...).
     """
 
-    __slots__ = ("doc_id", "text", "regions", "labels", "meta", "_tokens")
+    __slots__ = ("doc_id", "text", "regions", "labels", "meta", "_tokens", "_content")
 
     def __init__(self, doc_id, text, regions=None, labels=None, meta=None):
         self.doc_id = doc_id
@@ -66,6 +66,10 @@ class Document:
         self.labels = list(labels or [])
         self.meta = dict(meta or {})
         self._tokens = None
+        #: the bytes this document contributes to a corpus content
+        #: digest, memoized by :mod:`repro.text.corpus` (documents are
+        #: never mutated: an in-place edit replaces the object)
+        self._content = None
 
     # ------------------------------------------------------------------
     # identity
