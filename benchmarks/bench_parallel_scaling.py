@@ -97,12 +97,8 @@ def _partition_seconds(task, partitions):
     seconds = []
     for pid in range(len(physical.partitions)):
         start = time.perf_counter()
-        produced = {}  # a chained predicate scans its upstream's table
         for name in local:
-            upstream = physical.upstream(name)
-            [(produced[name], _)] = physical.execute_local_partitions(
-                name, [pid], upstream={pid: produced[upstream]} if upstream else None
-            )
+            physical.execute_local_partitions(name, [pid])
         seconds.append(time.perf_counter() - start)
     return seconds
 

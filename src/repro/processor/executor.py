@@ -1066,14 +1066,12 @@ class IFlexEngine:
         table, kind, partitions reused)`` where ``kind`` summarises the
         weakest reuse across partitions.
 
-        The run counts *corpus partitions*: one is recomputed when a
-        partition-local predicate re-executed on it because its cached
-        result was stale or, for a predicate that reads documents,
-        absent.  A chained predicate re-deriving a partition it holds no
-        entry for, from an upstream table that was itself reused (the
-        first delta in a process that hydrated the upstream from the
-        result store), leaves that partition counted as reused: nothing
-        in it changed.  Chained partition tables are never persisted.
+        The run counts *corpus partitions*: one is recomputed when any
+        partition-local predicate re-executed on it, reused when every
+        one was served from cache.  Chained partition tables are held in
+        memory only, so in a process that hydrated the upstream from the
+        result store a chained predicate re-executes (and counts) every
+        partition its cache holds no entry for.
         """
         from repro.ctables.ctable import CompactTable
 
@@ -1092,7 +1090,6 @@ class IFlexEngine:
         kinds = []
         fingerprints = []
         fresh = []  # partitions whose cache entry is replaced
-        dirty = set()
         for pid, corpus_sig in enumerate(self.physical.corpus_sigs()):
             tokens = {upstream: upstream_tokens[pid]} if upstream else {}
             entry = cache.get(name, partition=pid)
@@ -1112,17 +1109,13 @@ class IFlexEngine:
             if table is None and entry is not None:
                 table = self._incremental(name, entry, fingerprint, context)
                 kind = "incremental"
-            if table is None and (
-                upstream is None or entry is not None or pid in run.recomputed
-            ):
-                dirty.add(pid)
             tables.append(table)
             kinds.append(kind)
         missing = [pid for pid, table in enumerate(tables) if table is None]
         # the delta accounting: clean partitions fold in from cache,
         # dirty ones (content digest moved, or cold) re-execute
         run.partitioned = True
-        run.recomputed |= dirty
+        run.recomputed.update(missing)
         if missing:
             computed = self.physical.execute_local_partitions(
                 name, missing, tracer=context.tracer, upstream=seeds

@@ -13,12 +13,13 @@ and the operator trees.  For each predicate it
    exact serial tuple order);
 4. executes the global suffix once against the merged tables.
 
-A predicate whose plan is a tuple-local pipeline over a scan of an
-earlier partition-local predicate (a *chained* predicate, see
-:mod:`repro.processor.split`) is partition-local too: the engine's
-partition-keyed cache runs it partition by partition, each partition
-context seeded with the upstream's table for that same partition, so a
-delta re-executes only the partitions it dirtied all down the chain.
+Under fixed-size chunking (``partition_docs``, the resident service's
+layout) a predicate whose plan is a tuple-local pipeline over a scan of
+an earlier partition-local predicate (a *chained* predicate, see
+:mod:`repro.processor.split`) is partition-local too: it runs partition
+by partition, each partition context seeded with the upstream's table
+for that same partition, so a delta re-executes only the partitions it
+dirtied all down the chain.
 
 With one worker (the default) every plan executes exactly as the
 original single-threaded engine did — same operators, same context,
@@ -31,7 +32,6 @@ fresh trees mean no operator state is shared across workers.
 """
 
 from repro.ctables.ctable import CompactTable
-from repro.errors import ExecutionFailure
 from repro.observability.logs import get_logger
 from repro.observability.spans import Tracer
 from repro.processor.context import ExecutionContext
@@ -85,6 +85,7 @@ class PhysicalExecutor:
         )
         workers = getattr(config, "workers", 1)
         partition_docs = getattr(config, "partition_docs", None)
+        self.chunked = bool(partition_docs)
         if partition_docs:
             # fixed-size chunks: boundaries are positionally stable, so
             # a resident engine's partition-keyed reuse survives corpus
@@ -130,7 +131,17 @@ class PhysicalExecutor:
     # plan analysis (resolved once, in evaluation order)
     # ------------------------------------------------------------------
     def split(self, name):
-        if not self._splits:
+        """The predicate's plan split; chained where chunking allows.
+
+        Chaining follows the chunked layout (``partition_docs``): its
+        boundaries are positionally stable, so a resident engine's
+        partition-keyed cache reuses a chained predicate's partitions
+        from run to run.  Worker-count partitions move whenever the
+        corpus changes size and serve one-shot runs, where a chained
+        predicate's partitions could never be reused: there it reads
+        the merged upstream table, globally.
+        """
+        if not self._splits and self.chunked:
             chained = {}
             for pred in self.order:
                 split = PlanSplit(compile_predicate(pred, self.program), chained)
@@ -202,8 +213,6 @@ class PhysicalExecutor:
             )
 
     def _partition_context(self, pid, tracer=None, seeds=None):
-        """A context over partition ``pid``; ``seeds`` maps a chained
-        upstream predicate to its tables by partition id."""
         # The index store is shared (document content never changes);
         # the eval cache is *fresh* per partition so hit/miss counters
         # are backend-independent and sum to the serial counts — cache
@@ -221,19 +230,22 @@ class PhysicalExecutor:
             context.relations[name] = tables[pid]
         return context
 
-    def _run_partitions(self, pids, roots, label, tracer):
+    def _run_partitions(self, pids, roots, label, tracer, seeds=None):
         """Execute ``roots(pid)`` — a list of operators — per partition.
 
-        Returns ``[(tables, stats)]`` in ``pids`` order.  Workers never
-        write to the caller's tracer (thread races; fork children mutate
-        a dead copy): with tracing on, each task records into its own
-        fresh tracer and the spans travel home inside the result tuple.
+        Returns ``[(tables, stats)]`` in ``pids`` order.  ``seeds`` maps
+        a chained upstream predicate to its tables by partition id; each
+        partition context sees its own (fork children inherit them).
+        Workers never write to the caller's tracer (thread races; fork
+        children mutate a dead copy): with tracing on, each task records
+        into its own fresh tracer and the spans travel home inside the
+        result tuple.
         """
         traced = tracer is not None
 
         def work(pid):
             worker_tracer = Tracer() if traced else None
-            context = self._partition_context(pid, worker_tracer)
+            context = self._partition_context(pid, worker_tracer, seeds)
             if worker_tracer is None:
                 return [op.execute(context) for op in roots(pid)], context.stats
             partition = self.partitions[pid]
@@ -253,32 +265,19 @@ class PhysicalExecutor:
 
         Returns ``[(table, stats)]`` in partition order.  The engine's
         partition-keyed reuse cache calls this with only the partitions
-        whose cached tables could not be reused.
-
-        A chained predicate needs ``upstream``, its upstream's tables by
-        partition id, and runs in this process, partition by partition:
-        its work is tuple-local over tables already in memory, so a
-        scheduler round trip (a fork per call on the process backend,
-        every result pickled home) would cost more than the work.
+        whose cached tables could not be reused.  A chained predicate
+        needs ``upstream``: its upstream's tables by partition id.
         """
         pids = range(len(self.partitions)) if pids is None else pids
         chained = self.upstream(name)
-        if chained is None:
-            results = self._run_partitions(
-                pids, lambda pid: [compile_predicate(name, self.program)], name, tracer
-            )
-            return [(tables[0], stats) for tables, stats in results]
-        out = []
-        for pid in pids:
-            context = self._partition_context(pid, tracer, {chained: upstream})
-            try:
-                table = compile_predicate(name, self.program).execute(context)
-            except ExecutionFailure as failure:
-                if failure.partition is None:
-                    failure.partition = pid
-                raise
-            out.append((table, context.stats))
-        return out
+        results = self._run_partitions(
+            pids,
+            lambda pid: [compile_predicate(name, self.program)],
+            name,
+            tracer,
+            seeds={chained: upstream} if chained else None,
+        )
+        return [(tables[0], stats) for tables, stats in results]
 
     # ------------------------------------------------------------------
     # whole-plan execution

@@ -112,10 +112,9 @@ def operator_rows(spans, root):
         kids.sort(key=lambda s: (s.start, s.span_id))
     suffix = []
     prefixes = []
-    in_process = []
     for span in children[root.span_id]:
         if span.category == "operator":
-            in_process.append(_subtree_rows(span, children))
+            suffix.extend(_subtree_rows(span, children))
         elif span.category == "scheduler":
             partitions = sorted(
                 children[span.span_id], key=lambda p: p.attrs.get("partition", 0)
@@ -129,10 +128,6 @@ def operator_rows(spans, root):
                 for p in partitions
             ]
             prefixes = [_merge(trees) for trees in zip(*per_partition)]
-    if in_process:
-        # one tree, or a chained predicate's partitions run one after
-        # another in this process: the same plan each time, so merged
-        suffix = _merge(in_process)
     if not suffix:
         return [row for rows in prefixes for row in rows]
     out = []

@@ -60,14 +60,33 @@ _MAX_BODY = 64 * 1024 * 1024  # refuse absurd uploads before reading them
 
 
 class NDJSONStream:
-    """A handler result that streams newline-delimited JSON objects."""
+    """A handler result that streams newline-delimited JSON objects.
+
+    Lines go out in chunks of at least :attr:`chunk_bytes` (the last
+    one may be shorter): a WSGI server writes each yielded chunk to the
+    socket separately (wsgiref: one ``sendall`` each), so a
+    thousand-tuple result costs a couple of writes, not a thousand.
+    """
+
+    #: minimum bytes per yielded chunk
+    chunk_bytes = 64 * 1024
 
     def __init__(self, lines):
         self.lines = lines  # iterable of JSON texts, one object each
 
     def __iter__(self):
+        pending = []
+        size = 0  # characters; never more than the encoded bytes
         for line in self.lines:
-            yield (line + "\n").encode("utf-8")
+            pending.append(line)
+            pending.append("\n")
+            size += len(line) + 1
+            if size >= self.chunk_bytes:
+                yield "".join(pending).encode("utf-8")
+                pending = []
+                size = 0
+        if pending:
+            yield "".join(pending).encode("utf-8")
 
 
 def stream_result(meta, result):

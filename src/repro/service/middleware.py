@@ -89,7 +89,10 @@ class RequestLogMiddleware:
     """Log each request and fold it into the service metrics.
 
     Placed *outside* the rate limiter so throttled requests are still
-    logged and counted (status label ``429``).
+    logged and counted (status label ``429``).  A response body that is
+    not a ready list (an NDJSON result stream, encoded lazily while the
+    server sends it) is recorded when the server closes it (PEP 3333),
+    so the logged latency covers encoding and sending.
     """
 
     def __init__(self, app, metrics=None):
@@ -112,6 +115,11 @@ class RequestLogMiddleware:
             self._record(method, path, "500", started)
             logger.exception("%s %s failed", method, path)
             raise
+        if not isinstance(response, list):
+            return _ClosingBody(
+                response,
+                lambda: self._record(method, path, captured.get("status", "-"), started),
+            )
         self._record(method, path, captured.get("status", "-"), started)
         return response
 
@@ -129,3 +137,22 @@ class RequestLogMiddleware:
                     "repro.service.rate_limited",
                     help="requests rejected by the token bucket",
                 ).inc()
+
+
+class _ClosingBody:
+    """A response iterable that runs ``on_close`` when the server closes it."""
+
+    def __init__(self, body, on_close):
+        self._body = body
+        self._on_close = on_close
+
+    def __iter__(self):
+        return iter(self._body)
+
+    def close(self):
+        try:
+            close = getattr(self._body, "close", None)
+            if close is not None:
+                close()
+        finally:
+            self._on_close()

@@ -68,7 +68,14 @@ class FakeClient:
             captured["status"] = status
             captured["headers"] = headers
 
-        chunks = b"".join(self.app(environ, start_response))
+        body = self.app(environ, start_response)
+        try:
+            chunks = b"".join(body)
+        finally:
+            # what a WSGI server does once the body is sent (PEP 3333)
+            close = getattr(body, "close", None)
+            if close is not None:
+                close()
         return Response(captured["status"], captured["headers"], chunks)
 
     def get(self, path):

@@ -1,6 +1,7 @@
 """Token bucket and middleware tests (fake clock, fake environ)."""
 
 import io
+import logging
 
 import pytest
 
@@ -151,6 +152,36 @@ class TestRequestLog:
             == 1
         )
         assert metrics.counter("repro.service.rate_limited").value() == 1
+
+    def test_streamed_body_recorded_once_closed(self, caplog):
+        """A lazy body is logged and counted after it was sent, not when
+        the app returned it (the server closes it then, PEP 3333)."""
+        metrics = MetricsRegistry()
+        sent = []
+
+        def streaming_app(environ, start_response):
+            start_response("200 OK", [("Content-Type", "application/x-ndjson")])
+
+            def body():
+                for chunk in (b"a\n", b"b\n"):
+                    sent.append(chunk)
+                    yield chunk
+
+            return body()
+
+        app = RequestLogMiddleware(streaming_app, metrics=metrics)
+        counter = metrics.counter("repro.service.requests")
+        environ = {"REQUEST_METHOD": "POST", "PATH_INFO": "/programs/p/run"}
+        with caplog.at_level(logging.INFO, logger="repro.service"):
+            body = app(environ, lambda status, headers, exc_info=None: None)
+            assert not sent
+            assert b"".join(body) == b"a\nb\n"
+            assert counter.value(method="POST", status="200") == 0
+            assert not caplog.records
+            body.close()
+        assert counter.value(method="POST", status="200") == 1
+        [record] = caplog.records
+        assert record.getMessage().startswith("POST /programs/p/run -> 200 (")
 
     def test_exceptions_counted_and_reraised(self):
         metrics = MetricsRegistry()

@@ -6,13 +6,14 @@ here is the plain route they replace — one dict per line through
 """
 
 import json
+import math
 
 import pytest
 
 from repro.ctables.export import cell_to_dict
 from repro.experiments.tasks import build_task
 from repro.service import ExtractionService, ServiceApp
-from repro.service.app import stream_result
+from repro.service.app import NDJSONStream, stream_result
 
 from tests.service.conftest import FakeClient
 
@@ -87,3 +88,18 @@ def test_session_meta_stream_is_byte_identical():
     result = service.run_program(program_id)
     meta = {"session_id": "s1", "program_id": program_id}
     assert b"".join(stream_result(meta, result)) == dict_stream(meta, result)
+
+
+def test_stream_chunks_join_to_the_per_line_body():
+    """Chunked output is the per-line body, byte for byte, in few writes."""
+    service, client, pid = hosted_task("T1", 600)
+    result = service.run_program(pid)
+    meta = {"program_id": pid}
+    per_line = b"".join(
+        (line + "\n").encode("utf-8") for line in stream_result(meta, result).lines
+    )
+    chunks = list(stream_result(meta, result))
+    assert len(per_line) > 2 * NDJSONStream.chunk_bytes  # several chunks
+    assert b"".join(chunks) == per_line
+    assert len(chunks) <= math.ceil(len(per_line) / 65536) + 1
+    assert all(len(chunk) >= 65536 for chunk in chunks[:-1])
