@@ -8,6 +8,7 @@ paper's experimental setup (section 6), each page is divided into
 """
 
 import hashlib
+import operator
 import random
 
 __all__ = ["Corpus", "corpus_digest"]
@@ -315,10 +316,15 @@ class Corpus:
 
     def _holds(self, slices):
         """Are these exactly ``slices`` — same tables, same objects?"""
-        if self.table_names() != [name for name, _ in slices]:
+        if len(self._tables) != len(slices):
             return False
         for name, docs in slices:
-            mine = self._tables[name]
-            if len(mine) != len(docs) or any(a is not b for a, b in zip(mine, docs)):
+            mine = self._tables.get(name)
+            if (
+                mine is None
+                or len(mine) != len(docs)
+                # identity, not ==: an in-place edit keeps the doc_id
+                or not all(map(operator.is_, mine, docs))
+            ):
                 return False
         return True
