@@ -137,13 +137,14 @@ class ExecutionStats:
     failures: int = 0
     #: retry attempts consumed by the ``retry`` policy
     retries: int = 0
-    #: partitions whose local-prefix result came from cache (in-memory
-    #: or persistent) instead of re-execution; ticks only when a reuse
-    #: cache is active, so cacheless runs stay counter-identical across
-    #: backends
+    #: corpus partitions on which every partition-local predicate was
+    #: served from cache (in-memory or persistent) instead of
+    #: re-execution; ticks only when a reuse cache is active, so
+    #: cacheless runs stay counter-identical across backends
     partitions_reused: int = 0
-    #: partitions actually re-executed through the physical layer while
-    #: a reuse cache was active (the delta path's "dirty" count)
+    #: corpus partitions on which some partition-local predicate was
+    #: re-executed while a reuse cache was active (the delta path's
+    #: "dirty" count; one per partition, however many predicates ran)
     partitions_recomputed: int = 0
     #: persistent-store lookups that produced a usable table
     result_cache_hits: int = 0

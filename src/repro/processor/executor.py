@@ -262,12 +262,15 @@ class _RulePart:
         self.upstream = tuple(sorted(upstream))
         self.prefix = _prefix_hasher(self.bases, self.constraints)
 
+    def _upstream_tokens(self, tokens):
+        # every upstream token is set by evaluation order
+        return tuple((name, tokens.get(name)) for name in self.upstream)
+
     def fingerprint(self, tokens, corpus_sig):
         return _Fingerprint(
             bases=self.bases,
             constraints=self.constraints,
-            # every upstream token is set by evaluation order
-            upstream=tuple((name, tokens.get(name)) for name in self.upstream),
+            upstream=self._upstream_tokens(tokens),
             corpus_sig=corpus_sig,
             prefix=self.prefix,
         )
@@ -279,8 +282,7 @@ class _RulePart:
         """
         return (
             fingerprint.corpus_sig == corpus_sig
-            and fingerprint.upstream
-            == tuple((name, tokens.get(name)) for name in self.upstream)
+            and fingerprint.upstream == self._upstream_tokens(tokens)
             and fingerprint.bases == self.bases
             and fingerprint.constraints == self.constraints
         )

@@ -177,6 +177,24 @@ class TestRouting:
         cold = IFlexEngine(program(source, query="cheaper"), snapshot).execute()
         assert result_image(delta) == result_image(cold)
 
+    def test_upstream_refinement_reaches_the_chained_predicate(self):
+        """Same documents, refined upstream rules: every chained
+        partition keys on its upstream's new token and re-runs."""
+        corpus = build_corpus(6)
+        cache = RuleCache()
+        engine_for(SOURCE, corpus, "serial", 1).execute(cache=cache)
+        refined = program().add_constraint("ie", "p", "preceded_by", "$")
+        engine = IFlexEngine(
+            refined, corpus, config=ExecConfig(partition_docs=1, workers=2)
+        )
+        result = engine.execute(cache=cache)
+        assert result.reuse_summary == {"items": "incremental", "cheap": "computed"}
+        assert result.stats.partitions_recomputed == 6
+        snapshot = Corpus({"pages": list(corpus.table("pages"))})
+        assert result_image(result) == result_image(
+            IFlexEngine(refined, snapshot).execute()
+        )
+
     def test_whole_table_hit_upstream_resolves_its_partitions(self):
         """A chained predicate whose upstream was a whole-table hit reads
         the upstream's partitions back from the cache (here: a refined
