@@ -2,9 +2,10 @@
 
 Runs Table 2 tasks with realistic constraint chains (the refinements a
 session would push down: ``bold_font`` / ``capitalized`` / length caps)
-under three configurations — the naive span-by-span path, the default
-indexed vectorized-batch path, and a warm re-execution on the indexed
-engine — and records verify/refine
+under three configurations — the unindexed span-by-span path (still
+memoized by the always-on ``EvalCache``), the default indexed
+vectorized-batch path, and a warm re-execution on the indexed engine —
+and records verify/refine
 call counts, batch-kernel counts, cache hit rates, and wall-clock.
 Chained constraints are the interesting case: every refined sub-span
 re-verifies all prior constraints, so the naive path re-scans the same
@@ -136,7 +137,7 @@ def pushdown_comparison(task_id, size, chain, scale, seed, metrics=None):
     size = max(20, int(round(size * scale)))
     task, program = _constrained_task(task_id, size, chain, seed)
     _, naive_result, naive_seconds = _run_once(
-        program, task.corpus, ExecConfig(use_index=False, use_eval_cache=False)
+        program, task.corpus, ExecConfig(use_index=False)
     )
     engine, batch_result, batch_seconds = _run_once(
         program, task.corpus, ExecConfig()

@@ -7,7 +7,7 @@ wall-clock-free so CI can run them at any scale: the iteration count is
 *pinned* (a chain of N edges takes exactly N productive iterations plus
 the one empty iteration that proves convergence), the closure size is
 the exact N(N+1)/2, and the query table is byte-identical across the
-serial, thread, and process backends.
+serial and process backends.
 
 Results land in ``benchmarks/results/recursion.json``.
 """
@@ -24,6 +24,8 @@ RESULTS_PATH = Path(__file__).resolve().parent / "results" / "recursion.json"
 
 BASE_EDGES = 40
 WORKERS = 2
+
+BACKENDS = ("serial", "process")
 
 HEADERS = ("backend", "seconds", "iterations", "paths", "identical")
 
@@ -72,7 +74,7 @@ def recursion_cycle(scale, seed):
     program, corpus = _build(edges)
     points = {
         backend: _run(program, corpus, backend)
-        for backend in ("serial", "thread", "process")
+        for backend in BACKENDS
     }
     serial_key = points["serial"]["key"]
     for point in points.values():
@@ -94,7 +96,7 @@ def test_recursion(benchmark, bench_scale, bench_seed, artifacts):
             cycle[backend]["paths"],
             "yes" if cycle[backend]["identical"] else "NO",
         )
-        for backend in ("serial", "thread", "process")
+        for backend in BACKENDS
     ]
     print_block(
         render_table(
@@ -109,7 +111,7 @@ def test_recursion(benchmark, bench_scale, bench_seed, artifacts):
     RESULTS_PATH.write_text(json.dumps(cycle, indent=2) + "\n")
 
     edges = cycle["edges"]
-    for backend in ("serial", "thread", "process"):
+    for backend in BACKENDS:
         point = cycle[backend]
         # pinned: N productive iterations + the final empty proof
         assert point["iterations"] == edges + 1, (backend, point)

@@ -38,7 +38,7 @@ from repro.xlog.ast import (
 )
 
 __all__ = ["SPAN", "INT", "FLOAT", "STR", "CONFLICT", "PredicateType",
-           "join_types", "infer_types", "check_types"]
+           "join_types", "infer_types", "check_types", "feature_value_error"]
 
 SPAN = "span"
 INT = "int"
@@ -264,54 +264,43 @@ def _report_head_conflicts(analyzer, table, local):
                     conflicted.discard(i)
 
 
+def feature_value_error(feature, value):
+    """Why ``value`` can never satisfy ``feature``, or ``None`` if it fits.
+
+    The ``ALOG018`` value check, shared with the refinement loop's answer
+    validation: a boolean feature takes yes/no/distinct_yes/distinct_no,
+    a parameterised one the scalar kind its ``param_type`` names.  Opaque
+    placeholders and untyped parameters accept anything.
+    """
+    if getattr(feature, "opaque", False):
+        return None
+    name = feature.name
+    if not feature.parameterized:
+        if isinstance(value, str) and value in _BOOLEAN_VALUES:
+            return None
+        return (
+            "boolean feature %r takes yes/no/distinct_yes/distinct_no, not %r "
+            "— the constraint can never hold" % (name, value)
+        )
+    expected = feature.capability().param_type
+    if expected == STR and not isinstance(value, str):
+        return "feature %r takes a text parameter, not %r" % (name, value)
+    if expected == INT and not _is_int(value):
+        return "feature %r takes an integer parameter, not %r" % (name, value)
+    if expected == "number" and not _is_number(value):
+        return "feature %r takes a numeric parameter, not %r" % (name, value)
+    return None
+
+
 def _check_constraint_values(analyzer, rule):
     """``ALOG018`` for feature values of the wrong scalar kind."""
     registry = analyzer.facts.registry
     for atom in rule.body_atoms(ConstraintAtom):
         if atom.feature not in registry:
             continue  # unknown feature: the schema pass reports ALOG003
-        feature = registry.get(atom.feature)
-        if getattr(feature, "opaque", False):
-            continue
-        value = atom.value
-        if not feature.parameterized:
-            if not (isinstance(value, str) and value in _BOOLEAN_VALUES):
-                analyzer.emit(
-                    "ALOG018",
-                    "boolean feature %r takes yes/no/distinct_yes/"
-                    "distinct_no, not %r — the constraint can never hold"
-                    % (atom.feature, value),
-                    rule=rule,
-                    node=atom,
-                )
-            continue
-        expected = feature.capability().param_type
-        if expected is None:
-            continue
-        if expected == STR and not isinstance(value, str):
-            analyzer.emit(
-                "ALOG018",
-                "feature %r takes a text parameter, not %r"
-                % (atom.feature, value),
-                rule=rule,
-                node=atom,
-            )
-        elif expected == INT and not _is_int(value):
-            analyzer.emit(
-                "ALOG018",
-                "feature %r takes an integer parameter, not %r"
-                % (atom.feature, value),
-                rule=rule,
-                node=atom,
-            )
-        elif expected == "number" and not _is_number(value):
-            analyzer.emit(
-                "ALOG018",
-                "feature %r takes a numeric parameter, not %r"
-                % (atom.feature, value),
-                rule=rule,
-                node=atom,
-            )
+        error = feature_value_error(registry.get(atom.feature), atom.value)
+        if error is not None:
+            analyzer.emit("ALOG018", error, rule=rule, node=atom)
 
 
 def _is_int(value):

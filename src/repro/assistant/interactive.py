@@ -10,6 +10,7 @@ candidate values, and answers with a feature value (or presses enter
 for "I don't know").
 """
 
+from repro.analysis.typing import STR, feature_value_error
 from repro.features.base import BOOLEAN_VALUES
 
 __all__ = ["InteractiveDeveloper"]
@@ -51,8 +52,13 @@ class InteractiveDeveloper:
         raw = self._input(prompt).strip()
         if not raw:
             return None
+        value = self._coerce(raw, feature)
+        error = feature_value_error(feature, value)
+        if error is not None:
+            self._output("  ignored (I don't know): %s" % error)
+            return None
         self.questions_answered += 1
-        return self._coerce(raw)
+        return value
 
     def notify_diagnostics(self, diagnostics):
         """Show static-analysis warnings the session surfaced.
@@ -82,8 +88,11 @@ class InteractiveDeveloper:
             self._output("    candidate: %r" % text)
 
     @staticmethod
-    def _coerce(raw):
-        """Numbers come back as numbers, everything else as text."""
+    def _coerce(raw, feature):
+        """Text for text features; otherwise numbers come back as
+        numbers and everything else as text."""
+        if feature.capability().param_type == STR:
+            return raw
         try:
             return int(raw)
         except ValueError:

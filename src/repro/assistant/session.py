@@ -139,7 +139,7 @@ class RefinementSession:
         #: a closing ``session`` summary (the paper's Table-4 columns)
         self.telemetry = telemetry
         #: optional tracer shared with the subset/full engines (never
-        #: with candidate simulations, which may run on worker threads)
+        #: with candidate simulations, which may run in forked workers)
         self.tracer = tracer
         #: optional metrics registry the subset/full engine runs record
         #: into
@@ -202,9 +202,7 @@ class RefinementSession:
         self._index_store = (
             IndexStore() if getattr(self.config, "use_index", True) else None
         )
-        self._eval_cache = (
-            EvalCache() if getattr(self.config, "use_eval_cache", True) else None
-        )
+        self._eval_cache = EvalCache()
         self.exec_stats = ExecutionStats()
         #: assistant-side Verify dispatch for strategy probes, on the
         #: same shared stores, counting into ``exec_stats``

@@ -105,11 +105,11 @@ def build_parser():
             type=_positive_int,
             default=1,
             help="corpus partitions for the document-local plan prefix "
-            "(default 1: single-threaded execution)",
+            "(default 1: no partitioning)",
         )
         p.add_argument(
             "--backend",
-            choices=("serial", "thread", "process"),
+            choices=("serial", "process"),
             default="serial",
             help="scheduler for per-partition work (with --workers > 1)",
         )
@@ -121,12 +121,6 @@ def build_parser():
             "(escape hatch; results are identical either way)",
         )
         p.add_argument(
-            "--no-eval-cache",
-            action="store_true",
-            help="disable Verify/Refine memoization across constraint "
-            "chains, rules, and partitions",
-        )
-        p.add_argument(
             "--result-cache",
             metavar="DIR",
             help="persistent partition-result cache directory: evaluated "
@@ -134,12 +128,6 @@ def build_parser():
             "content digest) so warm runs re-serve unchanged partitions "
             "from disk and re-execute only the partitions whose "
             "documents changed",
-        )
-        p.add_argument(
-            "--no-incremental",
-            action="store_true",
-            help="disable the delta execution path: ignore --result-cache "
-            "and always recompute every partition",
         )
         p.add_argument(
             "--max-fixpoint-iterations",
@@ -174,9 +162,9 @@ def build_parser():
             metavar="SECONDS",
             help="abort any partition running longer than this (enforced "
             "by the process backend; detected within one polling "
-            "interval on serial/thread, where the hung work itself "
-            "cannot be killed); timeouts always fail the run, whatever "
-            "--on-error says",
+            "interval on serial, where the hung work itself cannot be "
+            "killed); timeouts always fail the run, whatever --on-error "
+            "says",
         )
         p.add_argument(
             "--trace-out",
@@ -376,7 +364,7 @@ def build_parser():
     )
     serve.add_argument(
         "--backend",
-        choices=("serial", "thread", "process"),
+        choices=("serial", "process"),
         default="serial",
         help="scheduler for per-partition work",
     )
@@ -409,8 +397,6 @@ def build_parser():
         help="Jaccard threshold for the built-in similar()/approxMatch()",
     )
     serve.add_argument("--no-index", action="store_true")
-    serve.add_argument("--no-eval-cache", action="store_true")
-    serve.add_argument("--no-incremental", action="store_true")
     serve.add_argument(
         "--max-fixpoint-iterations",
         type=_positive_int,
@@ -480,14 +466,13 @@ def _exec_config(args):
     return ExecConfig(
         workers=args.workers,
         backend=args.backend,
-        use_index=not getattr(args, "no_index", False),
-        use_eval_cache=not getattr(args, "no_eval_cache", False),
+        partition_docs=getattr(args, "partition_docs", None),
+        use_index=not args.no_index,
         on_error=getattr(args, "on_error", "fail-fast"),
         max_retries=getattr(args, "max_retries", 2),
         partition_timeout=getattr(args, "partition_timeout", None),
-        result_cache=getattr(args, "result_cache", None),
-        incremental=not getattr(args, "no_incremental", False),
-        max_fixpoint_iterations=getattr(args, "max_fixpoint_iterations", 100),
+        result_cache=args.result_cache,
+        max_fixpoint_iterations=args.max_fixpoint_iterations,
     )
 
 
@@ -873,23 +858,12 @@ def _run_demo():
 
 
 def _cmd_serve(args):
-    from repro.processor.context import ExecConfig
     from repro.service import ExtractionService, build_app, make_service_server
 
     corpus = load_corpus(args.table) if args.table else None
-    config = ExecConfig(
-        workers=args.workers,
-        backend=args.backend,
-        use_index=not args.no_index,
-        use_eval_cache=not args.no_eval_cache,
-        result_cache=args.result_cache,
-        incremental=not args.no_incremental,
-        partition_docs=args.partition_docs,
-        max_fixpoint_iterations=args.max_fixpoint_iterations,
-    )
     service = ExtractionService(
         corpus=corpus,
-        config=config,
+        config=_exec_config(args),
         similar_threshold=args.similar_threshold,
     )
     app = build_app(service, rate_limit=args.rate_limit, rate_burst=args.rate_burst)

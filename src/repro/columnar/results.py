@@ -234,12 +234,9 @@ class ResultStore:
     def from_config(cls, config):
         """The store an :class:`ExecConfig` asks for, or ``None``.
 
-        ``None`` when incremental execution is disabled or no cache
-        directory is configured — callers treat a missing store as
-        "no persistence", never as an error.
+        ``None`` when no cache directory is configured — callers treat
+        a missing store as "no persistence", never as an error.
         """
-        if config is None or not getattr(config, "incremental", True):
-            return None
         target = getattr(config, "result_cache", None)
         if target is None:
             return None

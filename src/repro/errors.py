@@ -235,8 +235,8 @@ class PartitionTimeout(ExecutionFailure):
 
     Never skippable (the hung work is not attributable to one document),
     so every error policy surfaces it; the process backend additionally
-    terminates the hung worker, the thread and serial backends can only
-    detect, not preempt (see ``docs/robustness.md``).
+    terminates the hung worker, the serial backend can only detect, not
+    preempt (see ``docs/robustness.md``).
     """
 
 

@@ -170,9 +170,9 @@ class IndexStore:
     ``None`` so the build attempt happens once.  One store may be shared
     across execution contexts, partitions, and assistant simulations —
     indexes depend only on immutable document content, so there is
-    nothing to invalidate.  Under the thread backend two workers may
-    race to build the same index; both build the same value, so the
-    duplicate work is benign (``built`` is therefore a diagnostic
+    nothing to invalidate.  Two threads sharing a store may race to
+    build the same index; both build the same value, so the duplicate
+    work is benign (``built`` is therefore a diagnostic
     counter, not part of :class:`~repro.processor.context.ExecutionStats`).
     """
 

@@ -9,7 +9,7 @@ execution stack builds on — the engine populates the registry from
 :class:`~repro.processor.context.ExecutionStats` (whose counters are
 already proven backend-independent by the determinism suite), never
 from wall-clock time, so the same program yields the same snapshot on
-the serial, thread, and process scheduler backends alike.
+the serial and process scheduler backends alike.
 
 Per-partition registries combine with :meth:`MetricsRegistry.merge`
 exactly like ``ExecutionStats.merge``: counters and histogram buckets
@@ -244,7 +244,7 @@ def record_stats(registry, stats, **labels):
     """Fold one :class:`ExecutionStats` into ``repro.exec.*`` counters.
 
     Every stats field becomes the counter ``repro.exec.<field>``; the
-    optional labels (``backend="thread"``, ``task="T1"``, ...) key the
+    optional labels (``backend="process"``, ``task="T1"``, ...) key the
     series.  Only deterministic counters are recorded — never
     wall-clock — so snapshots stay byte-identical across scheduler
     backends.

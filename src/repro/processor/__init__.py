@@ -24,7 +24,6 @@ from repro.processor.schedulers import (
     ProcessBackend,
     Scheduler,
     SerialBackend,
-    ThreadBackend,
     make_scheduler,
 )
 from repro.processor.split import PlanSplit, split_plan
@@ -42,7 +41,6 @@ __all__ = [
     "RuleCache",
     "Scheduler",
     "SerialBackend",
-    "ThreadBackend",
     "compile_predicate",
     "compile_rule",
     "evaluation_order",

@@ -45,8 +45,8 @@ class ExecConfig:
     #: Corpus partitions for the document-local plan prefix; 1 keeps the
     #: engine on the original single-threaded path.
     workers: int = 1
-    #: Scheduler for per-partition work: ``serial`` | ``thread`` |
-    #: ``process`` (see :mod:`repro.processor.schedulers`).
+    #: Scheduler for per-partition work: ``serial`` | ``process`` (see
+    #: :mod:`repro.processor.schedulers`).
     backend: str = "serial"
     #: Documents per corpus partition (``Corpus.chunk``) instead of the
     #: default ``workers``-way split (``Corpus.partition``).  Chunk
@@ -59,9 +59,6 @@ class ExecConfig:
     #: :mod:`repro.features.index`); ``False`` forces the naive
     #: span-by-span path (the CLI's ``--no-index``).
     use_index: bool = True
-    #: Memoize Verify/Refine results across constraint chains, rules and
-    #: partitions (the :class:`EvalCache`).
-    use_eval_cache: bool = True
     #: Error policy for document-attributable failures (a feature or
     #: p-predicate raising on a malformed document): ``fail-fast``
     #: surfaces the enriched exception, ``skip`` quarantines the
@@ -84,9 +81,6 @@ class ExecConfig:
     #: ``--result-cache``).  Warm runs hydrate unchanged partitions from
     #: it instead of re-executing the local plan prefix.
     result_cache: object = None
-    #: Master switch for the delta execution path; ``False`` ignores
-    #: ``result_cache`` entirely (the CLI's ``--no-incremental``).
-    incremental: bool = True
     #: Iteration cap for the semi-naive fixpoint loop over one recursive
     #: predicate group (the CLI's ``--max-fixpoint-iterations``).  Each
     #: iteration re-derives deltas for every group member; proving
@@ -208,9 +202,11 @@ _MISSING = object()
 class FeatureEvaluator:
     """Verify/Refine dispatch: :class:`EvalCache` → index → naive.
 
-    Owns no policy beyond the lookup order; pass ``index_store`` /
-    ``eval_cache`` as ``None`` to disable either layer.  ``stats``
-    receives the counters (see :class:`ExecutionStats`).
+    Owns no policy beyond the lookup order; ``index_store=None`` skips
+    the index layer.  ``eval_cache=None`` skips memoization too; the
+    engine always passes a cache, so only the fully naive reference
+    that the equivalence tests build directly runs without one.
+    ``stats`` receives the counters (see :class:`ExecutionStats`).
     """
 
     __slots__ = ("index_store", "eval_cache", "stats")
@@ -484,8 +480,8 @@ class ExecutionContext:
     ``index_store`` / ``eval_cache`` may be passed in to share across
     contexts (the engine shares one store across partitions; the
     assistant session shares both across simulations).  When omitted,
-    fresh ones are created per the config switches — so parallel
-    partition contexts get *fresh* eval caches, keeping per-partition
+    fresh ones are created (no index store under ``use_index=False``) —
+    so parallel partition contexts get *fresh* eval caches, keeping per-partition
     hit/miss counters identical to a serial run over the same documents
     (cache keys are document-scoped and partitions are document-disjoint).
     """
@@ -512,9 +508,7 @@ class ExecutionContext:
             index_store = None
         elif index_store is None:
             index_store = IndexStore()
-        if not getattr(self.config, "use_eval_cache", True):
-            eval_cache = None
-        elif eval_cache is None:
+        if eval_cache is None:
             eval_cache = EvalCache()
         self.evaluator = FeatureEvaluator(index_store, eval_cache, self.stats)
         #: name -> CompactTable for already-evaluated intensional preds

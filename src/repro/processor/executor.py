@@ -482,10 +482,7 @@ class IFlexEngine:
             self.index_store = index_store if index_store is not None else IndexStore()
         else:
             self.index_store = None
-        if getattr(self.config, "use_eval_cache", True):
-            self.eval_cache = eval_cache if eval_cache is not None else EvalCache()
-        else:
-            self.eval_cache = None
+        self.eval_cache = eval_cache if eval_cache is not None else EvalCache()
         self.lint_result = None
         if validate:
             self.lint_result = self._validate()
@@ -557,8 +554,7 @@ class IFlexEngine:
         if edited_docs:
             if self.index_store is not None:
                 self.index_store.invalidate(edited_docs)
-            if self.eval_cache is not None:
-                self.eval_cache.invalidate_docs(edited_docs)
+            self.eval_cache.invalidate_docs(edited_docs)
         self._active = (
             self.corpus.without(self.excluded_docs)
             if self.excluded_docs

@@ -77,8 +77,8 @@ class PhysicalExecutor:
         self.corpus = corpus
         self.features = features
         self.config = config
-        #: shared per-document feature indexes (thread-shared /
-        #: fork-inherited; content-keyed, so sharing is always sound)
+        #: shared per-document feature indexes (fork-inherited by
+        #: process workers; content-keyed, so sharing is always sound)
         self.index_store = index_store
         self.scheduler = scheduler or make_scheduler(
             getattr(config, "backend", "serial"), getattr(config, "workers", 1)
@@ -236,8 +236,8 @@ class PhysicalExecutor:
         Returns ``[(tables, stats)]`` in ``pids`` order.  ``seeds`` maps
         a chained upstream predicate to its tables by partition id; each
         partition context sees its own (fork children inherit them).
-        Workers never write to the caller's tracer (thread races; fork
-        children mutate a dead copy): with tracing on, each task records
+        Workers never write to the caller's tracer (fork children
+        mutate a dead copy): with tracing on, each task records
         into its own fresh tracer and the spans travel home inside the
         result tuple.
         """

@@ -6,10 +6,6 @@ per-partition tasks run:
 
 ``SerialBackend``
     in-process, one task at a time — the reference behaviour;
-``ThreadBackend``
-    a thread pool.  Extraction is pure Python, so the GIL limits
-    speedups, but threads share memory (no result shipping) and keep
-    the pipeline responsive around I/O-bound p-predicates;
 ``ProcessBackend``
     a ``fork``-based process pool.  Programs carry arbitrary Python
     callables (p-functions are often closures), which do not pickle —
@@ -53,7 +49,6 @@ from repro.observability.logs import get_logger
 __all__ = [
     "Scheduler",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "TaskError",
     "make_scheduler",
@@ -226,83 +221,6 @@ class SerialBackend(Scheduler):
         return _serial_map(fn, list(items), timeout)
 
 
-def _first_overdue(futures, starts, timeout):
-    """Index of the first started, unfinished task past its deadline.
-
-    Each task's clock starts when a worker actually picks it up (its
-    entry appears in ``starts``), not when it was queued — the timeout
-    bounds partition *work*, and queued tasks behind a hung one are
-    flagged through the hung task itself.
-    """
-    now = time.perf_counter()
-    for index, future in enumerate(futures):
-        started = starts.get(index)
-        if started is not None and not future.done() and now - started > timeout:
-            return index
-    return None
-
-
-class ThreadBackend(Scheduler):
-    """A thread pool; shared memory, order-preserving.
-
-    Timeouts are detected by polling: every task stamps its start time
-    when a worker picks it up, and the result loop waits in bounded
-    slices, checking *all* running tasks against their own deadlines —
-    so a hang anywhere in the batch surfaces within about one polling
-    interval of ``timeout``, regardless of which future the loop happens
-    to be waiting on (previously each ``future.result(timeout)`` clock
-    started only once the loop reached that future, inflating detection
-    latency by everything in front of it).  On timeout the pool is
-    abandoned without waiting (``cancel_futures`` drops queued tasks);
-    already-running threads cannot be killed, only detected — the
-    process backend is the one that enforces.
-    """
-
-    name = "thread"
-
-    def map(self, fn, items, shared=(), timeout=None):
-        items = list(items)
-        self.last_map_payload_bytes = 0
-        if self.workers == 1 or len(items) <= 1:
-            return _serial_map(fn, items, timeout)
-        from concurrent.futures import TimeoutError as FutureTimeout
-        from concurrent.futures import ThreadPoolExecutor
-
-        starts = {}
-
-        def stamped(index, item):
-            starts[index] = time.perf_counter()
-            return fn(item)
-
-        poll = None if timeout is None else _poll_interval(timeout)
-        pool = ThreadPoolExecutor(max_workers=self.workers)
-        wait_for_pool = True
-        try:
-            futures = [
-                pool.submit(stamped, index, item)
-                for index, item in enumerate(items)
-            ]
-            results = []
-            for index, future in enumerate(futures):
-                while True:
-                    try:
-                        results.append(future.result(poll))
-                        break
-                    except FutureTimeout:
-                        overdue = _first_overdue(futures, starts, timeout)
-                        if overdue is not None:
-                            wait_for_pool = False
-                            raise _timeout_error(overdue, len(items), timeout)
-                    except Exception as exc:
-                        raise _task_error(index, len(items), exc) from exc
-            return results
-        finally:
-            pool.shutdown(wait=wait_for_pool, cancel_futures=not wait_for_pool)
-
-    def __init__(self, workers):
-        self.workers = max(1, int(workers))
-
-
 #: Fork payload registry: ``map``-call token -> :class:`_ForkPayload`.
 #: Children inherit the whole registry at fork time; each ``map`` call
 #: publishes under a fresh token and deletes exactly that token when it
@@ -456,7 +374,6 @@ class ProcessBackend(Scheduler):
 
 BACKENDS = {
     "serial": SerialBackend,
-    "thread": ThreadBackend,
     "process": ProcessBackend,
 }
 

@@ -38,6 +38,7 @@ the run's timing and partition-reuse counters.  Streaming happens
 import json
 import math
 import re
+import threading
 
 from repro.ctables.export import JSONTextEncoder
 from repro.service.state import ServiceError
@@ -57,6 +58,10 @@ _STATUS_TEXT = {
 }
 
 _MAX_BODY = 64 * 1024 * 1024  # refuse absurd uploads before reading them
+
+#: a JSON escape in the surrogate range; only bodies holding one can
+#: decode to a string that UTF-8 cannot encode
+_SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
 
 
 class NDJSONStream:
@@ -123,7 +128,12 @@ _SESSION_SETTINGS = (
     ("max_iterations", int, lambda v: v >= 1, "an integer >= 1"),
     ("questions_per_iteration", int, lambda v: v >= 1, "an integer >= 1"),
     ("subset_fraction", (int, float), lambda v: 0 < v <= 1, "a number in (0, 1]"),
-    ("answer_timeout", (int, float), lambda v: v > 0, "a number > 0"),
+    (
+        "answer_timeout",
+        (int, float),
+        lambda v: 0 < v <= threading.TIMEOUT_MAX,
+        "a number in (0, %g]" % threading.TIMEOUT_MAX,
+    ),
 )
 
 
@@ -242,6 +252,16 @@ class ServiceApp:
             raise ServiceError("request body is not valid JSON: %s" % exc)
         if not isinstance(body, dict):
             raise ServiceError("request body must be a JSON object")
+        if _SURROGATE_ESCAPE.search(raw):
+            # a "\ud800" escape decodes to a lone surrogate, which no
+            # response or stream could encode later
+            try:
+                json.dumps(body, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError:
+                raise ServiceError(
+                    "request body holds a string that is not valid UTF-8 "
+                    "(an unpaired surrogate)"
+                )
         return body
 
     @staticmethod

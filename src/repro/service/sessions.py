@@ -21,6 +21,7 @@ import itertools
 import queue
 import threading
 
+from repro.analysis.typing import feature_value_error
 from repro.assistant.session import RefinementSession
 from repro.observability.logs import get_logger
 from repro.service.state import ServiceError
@@ -43,7 +44,10 @@ class QueueDeveloper:
     ``answer`` publishes the pending question and blocks until
     :meth:`push` delivers a value — ``None`` meaning "I don't know",
     which the session treats as a declined question, exactly like an
-    empty reply at the interactive prompt.
+    empty reply at the interactive prompt.  A value the question's
+    feature can never take (pushed before that question was pending,
+    so ``/answer`` could not check it) also becomes "I don't know",
+    with a diagnostic saying why.
     """
 
     def __init__(self, answer_timeout=None):
@@ -74,6 +78,14 @@ class QueueDeveloper:
         if value is _CANCEL:
             raise SessionCancelled()
         if value is None:
+            return None
+        error = feature_value_error(registry.get(question.feature_name), value)
+        if error is not None:
+            with self._lock:
+                self.diagnostics.append(
+                    "answer %r to %r ignored (I don't know): %s"
+                    % (value, question.text(registry), error)
+                )
             return None
         self.questions_answered += 1
         return value
@@ -135,6 +147,12 @@ class ServiceSession:
                 % (self.session_id, self.state),
                 status=409,
             )
+        pending = self.developer.pending_question()
+        if value is not None and pending is not None:
+            feature = self.session.registry.get(pending["feature"])
+            error = feature_value_error(feature, value)
+            if error is not None:
+                raise ServiceError("field 'answer' does not fit: %s" % error)
         self.developer.push(value)
 
     def cancel(self):

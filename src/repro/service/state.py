@@ -139,9 +139,7 @@ class ExtractionService:
             self.index_store = IndexStore()
         else:
             self.index_store = None
-        self.eval_cache = (
-            EvalCache() if getattr(self.config, "use_eval_cache", True) else None
-        )
+        self.eval_cache = EvalCache()
         self.programs = {}
         from repro.service.sessions import SessionManager
 
@@ -317,8 +315,7 @@ class ExtractionService:
             return
         if self.index_store is not None:
             self.index_store.invalidate(doc_ids)
-        if self.eval_cache is not None:
-            self.eval_cache.invalidate_docs(doc_ids)
+        self.eval_cache.invalidate_docs(doc_ids)
 
     def _rebind(self):
         for host in self.programs.values():

@@ -168,8 +168,6 @@ class TestStoreLifecycle:
 
         assert ResultStore.from_config(None) is None
         assert ResultStore.from_config(ExecConfig()) is None
-        disabled = ExecConfig(result_cache=str(tmp_path), incremental=False)
-        assert ResultStore.from_config(disabled) is None
         store = ResultStore.from_config(ExecConfig(result_cache=str(tmp_path)))
         assert isinstance(store, ResultStore)
         assert store.cache_dir == str(tmp_path)

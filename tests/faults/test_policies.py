@@ -11,7 +11,7 @@ from repro.processor.executor import IFlexEngine, _PolicyDriver
 from tests.faults.harness import build_corpus, build_program, faulting_registry
 from tests.processor.test_parallel import result_image
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 def make_engine(registry, corpus=None, **config_kwargs):

@@ -13,12 +13,11 @@ from repro.processor.schedulers import (
     ProcessBackend,
     SerialBackend,
     TaskError,
-    ThreadBackend,
     make_scheduler,
 )
 from repro.text.html_parser import parse_html
 
-BACKENDS = (SerialBackend(), ThreadBackend(3), ProcessBackend(3))
+BACKENDS = (SerialBackend(), ProcessBackend(3))
 
 
 def boom(item):
@@ -124,10 +123,10 @@ class TestReentrancy:
         assert _FORK_PAYLOADS == {}
 
     @pytest.mark.timeout(120)
-    def test_nested_map_inside_thread_map(self):
-        thread = ThreadBackend(2)
+    def test_nested_map_inside_serial_map(self):
+        serial = SerialBackend(2)
         process = ProcessBackend(2)
-        out = thread.map(
+        out = serial.map(
             lambda base: process.map(lambda i: i * base, [1, 2, 3]), [10, 100]
         )
         assert out == [[10, 20, 30], [100, 200, 300]]
@@ -142,3 +141,7 @@ class TestMakeScheduler:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             make_scheduler("quantum")
+
+    def test_thread_backend_is_gone(self):
+        with pytest.raises(ValueError, match="choose from process, serial"):
+            make_scheduler("thread", 2)

@@ -16,7 +16,7 @@ from tests.faults.harness import (
 )
 from tests.processor.test_parallel import result_image
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 POISONED = ("d1", "d4")
 
 
@@ -117,7 +117,7 @@ class TestSkipEquivalence:
     @pytest.mark.timeout(120)
     def test_explain_analyze_skips_and_reports(self):
         corpus = build_corpus(6)
-        config = ExecConfig(workers=2, backend="thread", on_error="skip")
+        config = ExecConfig(workers=2, backend="process", on_error="skip")
         engine = IFlexEngine(
             build_program(), corpus, faulting_registry(("d0",)), config, validate=False
         )

@@ -14,7 +14,6 @@ from repro.processor.schedulers import (
     ProcessBackend,
     SerialBackend,
     TaskError,
-    ThreadBackend,
 )
 from tests.faults.harness import build_corpus, build_program, faulting_registry
 
@@ -39,44 +38,6 @@ class TestSchedulerTimeouts:
         assert time.perf_counter() - start < 2.0
         assert isinstance(excinfo.value.failure, PartitionTimeout)
         assert excinfo.value.task_index == 0
-
-    @pytest.mark.timeout(60)
-    def test_thread_single_worker_detects_hung_task(self):
-        # regression: workers=1 (and single-item maps) fall back to the
-        # serial path, which also must detect a hang, not sit in it
-        backend = ThreadBackend(1)
-        start = time.perf_counter()
-        with pytest.raises(TaskError) as excinfo:
-            backend.map(lambda s: time.sleep(s), [10.0, 0.01], timeout=0.2)
-        assert time.perf_counter() - start < 2.0
-        assert isinstance(excinfo.value.failure, PartitionTimeout)
-        assert excinfo.value.task_index == 0
-
-    @pytest.mark.timeout(60)
-    def test_thread_detects_hang_beyond_awaited_future(self):
-        # both workers hang on later tasks while the result loop waits
-        # on the fast first future; per-task start stamps mean the hung
-        # tasks are flagged on their own deadlines, not when the loop
-        # eventually reaches them
-        backend = ThreadBackend(2)
-        start = time.perf_counter()
-        with pytest.raises(TaskError) as excinfo:
-            backend.map(lambda s: time.sleep(s), [0.01, 10.0, 10.0], timeout=0.25)
-        assert time.perf_counter() - start < 2.5
-        assert isinstance(excinfo.value.failure, PartitionTimeout)
-        assert excinfo.value.task_index in (1, 2)
-
-    @pytest.mark.timeout(60)
-    def test_thread_detects_while_running(self):
-        backend = ThreadBackend(2)
-        start = time.perf_counter()
-        with pytest.raises(TaskError) as excinfo:
-            backend.map(lambda s: time.sleep(s), [0.05, 5.0], timeout=0.3)
-        # raised well before the slow task would have finished: the
-        # timeout detected a *running* task, not a completed one
-        assert time.perf_counter() - start < 4.0
-        assert isinstance(excinfo.value.failure, PartitionTimeout)
-        assert excinfo.value.task_index == 1
 
     @pytest.mark.timeout(60)
     def test_process_enforces_by_termination(self):
@@ -116,7 +77,7 @@ class TestEngineTimeouts:
         assert excinfo.value.partition is not None
 
     def test_generous_timeout_is_harmless(self):
-        config = ExecConfig(workers=2, backend="thread", partition_timeout=60.0)
+        config = ExecConfig(workers=2, backend="serial", partition_timeout=60.0)
         engine = IFlexEngine(
             build_program(), build_corpus(4), None, config, validate=False
         )

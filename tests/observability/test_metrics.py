@@ -24,9 +24,9 @@ class TestCounter:
     def test_labels_key_separate_series(self):
         counter = MetricsRegistry().counter("repro.test.ops")
         counter.inc(2, backend="serial")
-        counter.inc(3, backend="thread")
+        counter.inc(3, backend="process")
         assert counter.value(backend="serial") == 2
-        assert counter.value(backend="thread") == 3
+        assert counter.value(backend="process") == 3
         assert counter.value() == 0
 
     def test_negative_increment_rejected(self):

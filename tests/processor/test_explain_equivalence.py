@@ -119,7 +119,7 @@ def recursive(tmp):
 
 
 def skip_one_faulting_doc(tmp):
-    config = dict(workers=2, backend="thread", on_error="skip")
+    config = dict(workers=2, backend="process", on_error="skip")
     engine = _engine(
         harness.build_program(),
         harness.build_corpus(6),
@@ -136,7 +136,6 @@ SCENARIOS = {
     "one-doc-delta": one_doc_delta,
     "added-constraint": added_constraint,
     "workers2-serial": partitioned("serial"),
-    "workers2-thread": partitioned("thread"),
     "workers2-process": partitioned("process"),
     "recursive": recursive,
     "skip": skip_one_faulting_doc,

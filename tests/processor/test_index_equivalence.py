@@ -24,7 +24,12 @@ from repro.processor.constraints import (
     apply_constraint_to_cell,
     apply_constraint_to_cells,
 )
-from repro.processor.context import ExecConfig, ExecutionContext
+from repro.processor.context import (
+    EvalCache,
+    ExecConfig,
+    ExecutionContext,
+    FeatureEvaluator,
+)
 from repro.processor.executor import IFlexEngine
 from repro.text.corpus import Corpus
 from repro.text.document import Document
@@ -48,20 +53,50 @@ def assert_stats_equal_modulo_batch(scalar_stats, batch_stats):
 
 
 def fresh_contexts():
-    """One context per (index, cache) switch combination.
+    """One context per (index, cache) combination.
 
     The first is the fully naive reference; every other combination must
-    match it exactly.
+    match it exactly.  Contexts always memoize, so the cacheless ones get
+    a bare :class:`FeatureEvaluator` built here.
     """
     program = Program.parse("q(x) :- base(x).", extensional=["base"])
     corpus = Corpus({"base": []})
-    configs = [
-        ExecConfig(use_index=False, use_eval_cache=False),
-        ExecConfig(use_index=True, use_eval_cache=False),
-        ExecConfig(use_index=False, use_eval_cache=True),
-        ExecConfig(use_index=True, use_eval_cache=True),
-    ]
-    return [ExecutionContext(program, corpus, config=c) for c in configs]
+    contexts = []
+    for use_index, use_cache in (
+        (False, False),
+        (True, False),
+        (False, True),
+        (True, True),
+    ):
+        context = ExecutionContext(
+            program, corpus, config=ExecConfig(use_index=use_index)
+        )
+        if not use_cache:
+            context.evaluator = FeatureEvaluator(
+                context.index_store, None, context.stats
+            )
+        contexts.append(context)
+    return contexts
+
+
+class _Forgetful(dict):
+    """A cache table that never stores, so every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def naive_engine(program, corpus):
+    """An engine on the no-index, no-memo reference path."""
+    cache = EvalCache()
+    cache.verify, cache.refine = _Forgetful(), _Forgetful()
+    return IFlexEngine(
+        program,
+        corpus,
+        config=ExecConfig(use_index=False),
+        eval_cache=cache,
+        validate=False,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -320,12 +355,7 @@ class TestEngineEquivalence:
         program = task.program.add_constraint(
             "extractIMDB", "title", "max_length", 60
         )
-        naive = IFlexEngine(
-            program,
-            task.corpus,
-            config=ExecConfig(use_index=False, use_eval_cache=False),
-            validate=False,
-        ).execute()
+        naive = naive_engine(program, task.corpus).execute()
         fast = IFlexEngine(program, task.corpus, validate=False).execute()
         assert result_image(fast) == result_image(naive)
         # the accelerated run performs strictly fewer naive evaluations
@@ -351,12 +381,7 @@ class TestEngineEquivalence:
             extensional=["base"],
             query="q",
         )
-        naive = IFlexEngine(
-            program,
-            corpus,
-            config=ExecConfig(use_index=False, use_eval_cache=False),
-            validate=False,
-        ).execute()
+        naive = naive_engine(program, corpus).execute()
         fast = IFlexEngine(program, corpus, validate=False).execute()
         assert naive.query_table.maybe_count() > 0
         assert result_image(fast) == result_image(naive)
@@ -371,7 +396,7 @@ class TestBatchAcrossBackends:
 
         return build_task("T1", size=size, seed=0)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_results_and_counters_identical(self, backend):
         task = self._t1(24)
         program = task.program.add_constraint(
@@ -387,7 +412,7 @@ class TestBatchAcrossBackends:
                 program, task.corpus, config=ExecConfig(**config), validate=False
             ).execute()
 
-        naive = run(use_index=False, use_eval_cache=False)
+        naive = naive_engine(program, task.corpus).execute()
         serial = run(workers=4, backend="serial")
         batch = run(workers=4, backend=backend)
         assert result_image(batch) == result_image(naive)
@@ -470,7 +495,7 @@ class TestPartitionCounterMerge:
         parallel = IFlexEngine(
             program,
             task.corpus,
-            config=ExecConfig(workers=4, backend="thread"),
+            config=ExecConfig(workers=4, backend="process"),
             validate=False,
         ).execute()
         assert serial.stats.verify_cache_misses > 0

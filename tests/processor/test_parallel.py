@@ -17,7 +17,6 @@ from repro.processor.plan import compile_predicate
 from repro.processor.schedulers import (
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     make_scheduler,
 )
 from repro.processor.split import GatherOp, PlanSplit, bind_tables
@@ -48,7 +47,7 @@ def execute(task, workers, backend, cache=None):
 # extraction + selection; T7 joins two extracted tables through a
 # similarity p-function.
 DETERMINISM_TASKS = ("T1", "T7")
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 class TestBackendDeterminism:
@@ -107,7 +106,7 @@ class TestBackendDeterminism:
         parallel = IFlexEngine(
             program,
             corpus,
-            config=ExecConfig(workers=3, backend="thread"),
+            config=ExecConfig(workers=3, backend="process"),
             validate=False,
         ).execute()
         assert serial.query_table.maybe_count() > 0
@@ -175,7 +174,7 @@ class TestCorpusPartition:
 class TestSchedulers:
     @pytest.mark.parametrize(
         "scheduler",
-        [SerialBackend(), ThreadBackend(4), ProcessBackend(4)],
+        [SerialBackend(), ProcessBackend(4)],
         ids=lambda s: s.name,
     )
     def test_map_preserves_order(self, scheduler):
@@ -190,7 +189,7 @@ class TestSchedulers:
         assert backend.map(lambda i: i + offset, [0, 1, 2, 3]) == [41, 42, 43, 44]
 
     def test_make_scheduler(self):
-        assert make_scheduler("thread", 3).workers == 3
+        assert make_scheduler("process", 3).workers == 3
         ready = SerialBackend()
         assert make_scheduler(ready) is ready
         with pytest.raises(ValueError):

@@ -29,7 +29,7 @@ from tests.processor.test_incremental import build_corpus, page
 from tests.processor.test_parallel import result_image
 from tests.processor.test_recursion import TC_SOURCE, chain, edge_corpus
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 #: T1's shape: extract -> ψ -> ScanRel -> condition -> project
 SOURCE = """
@@ -238,7 +238,7 @@ class TestRouting:
         """Without chunking, partitions move with the corpus size and a
         chained predicate's partitions could not be reused: global."""
         engine = IFlexEngine(
-            program(), build_corpus(6), config=ExecConfig(workers=2, backend="thread")
+            program(), build_corpus(6), config=ExecConfig(workers=2)
         )
         assert engine.physical.fully_local("items")
         assert not engine.physical.fully_local("cheap")

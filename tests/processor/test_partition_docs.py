@@ -34,7 +34,7 @@ class TestEquivalence:
         corpus = build_corpus(8)
         _, serial = execute(corpus)
         _, chunked = execute(
-            corpus, partition_docs=2, workers=3, backend="thread"
+            corpus, partition_docs=2, workers=3, backend="process"
         )
         assert result_image(chunked) == result_image(serial)
 

@@ -95,10 +95,9 @@ class TestBackendByteIdentity:
         "config",
         [
             ExecConfig(backend="serial"),
-            ExecConfig(backend="thread", workers=2),
             ExecConfig(backend="process", workers=2),
         ],
-        ids=["serial", "thread", "process"],
+        ids=["serial", "process"],
     )
     def test_each_backend_matches_the_serial_image(self, config):
         corpus = edge_corpus(chain(4))

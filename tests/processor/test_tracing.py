@@ -79,7 +79,7 @@ class TestPartitionMerge:
             UNION_SOURCE, extensional=["housePages", "schoolPages"], query="Q"
         )
         engine = IFlexEngine(
-            program, corpus, config=ExecConfig(workers=workers, backend="thread")
+            program, corpus, config=ExecConfig(workers=workers)
         )
         tracer = engine.tracer = Tracer()
         engine.execute()

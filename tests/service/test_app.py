@@ -115,6 +115,24 @@ class TestDocuments:
     def test_remove_unknown_404(self, client):
         assert client.delete("/documents/zzz").code == 404
 
+    def test_unpaired_surrogate_is_400_and_runs_stay_whole(self, client):
+        ingest_pages(client, range(3))
+        pid = submit_program(client).json["program_id"]
+        digest = client.get("/corpus").json["content_digest"]
+        html = "<p>\ud800 costs 120</p>"
+        resp = client.post(
+            "/documents",
+            {"table": "pages", "documents": [{"doc_id": "s", "html": html}]},
+        )
+        assert resp.code == 400
+        assert "surrogate" in resp.json["error"]
+        assert client.get("/corpus").json["content_digest"] == digest
+        run = client.post("/programs/%s/run" % pid)
+        assert run.code == 200
+        lines = run.ndjson
+        assert lines[-1]["type"] == "summary"
+        assert lines[-1]["tuples"] == 3
+
 
 class TestPrograms:
     def test_submit_then_resubmit(self, client):

@@ -4,6 +4,10 @@ import time
 
 import pytest
 
+from repro.analysis.typing import feature_value_error
+from repro.assistant.questions import Question
+from repro.features.registry import default_registry
+from repro.service.sessions import QueueDeveloper
 from tests.service.conftest import PROGRAM_SOURCE, ingest_pages, submit_program
 
 #: generous wall-clock bound for a background session to finish
@@ -17,6 +21,18 @@ def wait_for(predicate, timeout=DEADLINE):
             return True
         time.sleep(0.01)
     return False
+
+
+def fits(pending, answer):
+    """Whether the pending question's feature can take ``answer``."""
+    feature = default_registry().get(pending["feature"])
+    return feature_value_error(feature, answer) is None
+
+
+def misfit(pending):
+    """An answer the pending question's feature can never take."""
+    feature = default_registry().get(pending["feature"])
+    return "many" if feature.capability().param_type in ("int", "number") else 5
 
 
 def start_session(client, **extra):
@@ -47,6 +63,8 @@ class TestCreateValidation:
             ("answer_timeout", -2.0),
             ("answer_timeout", [1]),
             ("answer_timeout", True),
+            ("answer_timeout", 1e10),
+            ("answer_timeout", float("inf")),
         ],
     )
     def test_bad_session_settings_are_400_naming_the_field(
@@ -118,13 +136,67 @@ class TestAnswerValidation:
 
     @pytest.mark.parametrize("answer", ["yes", 3, 2.5, None])
     def test_valid_answer_is_accepted(self, client, service, answer):
-        sid = start_session(client)
-        assert wait_for(
-            lambda: client.get("/sessions/%s" % sid).json["pending_question"]
-        )
-        resp = client.post("/sessions/%s/answer" % sid, {"answer": answer})
+        # decline questions until one whose feature takes the answer
+        sid = start_session(client, questions_per_iteration=50)
+        path = "/sessions/%s" % sid
+        while True:
+            assert wait_for(lambda: client.get(path).json["pending_question"])
+            pending = client.get(path).json["pending_question"]
+            if answer is None or fits(pending, answer):
+                break
+            assert client.post(path + "/answer", {"answer": None}).code == 200
+            assert wait_for(
+                lambda: client.get(path).json["pending_question"] != pending
+            )
+        resp = client.post(path + "/answer", {"answer": answer})
         assert resp.code == 200
-        assert client.delete("/sessions/%s" % sid).code == 200
+        assert client.delete(path).code == 200
+
+    def test_answer_the_feature_rejects_is_400(self, client, service):
+        sid = start_session(client)
+        path = "/sessions/%s" % sid
+        assert wait_for(lambda: client.get(path).json["pending_question"])
+        pending = client.get(path).json["pending_question"]
+        resp = client.post(path + "/answer", {"answer": misfit(pending)})
+        assert resp.code == 400
+        assert repr("answer") in resp.json["error"]
+        assert repr(pending["feature"]) in resp.json["error"]
+        status = client.get(path).json
+        assert status["state"] == "running"
+        assert status["pending_question"] == pending
+        assert client.delete(path).code == 200
+
+    def test_numeric_answers_never_fail_the_session(self, client, service):
+        """A number to every question: text and boolean features refuse
+        it with a 400 (then the client declines), the rest apply it."""
+        sid = start_session(client, max_iterations=1, questions_per_iteration=50)
+        wrapped = service.sessions.get(sid)
+        path = "/sessions/%s" % sid
+        asked = set()
+        while not wrapped.wait(0.02):
+            pending = client.get(path).json["pending_question"]
+            if pending is None or pending["feature"] in asked:
+                continue
+            asked.add(pending["feature"])
+            resp = client.post(path + "/answer", {"answer": 5})
+            if resp.code == 400:
+                assert client.post(path + "/answer", {"answer": None}).code == 200
+        status = client.get(path).json
+        assert status["state"] == "finished", status.get("error")
+        assert "preceded_by" in asked
+        assert status["questions_answered"] >= 1
+
+    def test_misfit_queued_early_becomes_idk(self):
+        developer = QueueDeveloper()
+        developer.push(5)  # before any question was pending
+        question = Question("ie", "p", "preceded_by")
+        assert developer.answer(question, default_registry()) is None
+        assert developer.questions_answered == 0
+        assert len(developer.diagnostics) == 1
+        assert "preceded_by" in developer.diagnostics[0]
+        developer.push("$")
+        assert developer.answer(question, default_registry()) == "$"
+        assert developer.questions_answered == 1
 
 
 class TestLifecycle:

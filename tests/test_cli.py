@@ -187,6 +187,22 @@ class TestInteractiveDeveloper:
         dev2, _ = self.make(["3.5"])
         assert dev2.answer(Question("ie", "p", "max_value"), default_registry()) == 3.5
 
+    def test_text_feature_keeps_text(self):
+        from repro.assistant.questions import Question
+        from repro.features.registry import default_registry
+
+        dev, _ = self.make(["5"])
+        assert dev.answer(Question("ie", "p", "preceded_by"), default_registry()) == "5"
+
+    def test_answer_the_feature_rejects_is_idk(self):
+        from repro.assistant.questions import Question
+        from repro.features.registry import default_registry
+
+        dev, outputs = self.make(["5"])
+        assert dev.answer(Question("ie", "p", "bold_font"), default_registry()) is None
+        assert dev.questions_answered == 0
+        assert any("ignored" in str(o) and "bold_font" in str(o) for o in outputs)
+
     def test_interactive_session_end_to_end(self, pages_dir, program_file, capsys, monkeypatch):
         # drive the `session` command with scripted stdin answers
         answers = iter(["", "yes"] + [""] * 50)
@@ -238,6 +254,12 @@ class TestArgValidation:
             ["session", "p.alog", "--no-batch"],
             ["serve", "--artifact-cache", "d"],
             ["serve", "--no-batch"],
+            ["run", "p.alog", "--no-eval-cache"],
+            ["explain", "p.alog", "--no-incremental"],
+            ["session", "p.alog", "--backend", "thread"],
+            ["serve", "--no-eval-cache"],
+            ["serve", "--no-incremental"],
+            ["serve", "--backend", "thread"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -245,6 +267,14 @@ class TestArgValidation:
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", ["run", "explain", "session", "serve"])
+    def test_help_lists_no_removed_switch(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        text = capsys.readouterr().out
+        for removed in ("--no-eval-cache", "--no-incremental", "thread"):
+            assert removed not in text, removed
 
     def test_valid_values_accepted(self):
         args = build_parser().parse_args(
@@ -374,7 +404,6 @@ class TestServeCommand:
         assert args.port == 8750
         assert args.partition_docs == 1
         assert args.rate_limit is None
-        assert not args.no_incremental
 
     def test_flags_parse(self):
         args = build_parser().parse_args(
@@ -383,7 +412,7 @@ class TestServeCommand:
                 "--result-cache", "/tmp/rc",
                 "--rate-limit", "5", "--rate-burst", "10",
                 "--partition-docs", "2", "--workers", "3",
-                "--backend", "thread", "--no-index",
+                "--backend", "process", "--no-index",
             ]
         )
         assert args.port == 0
@@ -392,6 +421,27 @@ class TestServeCommand:
         assert args.rate_limit == 5.0
         assert args.rate_burst == 10
         assert args.no_index
+
+    def test_config_comes_from_the_shared_builder(self):
+        from repro.cli import _exec_config
+
+        args = build_parser().parse_args(
+            [
+                "serve", "--result-cache", "/tmp/rc", "--partition-docs", "2",
+                "--workers", "3", "--backend", "process", "--no-index",
+                "--max-fixpoint-iterations", "7",
+            ]
+        )
+        config = _exec_config(args)
+        assert (config.workers, config.backend, config.partition_docs) == (
+            3,
+            "process",
+            2,
+        )
+        assert not config.use_index
+        assert config.result_cache == "/tmp/rc"
+        assert config.max_fixpoint_iterations == 7
+        assert config.on_error == "fail-fast"
 
     def test_serve_starts_and_answers(self, pages_dir):
         """`repro serve --port 0` binds, prints its port, serves /health."""

@@ -58,9 +58,7 @@ class TestCliDocs:
         }
         for flag in (
             "--no-index",
-            "--no-eval-cache",
             "--result-cache",
-            "--no-incremental",
             "--metrics-out",
             "--trace-out",
             "--workers",
@@ -130,7 +128,7 @@ class TestPerformanceDocs:
         assert hasattr(Corpus(), "content_digest")
         config = ExecConfig()
         stats = ExecutionStats()
-        for field in ("result_cache", "incremental"):
+        for field in ("result_cache",):
             assert field in text, field
             assert hasattr(config, field), field
         for field in (
