@@ -50,7 +50,8 @@ CODES = {
     "ALOG016": (ERROR, "recursive predicate"),
     "ALOG017": (ERROR, "conflicting head column types"),
     "ALOG018": (ERROR, "operand types can never match"),
-    "ALOG019": (INFO, "constraint can never use an index"),
+    # ALOG019 ("constraint can never use an index") is retired with the
+    # feature indexes; the number is not reused
     "ALOG020": (WARNING, "unbounded fan-out"),
     "ALOG021": (WARNING, "gather of an unbounded local table"),
 }

@@ -1,4 +1,4 @@
-"""Pass 9 (opt-in) — static plan-level performance lint (``ALOG019``–``ALOG021``).
+"""Pass 9 (opt-in) — static plan-level performance lint (``ALOG020``, ``ALOG021``).
 
 The surface passes check what a program *means*; this one checks what
 it will *cost*.  It compiles every intensional predicate exactly the
@@ -16,12 +16,9 @@ symbolically, tracking for each attribute whether it is
 ``value``
     an exact scalar (p-predicate output, or an enumerated input).
 
-Three codes fall out of the walk:
+Two codes fall out of the walk (``ALOG019`` is retired and its number
+not reused):
 
-``ALOG019`` (info)
-    the *first* narrowing of a wide attribute uses a feature with no
-    ``build_index`` override, so constraint pushdown cannot help and
-    Refine scans candidate sub-spans naively;
 ``ALOG020`` (warning)
     unbounded fan-out — a join with no linking condition (Cartesian
     product) or a p-predicate enumerating a still-wide input cell
@@ -60,7 +57,6 @@ class PlanRow:
     extractions: int  # FromOp + PPredicateOp count
     joins: int
     constraints: int
-    indexable_constraints: int
     locality: str  # 'local' | 'mixed' | 'global'
     cost: float
 
@@ -72,7 +68,6 @@ class PlanRow:
             "extractions": self.extractions,
             "joins": self.joins,
             "constraints": self.constraints,
-            "indexable_constraints": self.indexable_constraints,
             "locality": self.locality,
             "cost": self.cost,
         }
@@ -90,7 +85,7 @@ class PlanReport:
     def render(self):
         headers = (
             "rule", "predicate", "attrs", "extract", "joins",
-            "constraints", "indexed", "locality", "cost",
+            "constraints", "locality", "cost",
         )
         table = [headers]
         for row in self.rows:
@@ -102,7 +97,6 @@ class PlanReport:
                     str(row.extractions),
                     str(row.joins),
                     str(row.constraints),
-                    str(row.indexable_constraints),
                     row.locality,
                     "%.1f" % row.cost,
                 )
@@ -168,7 +162,6 @@ class _Scout:
         if isinstance(op, ConstraintSelect):
             out = dict(self.states(op.child))
             if out.get(op.attr) == "wide":
-                self._check_index(op)
                 out[op.attr] = "narrowed"
             return out
         if isinstance(op, ConditionSelect):
@@ -220,23 +213,6 @@ class _Scout:
         # TableSource / GatherOp / unknown operators: already-merged
         # concrete tables, nothing unbounded left
         return {attr: "value" for attr in getattr(op, "attrs", ())}
-
-    def _check_index(self, op):
-        registry = self.analyzer.facts.registry
-        if op.feature not in registry:
-            return
-        capability = registry.capability(op.feature)
-        if capability.opaque or capability.indexable:
-            return
-        self.emit(
-            "ALOG019",
-            "constraint %s(%s) is the first narrowing of expansion %r, "
-            "but feature %r has no index (no build_index override): "
-            "Refine scans every candidate sub-span naively — if an "
-            "indexable feature (e.g. numeric, capitalized, max_length) "
-            "also applies, put it first"
-            % (op.feature, op.attr, op.attr, op.feature),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -304,12 +280,6 @@ def check_plan(analyzer, program=None):
             scouts.append((rule, plan, scout, root_states))
             ops = list(walk_plan(plan))
             constraints = [o for o in ops if isinstance(o, ConstraintSelect)]
-            indexable = [
-                o
-                for o in constraints
-                if o.feature in facts.registry
-                and facts.registry.capability(o.feature).indexable
-            ]
             extractions = sum(
                 1 for o in ops if isinstance(o, (FromOp, PPredicateOp))
             )
@@ -329,7 +299,6 @@ def check_plan(analyzer, program=None):
                     extractions=extractions,
                     joins=joins,
                     constraints=len(constraints),
-                    indexable_constraints=len(indexable),
                     locality=locality,
                     cost=cost_model.plan_complexity(
                         len(plan.attrs), extractions, joins

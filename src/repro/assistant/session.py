@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 from repro.assistant.convergence import ConvergenceMonitor
 from repro.assistant.strategies import SequentialStrategy
-from repro.features.index import IndexStore
 from repro.features.registry import default_registry
 from repro.observability.logs import get_logger
 from repro.processor.context import (
@@ -190,7 +189,7 @@ class RefinementSession:
         self.prior_records = []
         self._last_subset_result = None
         self._known_warnings = set()
-        #: One corpus-wide index store + eval cache shared by *every*
+        #: One corpus-wide eval cache shared by *every*
         #: engine this session builds — subset and full executions and
         #: all candidate simulations.  Verify/Refine results are keyed
         #: by document content alone, never by the program, so a
@@ -199,16 +198,11 @@ class RefinementSession:
         #: Document objects, so doc_id-keyed entries carry over).  This
         #: is what stops the next-effort loop paying full re-evaluation
         #: per candidate.
-        self._index_store = (
-            IndexStore() if getattr(self.config, "use_index", True) else None
-        )
         self._eval_cache = EvalCache()
         self.exec_stats = ExecutionStats()
         #: assistant-side Verify dispatch for strategy probes, on the
-        #: same shared stores, counting into ``exec_stats``
-        self._probe_evaluator = FeatureEvaluator(
-            self._index_store, self._eval_cache, self.exec_stats
-        )
+        #: same shared cache, counting into ``exec_stats``
+        self._probe_evaluator = FeatureEvaluator(self._eval_cache, self.exec_stats)
 
     # ------------------------------------------------------------------
     # hooks used by strategies
@@ -299,7 +293,7 @@ class RefinementSession:
 
         Strategies estimate answer priors by verifying features over
         sampled candidate spans; routing those probes through the shared
-        :class:`EvalCache` / index store means a span verified during
+        :class:`EvalCache` means a span verified during
         extraction (or a previous iteration's probing) is never
         re-evaluated.  Counts into :attr:`exec_stats`.
         """
@@ -352,7 +346,7 @@ class RefinementSession:
     def _simulate_one(self, ie_predicate, attribute, feature, value):
         """``(score, engine seconds, stats)`` for one candidate refinement.
 
-        Appends to the shared eval cache / index store but never
+        Appends to the shared eval cache but never
         invalidates (entries are content-keyed), so batches of these may
         run concurrently: concurrent writers only ever write identical
         values under identical keys, and the rule caches are only read,
@@ -375,7 +369,6 @@ class RefinementSession:
             self.registry,
             self._simulation_config(),
             validate=False,
-            index_store=self._index_store,
             eval_cache=self._eval_cache,
         )
         result = engine.execute(cache=_CacheCopy.copy(self._subset_cache))
@@ -586,8 +579,8 @@ class RefinementSession:
             elapsed_s=record.elapsed,
             cache_hits=delta["verify_cache_hits"] + delta["refine_cache_hits"],
             cache_misses=delta["verify_cache_misses"] + delta["refine_cache_misses"],
-            verify_evals=delta["verify_calls"] + delta["index_verify_calls"],
-            refine_evals=delta["refine_calls"] + delta["index_refine_calls"],
+            verify_evals=delta["verify_calls"],
+            refine_evals=delta["refine_calls"],
             simulations=self.simulations - before["_simulations"],
             failures=len(self.failure_records) - before["_failures"],
         )
@@ -639,7 +632,6 @@ class RefinementSession:
             self.registry,
             self.config,
             validate=False,
-            index_store=self._index_store,
             eval_cache=self._eval_cache,
             tracer=self.tracer,
             metrics=self.metrics,
@@ -658,7 +650,6 @@ class RefinementSession:
             self.registry,
             self.config,
             validate=False,
-            index_store=self._index_store,
             eval_cache=self._eval_cache,
             tracer=self.tracer,
             metrics=self.metrics,

@@ -12,6 +12,7 @@ the evaluation subset, with reuse — and weights each outcome by
 probability α.
 """
 
+from repro.errors import ExecutionFailure
 from repro.features.base import BOOLEAN_VALUES
 
 __all__ = ["SequentialStrategy", "SimulationStrategy", "attribute_ranking"]
@@ -228,19 +229,33 @@ class SimulationStrategy:
         # spans are re-sampled every iteration (and "no" re-verifies the
         # "yes" answers), so most probes after the first iteration are
         # cache hits
-        verify = session.verify_feature
+        tolerant = getattr(session.config, "on_error", "fail-fast") != "fail-fast"
+
+        def support(value):
+            """Fraction of samples satisfying ``value``; ``None`` when none
+            survives.  Under skip/retry a sample whose probe fails is
+            left out of the estimate; fail-fast surfaces the failure."""
+            hits = probed = 0
+            for span in samples:
+                try:
+                    if session.verify_feature(feature, span, value):
+                        hits += 1
+                except ExecutionFailure:
+                    if not tolerant:
+                        raise
+                    continue
+                probed += 1
+            return hits / probed if probed else None
+
         weighted = []
         for value in values:
-            try:
-                hits = sum(1 for s in samples if verify(feature, s, value))
-            except ValueError:
-                hits = 0
-            fraction = hits / len(samples)
-            if value == "no":
+            fraction = support(value)
+            if value == "no" and fraction is not None:
                 # "no" competes with yes: its mass is what yes lacks
-                fraction = 1.0 - sum(
-                    1 for s in samples if verify(feature, s, "yes")
-                ) / len(samples)
+                yes = support("yes")
+                fraction = None if yes is None else 1.0 - yes
+            if fraction is None:
+                fraction = 1.0 / len(values)  # no sample survived: uniform
             # an answer no sampled candidate supports is implausible —
             # simulating it would credit the question with a result
             # reduction that will never materialise

@@ -114,13 +114,6 @@ def build_parser():
             help="scheduler for per-partition work (with --workers > 1)",
         )
         p.add_argument(
-            "--no-index",
-            action="store_true",
-            help="disable per-document feature indexes: every "
-            "Verify/Refine evaluates naively, span by span "
-            "(escape hatch; results are identical either way)",
-        )
-        p.add_argument(
             "--result-cache",
             metavar="DIR",
             help="persistent partition-result cache directory: evaluated "
@@ -222,7 +215,7 @@ def build_parser():
         p.add_argument(
             "--plan",
             action="store_true",
-            help="also run the plan-level performance lint (ALOG019-021) "
+            help="also run the plan-level performance lint (ALOG020, ALOG021) "
             "and print per-rule static plan statistics",
         )
         p.add_argument(
@@ -396,7 +389,6 @@ def build_parser():
         default=0.6,
         help="Jaccard threshold for the built-in similar()/approxMatch()",
     )
-    serve.add_argument("--no-index", action="store_true")
     serve.add_argument(
         "--max-fixpoint-iterations",
         type=_positive_int,
@@ -467,7 +459,6 @@ def _exec_config(args):
         workers=args.workers,
         backend=args.backend,
         partition_docs=getattr(args, "partition_docs", None),
-        use_index=not args.no_index,
         on_error=getattr(args, "on_error", "fail-fast"),
         max_retries=getattr(args, "max_retries", 2),
         partition_timeout=getattr(args, "partition_timeout", None),

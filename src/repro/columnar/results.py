@@ -1,9 +1,9 @@
 """Persistent, content-addressed partition-result cache.
 
-The columnar tier holds *inputs* (token/region columns, in memory);
-this module caches *outputs*: evaluated
-:class:`~repro.ctables.ctable.CompactTable` partition results, keyed by the executor's rule fingerprint token — a
-SHA-256 over the rule split, its upstream tokens, and the partition's
+This module caches evaluated
+:class:`~repro.ctables.ctable.CompactTable` partition results, keyed by
+the executor's rule fingerprint token — a SHA-256 over the rule split,
+its upstream tokens, and the partition's
 :attr:`~repro.text.corpus.Corpus.content_digest`.  A key therefore
 changes whenever the plan *or* any document content in the partition
 changes, which is what makes delta execution safe: after an edit, only
@@ -12,19 +12,23 @@ the partitions whose digests moved miss the cache.
 Two files per entry::
 
     <key>.res.npy        flat int64 buffer (repro.ctables.codec)
-    <key>.res.meta.json  codec sidecar + store envelope (key, total)
+    <key>.res.meta.json  codec sidecar + store envelope (key, sha256)
 
-Writes go through ``mkstemp`` + ``os.replace`` (a crashed writer
-leaves no half-entry), and *any* load-side defect — missing file,
-garbage buffer, version or key mismatch, a span that no longer fits its
-document — yields ``None`` so the executor recomputes.  The cache is an accelerator, never a source
-of truth.
+The envelope's ``sha256`` covers the buffer bytes and the canonical
+sidecar, so a flipped bit that would still decode — a maybe flag, a
+span offset — cannot load as a different table.  Writes go through
+``mkstemp`` + ``os.replace`` (a crashed writer leaves no half-entry),
+and *any* load-side defect — missing file, garbage buffer, checksum,
+version or key mismatch, a span that no longer fits its document —
+yields ``None`` so the executor recomputes.  The cache is an
+accelerator, never a source of truth.
 
 :func:`prune_cache_dir` keeps a cache directory bounded: when
 entry-count or byte caps are exceeded it evicts whole entries
 oldest-first by mtime.
 """
 
+import hashlib
 import json
 import os
 import tempfile
@@ -51,6 +55,15 @@ _I64 = np.int64
 #: versions persisted, often into the same directory: nothing reads it
 #: any more, but prune still evicts it.
 _ENTRY_SUFFIXES = (".res.meta.json", ".res.npy", ".meta.json", ".cols.npy")
+
+
+def _checksum(data, meta):
+    """SHA-256 over the buffer bytes and the sidecar minus ``sha256``."""
+    digest = hashlib.sha256(np.ascontiguousarray(data).tobytes())
+    sidecar = {name: value for name, value in meta.items() if name != "sha256"}
+    canonical = json.dumps(sidecar, sort_keys=True, separators=(",", ":"))
+    digest.update(canonical.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def _result_paths(cache_dir, key):
@@ -80,6 +93,7 @@ def save_result(table, cache_dir, key):
     """
     data, meta = encode_table(table)
     meta["key"] = key
+    meta["sha256"] = _checksum(data, meta)
     os.makedirs(cache_dir, exist_ok=True)
     data_path, meta_path = _result_paths(cache_dir, key)
 
@@ -100,9 +114,9 @@ def load_result(cache_dir, key, docs_by_id):
     """Decode a persisted result, or ``None`` when absent/corrupt/stale.
 
     ``docs_by_id`` supplies the live documents spans rehydrate against.
-    Every failure mode — missing files, malformed JSON, a key or codec
-    version mismatch, any structural defect the codec rejects — yields
-    ``None`` so the caller recomputes.
+    Every failure mode — missing files, malformed JSON, a key, checksum
+    or codec version mismatch, any structural defect the codec rejects
+    — yields ``None`` so the caller recomputes.
     """
     data_path, meta_path = _result_paths(cache_dir, key)
     if not (os.path.exists(data_path) and os.path.exists(meta_path)):
@@ -117,6 +131,8 @@ def load_result(cache_dir, key, docs_by_id):
             raise ValueError("unexpected buffer shape/dtype")
         if len(data) != int(meta.get("total", -1)):
             raise ValueError("buffer length mismatch")
+        if meta.get("sha256") != _checksum(data, meta):
+            raise ValueError("checksum mismatch")
         return decode_table(data, meta, docs_by_id)
     except Exception as exc:
         logger.warning("result artifact %s unusable (%s); recomputing", key, exc)

@@ -1,12 +1,11 @@
 """A compact on-disk codec for :class:`~repro.ctables.ctable.CompactTable`.
 
 The persistent result cache (:mod:`repro.columnar.results`) stores
-evaluated partition tables in the columnar tier's int64-buffer style:
-one flat ``int64`` array holds the table structure and every span
-reference, and a small JSON sidecar holds what cannot live in the
-buffer — the attribute list, the referenced ``doc_id`` strings, and the
-``repr`` of scalar cell values.  The layout is length-prefixed
-throughout::
+evaluated partition tables as one flat ``int64`` array that holds the
+table structure and every span reference, and a small JSON sidecar
+holds what cannot live in the buffer — the attribute list, the
+referenced ``doc_id`` strings, and the ``repr`` of scalar cell values.
+The layout is length-prefixed throughout::
 
     [n_tuples]
       per tuple:       [maybe, n_cells]
@@ -40,8 +39,9 @@ from repro.text.span import Span
 __all__ = ["CodecError", "RESULT_CODEC_VERSION", "decode_table", "encode_table"]
 
 #: bump when the buffer layout or sidecar schema changes; persisted
-#: results with another version are stale and rebuild
-RESULT_CODEC_VERSION = 1
+#: results with another version are stale and rebuild (2: the result
+#: store's sidecar carries a SHA-256 of the entry)
+RESULT_CODEC_VERSION = 2
 
 _KIND_EXACT_SPAN = 0
 _KIND_CONTAIN = 1

@@ -61,17 +61,10 @@ BOOLEAN_VALUES = (YES, NO, DISTINCT_YES)
 class FeatureCapability:
     """One feature's consolidated capability record.
 
-    Historically ``supports_index()``, ``param_type`` and the
-    ``build_index`` override were three parallel signals that static
-    analysis (planlint's ``ALOG019``), the registry, and the index
-    builder each read separately — and could therefore disagree about.
-    :meth:`Feature.capability` derives all of them from the class in
-    one place; every consumer reads this record.
+    :meth:`Feature.capability` derives it from the class in one place;
+    static analysis, the registry and the assistant all read this
+    record.
 
-    indexable:
-        The class overrides :meth:`Feature.build_index`, so Verify /
-        Refine pushdown can use a per-document index (and the columnar
-        builder will construct one).
     param_type:
         Scalar kind of a parameterised feature's value (``'str'`` /
         ``'int'`` / ``'number'``); ``None`` for boolean features and
@@ -81,7 +74,6 @@ class FeatureCapability:
         capability-based checks entirely.
     """
 
-    indexable: bool
     param_type: object = None
     opaque: bool = False
 
@@ -122,38 +114,9 @@ class Feature:
         """Maximal satisfying sub-spans as ``(mode, span)`` hints."""
         raise NotImplementedError
 
-    def build_index(self, doc, arrays):
-        """A per-document :class:`~repro.features.index.FeatureIndex`.
-
-        The default ``None`` means "not indexable": every Verify/Refine
-        evaluates naively.  Indexable features override this (see the
-        ``IndexableFeature`` protocol in :mod:`repro.features.index`);
-        ``arrays`` is the document's shared
-        :class:`~repro.features.index.TokenArrays`.
-        """
-        return None
-
     def capability(self):
-        """This feature's :class:`FeatureCapability` record.
-
-        The single source of truth for capability questions:
-        indexability is decided structurally (the class overrides
-        :meth:`build_index`), so static analysis, the registry, and the
-        columnar index builder all see the same answer without building
-        an index (or having a document to build one from).
-        """
-        return FeatureCapability(
-            indexable=type(self).build_index is not Feature.build_index,
-            param_type=self.param_type,
-            opaque=self.opaque,
-        )
-
-    def supports_index(self):
-        """True when this feature participates in index pushdown.
-
-        Compatibility alias for ``capability().indexable``.
-        """
-        return self.capability().indexable
+        """This feature's :class:`FeatureCapability` record."""
+        return FeatureCapability(param_type=self.param_type, opaque=self.opaque)
 
     # ------------------------------------------------------------------
     def candidate_values(self, spans):

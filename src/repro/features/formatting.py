@@ -97,11 +97,6 @@ class RegionFeature(Feature):
             return [("contain", Span(doc, s, e)) for s, e in gaps]
         raise ValueError("unsupported value %r for feature %s" % (value, self.name))
 
-    def build_index(self, doc, arrays):
-        from repro.features.index import RegionIndex
-
-        return RegionIndex(doc, arrays, self.region_kind)
-
 
 #: (name, region kind) of every built-in formatting/layout feature.
 REGION_FEATURES = (

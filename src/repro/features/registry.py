@@ -82,14 +82,6 @@ class FeatureRegistry:
         """The feature's consolidated capability record."""
         return self.get(name).capability()
 
-    def indexable(self, name):
-        """True when ``name`` participates in index pushdown."""
-        return self.capability(name).indexable
-
-    def indexable_names(self):
-        """Names of every registered pushdown-capable feature."""
-        return [n for n in self.names() if self._features[n].capability().indexable]
-
     def param_type(self, name):
         """The feature's declared parameter kind (or ``None``)."""
         return self.capability(name).param_type

@@ -63,11 +63,6 @@ class NumericFeature(Feature):
             return [("contain", Span(span.doc, s, e)) for s, e in gaps]
         raise ValueError("unsupported value %r for numeric" % (value,))
 
-    def build_index(self, doc, arrays):
-        from repro.features.index import NumericIndex
-
-        return NumericIndex(doc, arrays)
-
 
 class CapitalizedFeature(Feature):
     """``capitalized(a) = yes``: every word token starts uppercase."""
@@ -107,11 +102,6 @@ class CapitalizedFeature(Feature):
         if run_start is not None:
             hints.append(("contain", Span(span.doc, run_start, last_end)))
         return hints
-
-    def build_index(self, doc, arrays):
-        from repro.features.index import CapitalizedIndex
-
-        return CapitalizedIndex(doc, arrays)
 
 
 class _RegexParamFeature(Feature):
@@ -212,10 +202,6 @@ class MaxLengthFeature(Feature):
                 prev_j = j
         return hints
 
-    def build_index(self, doc, arrays):
-        from repro.features.index import TokenWindowIndex
-
-        return TokenWindowIndex(doc, arrays)
 
     def candidate_values(self, spans):
         lengths = sorted(len(s) for s in spans if len(s))

@@ -14,9 +14,8 @@ constraints, which is what ``prior_constraints`` carries.  (Any
 application order then yields the same final assignments.)
 
 Both Verify and Refine route through the execution context, which
-consults the :class:`~repro.processor.context.EvalCache` and the
-per-document feature indexes before falling back to the naive feature
-implementations — see :mod:`repro.features.index`.
+consults the :class:`~repro.processor.context.EvalCache` before calling
+the feature's own ``verify``/``refine``.
 """
 
 import functools
@@ -27,7 +26,6 @@ from repro.text.span import Span
 
 __all__ = [
     "apply_constraint_to_cell",
-    "apply_constraint_to_cells",
     "verify_constraint_on_value",
     "verify_scalar",
 ]
@@ -71,8 +69,8 @@ def verify_constraint_on_value(feature, value_obj, feature_value, stats=None):
     """``Verify`` generalised to scalar cell values (uncached path).
 
     Spans go straight to the feature; scalars to :func:`verify_scalar`.
-    The execution context's ``verify_value`` is the cached, index-aware
-    equivalent — this function remains the plain one-shot entry point.
+    The execution context's ``verify_value`` is the cached equivalent —
+    this function remains the plain one-shot entry point.
     """
     if stats is not None:
         stats.verify_calls += 1
@@ -118,73 +116,3 @@ def apply_constraint_to_cell(cell, feature_name, feature_value, prior_constraint
             else:
                 emit(Contain(span))
     return cell.with_assignments(out)
-
-
-def apply_constraint_to_cells(cells, feature_name, feature_value, prior_constraints, context):
-    """``A(k, ·)`` over many cells at once, via the batch kernels.
-
-    Byte- and counter-identical to :func:`apply_constraint_to_cell`
-    applied cell by cell — the evaluation itself routes through
-    :meth:`~repro.processor.context.FeatureEvaluator.verify_span_batch`
-    / ``refine_span_batch``, so a whole table pass is one array kernel
-    per document instead of a Python dispatch per assignment.
-
-    Gather/emit are two phases: phase one walks every assignment in
-    order collecting the Verify span batch (``exact``) and the Refine
-    span batch (``contain``), evaluating scalar (non-span) values
-    inline; phase two replays the same order, consuming the batch
-    results and re-running the scalar emit/dedupe/prior-recheck logic
-    unchanged.  The caller must not use this when the current
-    ``(feature, value)`` also appears in ``prior_constraints`` — the
-    prior rechecks of phase two would then interleave with the current
-    constraint's cache keys, which only the scalar order gets right.
-    """
-    feature = context.feature(feature_name)
-    evaluator = context.evaluator
-    verify_spans = []
-    refine_spans = []
-    scalar_results = {}
-    for ci, cell in enumerate(cells):
-        for ai, assignment in enumerate(cell.assignments):
-            if isinstance(assignment, Exact):
-                if isinstance(assignment.value, Span):
-                    verify_spans.append(assignment.value)
-                else:
-                    scalar_results[(ci, ai)] = context.verify_value(
-                        feature, assignment.value, feature_value
-                    )
-            else:
-                refine_spans.append(assignment.span)
-    verify_results = iter(
-        evaluator.verify_span_batch(feature, verify_spans, feature_value)
-    )
-    refine_results = iter(
-        evaluator.refine_span_batch(feature, refine_spans, feature_value)
-    )
-    new_cells = []
-    for ci, cell in enumerate(cells):
-        out = []
-        seen = set()
-
-        def emit(assignment, out=out, seen=seen):
-            if assignment not in seen:
-                seen.add(assignment)
-                out.append(assignment)
-
-        for ai, assignment in enumerate(cell.assignments):
-            if isinstance(assignment, Exact):
-                if isinstance(assignment.value, Span):
-                    keep = next(verify_results)
-                else:
-                    keep = scalar_results[(ci, ai)]
-                if keep:
-                    emit(assignment)
-                continue
-            for mode, span in next(refine_results):
-                if mode == "exact":
-                    if _passes_all(span, prior_constraints, context):
-                        emit(Exact(span))
-                else:
-                    emit(Contain(span))
-        new_cells.append(cell.with_assignments(out))
-    return new_cells

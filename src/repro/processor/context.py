@@ -2,10 +2,7 @@
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ExecutionFailure
-from repro.features.index import IndexStore
 from repro.features.registry import default_registry
 from repro.text.span import Span
 
@@ -55,10 +52,6 @@ class ExecConfig:
     #: resident service needs for "ingest k docs, recompute exactly the
     #: k affected partitions".  ``None`` keeps the historical split.
     partition_docs: object = None
-    #: Consult per-document feature indexes for Verify/Refine (see
-    #: :mod:`repro.features.index`); ``False`` forces the naive
-    #: span-by-span path (the CLI's ``--no-index``).
-    use_index: bool = True
     #: Error policy for document-attributable failures (a feature or
     #: p-predicate raising on a malformed document): ``fail-fast``
     #: surfaces the enriched exception, ``skip`` quarantines the
@@ -99,23 +92,19 @@ ERROR_POLICIES = ("fail-fast", "skip", "retry")
 class ExecutionStats:
     """Counters the benchmarks and the assistant report on.
 
-    ``verify_calls`` / ``refine_calls`` count *naive* feature
-    evaluations actually performed; work answered by a per-document
-    index counts under ``index_verify_calls`` / ``index_refine_calls``
-    instead, and work answered from the :class:`EvalCache` counts only
-    as a hit.  The total number of Verify requests the processor made
-    is therefore ``verify_calls + index_verify_calls +
-    verify_cache_hits`` (likewise for Refine).
+    ``verify_calls`` / ``refine_calls`` count feature evaluations
+    actually performed; work answered from the :class:`EvalCache`
+    counts only as a hit.  The total number of Verify requests the
+    processor made is therefore ``verify_calls + verify_cache_hits``
+    (likewise for Refine).
     """
 
     verify_calls: int = 0
     refine_calls: int = 0
+    #: always 0; kept only because the end-to-end benchmark harness
+    #: (``benchmarks/e2e/workloads.py``) still reads them
     index_verify_calls: int = 0
     index_refine_calls: int = 0
-    #: spans answered through the vectorized batch kernels — a subset
-    #: of ``index_verify_calls`` / ``index_refine_calls``, counted per
-    #: *span* (not per batch call) so partitioned totals sum exactly to
-    #: the serial totals
     verify_batch: int = 0
     refine_batch: int = 0
     verify_cache_hits: int = 0
@@ -200,24 +189,23 @@ _MISSING = object()
 
 
 class FeatureEvaluator:
-    """Verify/Refine dispatch: :class:`EvalCache` → index → naive.
+    """Verify/Refine dispatch: :class:`EvalCache`, then the feature.
 
-    Owns no policy beyond the lookup order; ``index_store=None`` skips
-    the index layer.  ``eval_cache=None`` skips memoization too; the
-    engine always passes a cache, so only the fully naive reference
-    that the equivalence tests build directly runs without one.
-    ``stats`` receives the counters (see :class:`ExecutionStats`).
+    On a cache miss the feature's own ``verify``/``refine`` answers.
+    ``eval_cache=None`` skips memoization; the engine always passes a
+    cache, so only the fully naive reference that the equivalence tests
+    build directly runs without one.  ``stats`` receives the counters
+    (see :class:`ExecutionStats`).
     """
 
-    __slots__ = ("index_store", "eval_cache", "stats")
+    __slots__ = ("eval_cache", "stats")
 
-    def __init__(self, index_store=None, eval_cache=None, stats=None):
-        self.index_store = index_store
+    def __init__(self, eval_cache=None, stats=None):
         self.eval_cache = eval_cache
         self.stats = stats if stats is not None else ExecutionStats()
 
     def verify_value(self, feature, value_obj, feature_value):
-        """``Verify`` generalised to scalar cell values, accelerated."""
+        """``Verify`` generalised to scalar cell values, memoized."""
         if isinstance(value_obj, Span):
             return self.verify_span(feature, value_obj, feature_value)
         from repro.processor.constraints import verify_scalar
@@ -245,25 +233,17 @@ class FeatureEvaluator:
                         self.stats.verify_cache_hits += 1
                         return cached
                     self.stats.verify_cache_misses += 1
-            result = None
-            if self.index_store is not None:
-                index = self.index_store.index_for(feature, span.doc)
-                if index is not None:
-                    result = index.verify(span, feature_value)
-            if result is None:
-                self.stats.verify_calls += 1
-                result = feature.verify(span, feature_value)
-            else:
-                self.stats.index_verify_calls += 1
+            self.stats.verify_calls += 1
+            result = feature.verify(span, feature_value)
             if key is not None:
                 cache.verify[key] = result
             return result
         except ExecutionFailure:
             raise
         except Exception as exc:
-            # the failure channel: a raising feature (or index build over
-            # a malformed document) becomes a document-attributable
-            # ExecutionFailure the error policy can act on
+            # the failure channel: a raising feature becomes a
+            # document-attributable ExecutionFailure the error policy
+            # can act on
             raise ExecutionFailure.wrap(
                 exc,
                 doc_id=span.doc.doc_id,
@@ -285,17 +265,8 @@ class FeatureEvaluator:
                         self.stats.refine_cache_hits += 1
                         return cached
                     self.stats.refine_cache_misses += 1
-            hints = None
-            if self.index_store is not None:
-                index = self.index_store.index_for(feature, span.doc)
-                if index is not None:
-                    hints = index.refine(span, feature_value)
-            if hints is None:
-                self.stats.refine_calls += 1
-                hints = feature.refine(span, feature_value)
-            else:
-                self.stats.index_refine_calls += 1
-            hints = tuple(hints)
+            self.stats.refine_calls += 1
+            hints = tuple(feature.refine(span, feature_value))
             if key is not None:
                 cache.refine[key] = hints
             return hints
@@ -309,180 +280,15 @@ class FeatureEvaluator:
                 feature=feature.name,
             ) from exc
 
-    # ------------------------------------------------------------------
-    # batch entry points
-    # ------------------------------------------------------------------
-    #
-    # The batch methods answer many spans of one constraint in one pass.
-    # They are *counter-exact* re-implementations of the scalar loop:
-    # for every span the same evaluation tier is chosen (cache hit /
-    # index / naive fallback) and the same counters tick — plus
-    # ``verify_batch`` / ``refine_batch`` marking the spans whose answer
-    # came from a vectorized kernel.  Two facts make that equivalence
-    # hold:
-    #
-    # * a kernel answers a value iff the scalar index answers it
-    #   (``can_*_batch`` is exact), so the index/naive split is
-    #   identical;
-    # * within one batch, duplicates after the first occurrence count as
-    #   cache hits — exactly what the scalar loop does, since its first
-    #   occurrence inserts into the cache before the second looks up.
-    #
-    # Spans over documents whose index cannot batch the value take the
-    # scalar path unchanged, so a mixed batch still counts identically.
-
-    def _group_by_doc(self, spans):
-        by_doc = {}
-        for pos, span in enumerate(spans):
-            doc = span.doc
-            entry = by_doc.get(doc.doc_id)
-            if entry is None:
-                by_doc[doc.doc_id] = entry = (doc, [])
-            entry[1].append(pos)
-        return by_doc
-
-    def verify_span_batch(self, feature, spans, feature_value):
-        """``verify_span`` over a span batch; results align with ``spans``."""
-        results = [None] * len(spans)
-        store = self.index_store
-        stats = self.stats
-        cache = self.eval_cache
-        for doc_id, (doc, positions) in self._group_by_doc(spans).items():
-            index = store.index_for(feature, doc) if store is not None else None
-            if index is None or not index.can_verify_batch(feature_value):
-                for pos in positions:
-                    results[pos] = self.verify_span(
-                        feature, spans[pos], feature_value
-                    )
-                continue
-            try:
-                kernel = []  # (position, cache key) pending the kernel
-                first_at = {}  # key -> position of its first occurrence
-                copies = []
-                for pos in positions:
-                    span = spans[pos]
-                    key = None
-                    if cache is not None:
-                        key = self._cache_key(feature, span, feature_value)
-                    if key is not None:
-                        cached = cache.verify.get(key, _MISSING)
-                        if cached is not _MISSING:
-                            stats.verify_cache_hits += 1
-                            results[pos] = cached
-                            continue
-                        src = first_at.get(key)
-                        if src is not None:
-                            stats.verify_cache_hits += 1
-                            copies.append((pos, src))
-                            continue
-                        stats.verify_cache_misses += 1
-                        first_at[key] = pos
-                    stats.index_verify_calls += 1
-                    stats.verify_batch += 1
-                    kernel.append((pos, key))
-                if kernel:
-                    count = len(kernel)
-                    starts = np.fromiter(
-                        (spans[p].start for p, _ in kernel), np.int64, count
-                    )
-                    ends = np.fromiter(
-                        (spans[p].end for p, _ in kernel), np.int64, count
-                    )
-                    answers = index.verify_batch(starts, ends, feature_value)
-                    for (pos, key), answer in zip(kernel, answers.tolist()):
-                        answer = bool(answer)
-                        results[pos] = answer
-                        if key is not None:
-                            cache.verify[key] = answer
-                for pos, src in copies:
-                    results[pos] = results[src]
-            except ExecutionFailure:
-                raise
-            except Exception as exc:
-                raise ExecutionFailure.wrap(
-                    exc,
-                    doc_id=doc_id,
-                    operator="Verify",
-                    feature=feature.name,
-                ) from exc
-        return results
-
-    def refine_span_batch(self, feature, spans, feature_value):
-        """``refine_span`` over a span batch; results align with ``spans``."""
-        results = [None] * len(spans)
-        store = self.index_store
-        stats = self.stats
-        cache = self.eval_cache
-        for doc_id, (doc, positions) in self._group_by_doc(spans).items():
-            index = store.index_for(feature, doc) if store is not None else None
-            if index is None or not index.can_refine_batch(feature_value):
-                for pos in positions:
-                    results[pos] = self.refine_span(
-                        feature, spans[pos], feature_value
-                    )
-                continue
-            try:
-                kernel = []
-                first_at = {}
-                copies = []
-                for pos in positions:
-                    span = spans[pos]
-                    key = None
-                    if cache is not None:
-                        key = self._cache_key(feature, span, feature_value)
-                    if key is not None:
-                        cached = cache.refine.get(key, _MISSING)
-                        if cached is not _MISSING:
-                            stats.refine_cache_hits += 1
-                            results[pos] = cached
-                            continue
-                        src = first_at.get(key)
-                        if src is not None:
-                            stats.refine_cache_hits += 1
-                            copies.append((pos, src))
-                            continue
-                        stats.refine_cache_misses += 1
-                        first_at[key] = pos
-                    stats.index_refine_calls += 1
-                    stats.refine_batch += 1
-                    kernel.append((pos, key))
-                if kernel:
-                    count = len(kernel)
-                    starts = np.fromiter(
-                        (spans[p].start for p, _ in kernel), np.int64, count
-                    )
-                    ends = np.fromiter(
-                        (spans[p].end for p, _ in kernel), np.int64, count
-                    )
-                    batches = index.refine_batch(doc, starts, ends, feature_value)
-                    for (pos, key), hints in zip(kernel, batches):
-                        hints = tuple(hints)
-                        results[pos] = hints
-                        if key is not None:
-                            cache.refine[key] = hints
-                for pos, src in copies:
-                    results[pos] = results[src]
-            except ExecutionFailure:
-                raise
-            except Exception as exc:
-                raise ExecutionFailure.wrap(
-                    exc,
-                    doc_id=doc_id,
-                    operator="Refine",
-                    feature=feature.name,
-                ) from exc
-        return results
-
 
 class ExecutionContext:
     """Everything operators need while a plan runs.
 
-    ``index_store`` / ``eval_cache`` may be passed in to share across
-    contexts (the engine shares one store across partitions; the
-    assistant session shares both across simulations).  When omitted,
-    fresh ones are created (no index store under ``use_index=False``) —
-    so parallel partition contexts get *fresh* eval caches, keeping per-partition
-    hit/miss counters identical to a serial run over the same documents
+    ``eval_cache`` may be passed in to share across contexts (the
+    assistant session shares one across simulations).  When omitted, a
+    fresh one is created — so parallel partition contexts get *fresh*
+    eval caches, keeping per-partition hit/miss counters identical to a
+    serial run over the same documents
     (cache keys are document-scoped and partitions are document-disjoint).
     """
 
@@ -492,7 +298,6 @@ class ExecutionContext:
         corpus,
         features=None,
         config=None,
-        index_store=None,
         eval_cache=None,
         tracer=None,
     ):
@@ -504,23 +309,15 @@ class ExecutionContext:
         #: optional :class:`~repro.observability.spans.Tracer`; operators
         #: that batch feature work record spans on it when present
         self.tracer = tracer
-        if not getattr(self.config, "use_index", True):
-            index_store = None
-        elif index_store is None:
-            index_store = IndexStore()
         if eval_cache is None:
             eval_cache = EvalCache()
-        self.evaluator = FeatureEvaluator(index_store, eval_cache, self.stats)
+        self.evaluator = FeatureEvaluator(eval_cache, self.stats)
         #: name -> CompactTable for already-evaluated intensional preds
         self.relations = {}
         #: name -> [CompactTable per corpus partition] for the predicates
         #: this run evaluated partition by partition (what the chained
         #: predicates downstream of them scan, partition by partition)
         self.partition_relations = {}
-
-    @property
-    def index_store(self):
-        return self.evaluator.index_store
 
     @property
     def eval_cache(self):

@@ -34,7 +34,6 @@ from repro.errors import (
     UnknownFeatureError,
     UnknownPredicateError,
 )
-from repro.features.index import IndexStore
 from repro.observability.logs import get_logger
 from repro.processor.context import ERROR_POLICIES, EvalCache, ExecConfig, ExecutionContext
 from repro.processor.operators import apply_constraint_to_table
@@ -455,7 +454,6 @@ class IFlexEngine:
         features=None,
         config=None,
         validate=True,
-        index_store=None,
         eval_cache=None,
         tracer=None,
         metrics=None,
@@ -473,15 +471,10 @@ class IFlexEngine:
         #: every completed execution folds its (backend-deterministic)
         #: counters into it
         self.metrics = metrics
-        # Verify/Refine acceleration state, shared by every execution of
-        # this engine (and across engines when the caller passes its own
-        # — the assistant session shares one pair session-wide).  Both
-        # are keyed by immutable document content, so sharing never
-        # changes results.
-        if getattr(self.config, "use_index", True):
-            self.index_store = index_store if index_store is not None else IndexStore()
-        else:
-            self.index_store = None
+        # Verify/Refine memo, shared by every execution of this engine
+        # (and across engines when the caller passes its own — the
+        # assistant session shares one session-wide).  It is keyed by
+        # immutable document content, so sharing never changes results.
         self.eval_cache = eval_cache if eval_cache is not None else EvalCache()
         self.lint_result = None
         if validate:
@@ -540,20 +533,19 @@ class IFlexEngine:
         """Re-point this resident engine at a mutated (or new) corpus.
 
         The engine-as-library entry point the service's ingestion path
-        uses: shared acceleration state (index store, eval cache, result
-        store, the default rule cache) stays resident — reuse
-        fingerprints are content-addressed, so stale entries simply
-        miss — while everything derived from the corpus *view* (active
-        corpus, partitioning, the doc-id decode map) is rebuilt.  ``edited_docs`` names documents replaced *in place*
-        (same id, new content): their content-keyed cache entries are
+        uses: shared acceleration state (eval cache, result store, the
+        default rule cache) stays resident — reuse fingerprints are
+        content-addressed, so stale entries simply miss — while
+        everything derived from the corpus *view* (active corpus,
+        partitioning, the doc-id decode map) is rebuilt.
+        ``edited_docs`` names documents replaced *in place* (same id,
+        new content): their content-keyed cache entries are
         the one thing content addressing cannot age out, so they are
         invalidated explicitly.  Quarantined documents stay quarantined.
         """
         if corpus is not None:
             self.corpus = corpus
         if edited_docs:
-            if self.index_store is not None:
-                self.index_store.invalidate(edited_docs)
             self.eval_cache.invalidate_docs(edited_docs)
         self._active = (
             self.corpus.without(self.excluded_docs)
@@ -585,7 +577,6 @@ class IFlexEngine:
             self._active,
             self.features,
             self.config,
-            index_store=self.index_store,
             order=[g[0] for g in self.order if g not in self.recursive_groups],
             previous=previous,
         )
@@ -650,7 +641,6 @@ class IFlexEngine:
             self._active,
             self.features,
             self.config,
-            index_store=self.index_store,
             eval_cache=self.eval_cache,
             tracer=self.tracer,
         )

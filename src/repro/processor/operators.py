@@ -13,10 +13,7 @@ from repro.ctables.ctable import Cell, CompactTable, CompactTuple
 from repro.errors import EnumerationLimitError, EvaluationError, ExecutionFailure
 from repro.processor.bannotate import annotate_table
 from repro.processor.conditions import cell_tokens
-from repro.processor.constraints import (
-    apply_constraint_to_cell,
-    apply_constraint_to_cells,
-)
+from repro.processor.constraints import apply_constraint_to_cell
 from repro.text.span import Span, doc_span
 
 
@@ -55,13 +52,6 @@ def _cache_traffic(stats):
     return (
         stats.verify_cache_hits + stats.refine_cache_hits,
         stats.verify_cache_misses + stats.refine_cache_misses,
-    )
-
-
-def _eval_counts(stats):
-    return (
-        stats.verify_calls + stats.index_verify_calls,
-        stats.refine_calls + stats.index_refine_calls,
     )
 
 
@@ -241,15 +231,16 @@ def apply_constraint_to_table(source, attr, feature, value, priors, context, mar
     ψ (it trims each group's value pool before the one-per-group
     choice), so a group with any surviving value keeps a certain tuple.
 
-    With a tracer on the context, the whole pass over the table — one
-    Verify/Refine *batch* for this constraint — records a feature span
-    attributed with the evaluation traffic it caused (stats deltas).
+    With a tracer on the context, the whole pass over the table — all of
+    this constraint's Verify/Refine work — records one
+    ``verify-batch:`` feature span attributed with the evaluation
+    traffic it caused (stats deltas).
     """
     tracer = getattr(context, "tracer", None)
     if tracer is None:
         return _constraint_pass(source, attr, feature, value, priors, context, mark_maybe)
     stats = context.stats
-    verify, refine = _eval_counts(stats)
+    verify, refine = stats.verify_calls, stats.refine_calls
     hits, misses = _cache_traffic(stats)
     with tracer.span(
         "verify-batch:%s(%s)" % (feature, attr),
@@ -259,7 +250,7 @@ def apply_constraint_to_table(source, attr, feature, value, priors, context, mar
         value=str(value),
     ) as span:
         table = _constraint_pass(source, attr, feature, value, priors, context, mark_maybe)
-        verify_after, refine_after = _eval_counts(stats)
+        verify_after, refine_after = stats.verify_calls, stats.refine_calls
         hits_after, misses_after = _cache_traffic(stats)
         span.attrs.update(
             verify_evals=verify_after - verify,
@@ -274,24 +265,8 @@ def apply_constraint_to_table(source, attr, feature, value, priors, context, mar
 def _constraint_pass(source, attr, feature, value, priors, context, mark_maybe):
     index = source.attr_index(attr)
     table = CompactTable(source.attrs)
-    # The whole column goes to the vectorized batch kernels (one array
-    # op per document instead of a per-assignment loop).  A duplicated
-    # (feature, value) in the priors would interleave the prior
-    # rechecks with this constraint's own cache keys, which only the
-    # per-cell order accounts correctly, so that (degenerate) case
-    # stays per cell.
-    if (feature, value) not in tuple(priors):
-        tuples = list(source)
-        new_cells = apply_constraint_to_cells(
-            [t.cells[index] for t in tuples], feature, value, priors, context
-        )
-        pairs = zip(tuples, new_cells)
-    else:
-        pairs = (
-            (t, apply_constraint_to_cell(t.cells[index], feature, value, priors, context))
-            for t in source
-        )
-    for t, new_cell in pairs:
+    for t in source:
+        new_cell = apply_constraint_to_cell(t.cells[index], feature, value, priors, context)
         if new_cell.is_empty():
             continue
         old_cell = t.cells[index]

@@ -65,7 +65,6 @@ class PhysicalExecutor:
         features,
         config,
         scheduler=None,
-        index_store=None,
         order=(),
         previous=None,
     ):
@@ -77,9 +76,6 @@ class PhysicalExecutor:
         self.corpus = corpus
         self.features = features
         self.config = config
-        #: shared per-document feature indexes (fork-inherited by
-        #: process workers; content-keyed, so sharing is always sound)
-        self.index_store = index_store
         self.scheduler = scheduler or make_scheduler(
             getattr(config, "backend", "serial"), getattr(config, "workers", 1)
         )
@@ -213,8 +209,7 @@ class PhysicalExecutor:
             )
 
     def _partition_context(self, pid, tracer=None, seeds=None):
-        # The index store is shared (document content never changes);
-        # the eval cache is *fresh* per partition so hit/miss counters
+        # The eval cache is *fresh* per partition so hit/miss counters
         # are backend-independent and sum to the serial counts — cache
         # keys are document-scoped and partitions document-disjoint, so
         # a shared cache could not produce extra hits anyway.
@@ -223,7 +218,6 @@ class PhysicalExecutor:
             self.partitions[pid],
             self.features,
             self.config,
-            index_store=self.index_store,
             tracer=tracer,
         )
         for name, tables in (seeds or {}).items():

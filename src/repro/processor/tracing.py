@@ -226,7 +226,7 @@ def _rate(hits, misses):
     Guarding the zero-lookup case here matters twice over: it is the
     division-by-zero hazard, and rendering it as ``0.0%`` (or ``nan%``)
     misreads as "the cache never hit" when the truth is "the cache was
-    never consulted" (e.g. ``--no-eval-cache`` runs).
+    never consulted" (e.g. a program with no domain constraints).
     """
     total = hits + misses
     if total <= 0:
@@ -244,8 +244,7 @@ def render_cache_summary(stats):
     text = (
         "eval cache: verify %d hit / %d miss (%s), "
         "refine %d hit / %d miss (%s); "
-        "evaluations: %d verify (%d indexed, %d naive), "
-        "%d refine (%d indexed, %d naive)"
+        "evaluations: %d verify, %d refine"
         % (
             stats.verify_cache_hits,
             stats.verify_cache_misses,
@@ -253,11 +252,7 @@ def render_cache_summary(stats):
             stats.refine_cache_hits,
             stats.refine_cache_misses,
             _rate(stats.refine_cache_hits, stats.refine_cache_misses),
-            stats.index_verify_calls + stats.verify_calls,
-            stats.index_verify_calls,
             stats.verify_calls,
-            stats.index_refine_calls + stats.refine_calls,
-            stats.index_refine_calls,
             stats.refine_calls,
         )
     )

@@ -13,7 +13,7 @@ Sessions run over a *snapshot* of the service corpus taken at creation
 immutable Document objects), so concurrent ingestion never mutates a
 corpus an engine is mid-scan on.  They share the service's result
 store — a session's partition spills warm later batch runs and vice
-versa — but build their own in-memory index/eval caches, which a
+versa — but build their own in-memory eval cache, which a
 snapshot cannot stale.
 """
 

@@ -4,8 +4,7 @@ One :class:`ExtractionService` owns the state every request shares:
 
 * one mutable :class:`~repro.text.corpus.Corpus` documents are ingested
   into and removed from;
-* one :class:`~repro.features.index.IndexStore`, one
-  :class:`~repro.processor.context.EvalCache`, and one
+* one :class:`~repro.processor.context.EvalCache` and one
   :class:`~repro.columnar.results.ResultStore` — shared by *every*
   submitted program, exactly as a single batch run shares them across
   partitions;
@@ -133,12 +132,6 @@ class ExtractionService:
             self.config.result_cache = self.result_store
         # corpus-wide acceleration state, shared across programs and
         # sessions exactly as one engine shares it across partitions
-        if getattr(self.config, "use_index", True):
-            from repro.features.index import IndexStore
-
-            self.index_store = IndexStore()
-        else:
-            self.index_store = None
         self.eval_cache = EvalCache()
         self.programs = {}
         from repro.service.sessions import SessionManager
@@ -192,7 +185,6 @@ class ExtractionService:
                     features=self.features,
                     config=self.config,
                     validate=True,
-                    index_store=self.index_store,
                     eval_cache=self.eval_cache,
                     metrics=self.metrics,
                 )
@@ -269,9 +261,8 @@ class ExtractionService:
 
         Returns ``(added, replaced_ids)``.  Replaced documents — same
         ``doc_id``, new content — are the one mutation content-addressed
-        caches cannot age out by missing, so their index (with its
-        columns) and eval-cache entries are invalidated explicitly
-        before the engines rebind.
+        caches cannot age out by missing, so their eval-cache entries
+        are invalidated explicitly before the engines rebind.
         """
         if not table or not str(table).strip():
             raise ServiceError("ingest needs a table name")
@@ -311,11 +302,8 @@ class ExtractionService:
             return removed
 
     def _invalidate(self, doc_ids):
-        if not doc_ids:
-            return
-        if self.index_store is not None:
-            self.index_store.invalidate(doc_ids)
-        self.eval_cache.invalidate_docs(doc_ids)
+        if doc_ids:
+            self.eval_cache.invalidate_docs(doc_ids)
 
     def _rebind(self):
         for host in self.programs.values():

@@ -99,7 +99,7 @@ class TestAnalysisResult:
         diagnostics = [
             _diag(line=3, column=2, code="ALOG017"),
             _diag(line=3, column=2, code="ALOG016"),
-            _diag(line=1, column=5, code="ALOG019", severity="info"),
+            _diag(line=1, column=5, code="ALOG016", severity="info"),
             _diag(code="ALOG001"),
         ]
         baseline = sorted(diagnostics, key=Diagnostic.sort_key)
@@ -133,7 +133,7 @@ class TestSarifExport:
             [
                 _diag(line=1),
                 _diag(severity=WARNING, code="ALOG020", line=2),
-                _diag(severity="info", code="ALOG019", line=3),
+                _diag(severity="info", code="ALOG016", line=3),
             ]
         )
         log = json.loads(result.to_sarif_json("p.alog"))

@@ -1,4 +1,4 @@
-"""Plan-level performance lint (ALOG019-ALOG021) and the plan report.
+"""Plan-level performance lint (ALOG020, ALOG021) and the plan report.
 
 The pass compiles the program exactly the way the engine would and
 walks the operator trees symbolically; each code has a triggering
@@ -42,42 +42,21 @@ class TestOptIn:
         assert result.plan_report.rows
 
 
-class TestAlog019:
-    def test_unindexable_first_narrowing_is_flagged(self):
+class TestRetiredAlog019:
+    def test_naive_first_narrowing_is_not_flagged(self):
+        """ALOG019 flagged a first narrowing by a feature without a
+        per-document index; every feature now evaluates the same way,
+        so the code is retired and its number stays unused."""
+        from repro.analysis.diagnostics import CODES
+
         result = lint(
             """
             person(p) :- docs(d), name(@d, p).
             name(@d, p) :- from(@d, p), person_name(p) = yes.
             """
         )
-        found = [d for d in result.diagnostics if d.code == "ALOG019"]
-        assert len(found) == 1
-        assert found[0].severity == "info"  # advisory, survives --strict
-        assert "person_name" in found[0].message
-
-    def test_indexable_first_narrowing_is_clean(self):
-        result = lint(
-            """
-            person(p) :- docs(d), name(@d, p).
-            name(@d, p) :- from(@d, p), capitalized(p) = yes,
-                person_name(p) = yes.
-            """
-        )
-        assert "ALOG019" not in codes(result)
-
-    def test_opaque_declared_features_are_not_flagged(self):
-        from repro.features.registry import default_registry
-
-        result = analyze_source(
-            """
-            person(p) :- docs(d), name(@d, p).
-            name(@d, p) :- from(@d, p), all_caps(p) = yes.
-            """,
-            extensional=["docs"],
-            registry=default_registry().declare("all_caps"),
-            plan=True,
-        )
-        assert "ALOG019" not in codes(result)
+        assert "ALOG019" not in CODES
+        assert codes(result) == []
 
 
 class TestAlog020:
@@ -163,7 +142,6 @@ class TestPlanReport:
         assert pair.joins == 1
         assert pair.extractions == 2  # two inlined from() generators
         assert pair.constraints == 2
-        assert pair.indexable_constraints == 2  # numeric has an index
         assert pair.locality == "mixed"  # local prefixes, global join
         # cost = attrs*4 + extractions*6 + joins*8 (Xlog coefficients)
         assert pair.cost == pair.attributes * 4.0 + 2 * 6.0 + 1 * 8.0
@@ -199,5 +177,4 @@ class TestPlanReport:
             plan=True,
         )
         assert "ALOG013" in codes(result)  # assumed p-predicate
-        assert "ALOG019" not in codes(result)
         assert "ALOG020" not in codes(result)

@@ -3,9 +3,11 @@
 Whatever is on disk, :func:`load_result` either returns a table
 repr-identical to the one saved, or ``None`` so the executor recomputes
 — never an exception, never a wrong table — including after a writer
-crashed mid-save.
+crashed mid-save or any single byte of an entry changed.
 :func:`prune_cache_dir` keeps shared cache directories bounded without
-ever touching unknown files.
+ever touching unknown files, and evicts the column bundles
+(``<digest>.cols.npy`` + ``<digest>.meta.json``) older versions wrote
+into the same directories, which nothing reads any more.
 """
 
 import json
@@ -14,6 +16,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.columnar import (
     ResultStore,
@@ -21,11 +24,26 @@ from repro.columnar import (
     prune_cache_dir,
     save_result,
 )
+from repro.columnar.results import _checksum
 from repro.ctables import Cell, CompactTable, CompactTuple, Contain, Exact
+from repro.processor.context import ExecConfig
+from repro.processor.executor import IFlexEngine
 from repro.text import parse_html
+from repro.text.corpus import Corpus, corpus_digest
 from repro.text.span import Span
+from repro.xlog.program import Program
 
 KEY = "a" * 24
+
+#: ``corpus_digest`` of :func:`_digest_docs`.  Result-cache keys fold
+#: this digest in, so it must never change.
+PINNED_DIGEST = "f92699226c275bc42a7cfc8d"
+
+PROGRAM = """
+vals(x, <p>) :- base(x), ie(@x, p).
+q(p) :- vals(x, p), p > 50.
+ie(@x, p) :- from(@x, p), numeric(p) = yes.
+"""
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -40,8 +58,7 @@ def _subprocess_env():
     return env
 
 
-@pytest.fixture
-def docs():
+def _docs():
     return {
         d.doc_id: d
         for d in (
@@ -51,8 +68,7 @@ def docs():
     }
 
 
-@pytest.fixture
-def table(docs):
+def _table(docs):
     d1, d2 = docs["d1"], docs["d2"]
     out = CompactTable(("x", "price"))
     out.add(
@@ -68,8 +84,83 @@ def table(docs):
     return out
 
 
+@pytest.fixture
+def docs():
+    return _docs()
+
+
+@pytest.fixture
+def table(docs):
+    return _table(docs)
+
+
 def _image(table):
     return (table.attrs, [repr(t) for t in table.tuples])
+
+
+def _digest_docs():
+    return [
+        parse_html(
+            "d1",
+            "<p><b>Widget Alpha</b> Price: <i>$120.00</i> in 1999</p>",
+        ),
+        parse_html("d2", "<title>Plain</title><p>no markup here 42</p>"),
+        parse_html("d3", ""),
+    ]
+
+
+def write_old_bundle(cache_dir, docs):
+    """Write a column bundle shaped like the ones older versions left.
+
+    An ``int64`` buffer (``np.save`` format) plus a JSON layout sidecar,
+    both named by the corpus digest.  Returns the two paths.
+    """
+    digest = corpus_digest(docs)
+    data = np.arange(8 * len(docs), dtype=np.int64)
+    layout = {
+        doc.doc_id: [["token_starts", 8 * i, 8]] for i, doc in enumerate(docs)
+    }
+    data_path = os.path.join(str(cache_dir), "%s.cols.npy" % digest)
+    meta_path = os.path.join(str(cache_dir), "%s.meta.json" % digest)
+    with open(data_path, "wb") as handle:
+        np.save(handle, data)
+    meta = {
+        "digest": digest,
+        "layout_version": 1,
+        "total": int(len(data)),
+        "layout": layout,
+    }
+    with open(meta_path, "w", encoding="utf-8") as handle:
+        json.dump(meta, handle)
+    return data_path, meta_path
+
+
+def _run(docs, cache_dir=None):
+    program = Program.parse(PROGRAM, extensional=["base"], query="q")
+    config = ExecConfig(workers=2, result_cache=cache_dir)
+    engine = IFlexEngine(program, Corpus({"base": docs}), config=config, validate=False)
+    return engine.execute()
+
+
+class TestCorpusDigest:
+    def test_digest_is_content_addressed(self):
+        docs, same = _digest_docs(), _digest_docs()
+        # reparsing identical content gives the identical digest ...
+        assert corpus_digest(docs) == corpus_digest(same)
+        # ... and any content change gives a different one
+        changed = docs[:-1] + [parse_html("d3", "now nonempty")]
+        assert corpus_digest(changed) != corpus_digest(docs)
+
+    def test_digest_bytes_are_stable(self):
+        """Persisted result-cache keys stay valid across versions."""
+        assert corpus_digest(_digest_docs()) == PINNED_DIGEST
+
+    def test_runs_write_only_result_entries(self, tmp_path):
+        """No run writes a column bundle, only result entries."""
+        _run(_digest_docs(), str(tmp_path))
+        names = os.listdir(str(tmp_path))
+        assert names
+        assert all(name.endswith((".res.npy", ".res.meta.json")) for name in names)
 
 
 class TestRoundTrip:
@@ -105,26 +196,63 @@ class TestCorruptionAndStaleness:
         data_path.write_bytes(b"not numpy")
         assert load_result(str(tmp_path), KEY, docs) is None
 
-    def test_key_mismatch_is_stale(self, table, docs, tmp_path):
-        _, meta_path = self._persist(table, tmp_path)
+    def _edit_meta(self, table, tmp_path, change):
+        """Persist, apply ``change`` to the sidecar, and re-sign it, so
+        the check under test (not the checksum) rejects the entry."""
+        data_path, meta_path = self._persist(table, tmp_path)
         meta = json.loads(meta_path.read_text())
-        meta["key"] = "f" * 24
+        change(meta)
+        meta["sha256"] = _checksum(np.load(str(data_path)), meta)
         meta_path.write_text(json.dumps(meta))
+
+    def test_key_mismatch_is_stale(self, table, docs, tmp_path):
+        self._edit_meta(table, tmp_path, lambda m: m.update(key="f" * 24))
         assert load_result(str(tmp_path), KEY, docs) is None
 
     def test_codec_version_mismatch_is_stale(self, table, docs, tmp_path):
-        _, meta_path = self._persist(table, tmp_path)
-        meta = json.loads(meta_path.read_text())
-        meta["codec_version"] += 1
-        meta_path.write_text(json.dumps(meta))
+        self._edit_meta(
+            table, tmp_path, lambda m: m.update(codec_version=m["codec_version"] + 1)
+        )
         assert load_result(str(tmp_path), KEY, docs) is None
 
     def test_total_mismatch_is_stale(self, table, docs, tmp_path):
-        _, meta_path = self._persist(table, tmp_path)
-        meta = json.loads(meta_path.read_text())
-        meta["total"] += 1
-        meta_path.write_text(json.dumps(meta))
+        self._edit_meta(table, tmp_path, lambda m: m.update(total=m["total"] + 1))
         assert load_result(str(tmp_path), KEY, docs) is None
+
+    def test_checksum_mismatch_is_stale(self, table, docs, tmp_path):
+        """A span offset changed by one still decodes; the checksum
+        rejects it instead of serving a different table."""
+        data_path, _ = self._persist(table, tmp_path)
+        data = np.load(str(data_path))
+        data[-1] -= 1  # the end offset of the last span
+        with open(str(data_path), "wb") as handle:
+            np.save(handle, data)
+        assert load_result(str(tmp_path), KEY, docs) is None
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        which=st.sampled_from(("data", "meta")),
+        position=st.integers(min_value=0),
+        byte=st.integers(min_value=0, max_value=255),
+    )
+    def test_any_byte_mutation_is_none_or_identical(
+        self, tmp_path_factory, which, position, byte
+    ):
+        """Changing any one byte of either file never yields an
+        exception or a different table."""
+        docs = _docs()
+        table = _table(docs)
+        tmp_path = tmp_path_factory.mktemp("fuzz")
+        data_path, meta_path = self._persist(table, tmp_path)
+        path = data_path if which == "data" else meta_path
+        raw = bytearray(path.read_bytes())
+        position %= len(raw)
+        if raw[position] == byte:
+            byte ^= 0xFF
+        raw[position] = byte
+        path.write_bytes(bytes(raw))
+        loaded = load_result(str(tmp_path), KEY, docs)
+        assert loaded is None or _image(loaded) == _image(table)
 
     def test_changed_document_recomputes(self, table, tmp_path):
         """Documents the decode target no longer knows yield None."""
@@ -222,20 +350,12 @@ class TestPruning:
         assert stray.exists() and partial.exists()
 
     def test_columnar_bundles_prune_as_entries(self, tmp_path):
-        from tests.columnar.test_store import write_old_bundle
-
         write_old_bundle(tmp_path, [parse_html("c1", "<p>columnar</p>")])
         assert prune_cache_dir(str(tmp_path), max_entries=0) == 1
         assert os.listdir(str(tmp_path)) == []
 
     def test_old_bundle_in_result_cache_runs_cold_then_prunes(self, tmp_path):
         """A shared directory's truncated old bundle: cold run, then evicted."""
-        from tests.columnar.test_store import (
-            _run,
-            _table_image,
-            write_old_bundle,
-        )
-
         docs = [
             parse_html("d%d" % i, "<p>item %d costs <b>%d</b></p>" % (i, 40 * i))
             for i in range(4)
@@ -246,7 +366,7 @@ class TestPruning:
         for path in (data_path, meta_path):
             os.utime(path, (1_000_000, 1_000_000))  # the oldest entry
         cached = _run(docs, str(tmp_path))
-        assert _table_image(cached.query_table) == _table_image(
+        assert _image(cached.query_table) == _image(
             _run(docs).query_table
         )
         assert cached.stats.result_cache_hits == 0
@@ -255,7 +375,7 @@ class TestPruning:
         assert not os.path.exists(data_path) and not os.path.exists(meta_path)
         warm = _run(docs, str(tmp_path))
         assert warm.stats.result_cache_misses == 0
-        assert _table_image(warm.query_table) == _table_image(cached.query_table)
+        assert _image(warm.query_table) == _image(cached.query_table)
 
     def test_store_counts_evictions(self, table, docs, tmp_path):
         store = ResultStore(str(tmp_path), max_entries=2)
@@ -388,8 +508,6 @@ def _crash_run(cache_dir):
     a ``.json.tmp`` file, exactly as a writer killed at that instant
     would leave them.
     """
-    from tests.columnar.test_store import _run
-
     real_replace = os.replace
 
     def replace(src, dst):
@@ -415,7 +533,6 @@ class TestCrashMidSave:
         import sys
 
         from repro.columnar.results import _entry_groups
-        from tests.columnar.test_store import _run, _table_image
 
         proc = subprocess.run(
             [
@@ -438,10 +555,10 @@ class TestCrashMidSave:
         )
         docs = _crash_docs()
         restarted = _run(docs, str(tmp_path))
-        assert _table_image(restarted.query_table) == _table_image(
+        assert _image(restarted.query_table) == _image(
             _run(docs).query_table
         )
         assert restarted.stats.result_cache_misses >= 1
         warm = _run(docs, str(tmp_path))
         assert warm.stats.result_cache_misses == 0
-        assert _table_image(warm.query_table) == _table_image(restarted.query_table)
+        assert _image(warm.query_table) == _image(restarted.query_table)

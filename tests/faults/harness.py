@@ -51,11 +51,6 @@ class FaultingFeature(Feature):
         self.trip_dir = trip_dir
         self.sleep = sleep
 
-    def build_index(self, doc, arrays):
-        # stay un-indexable: the naive Verify/Refine path is the fault
-        # hook, and an index would answer for it (PR 3 acceleration)
-        return None
-
     def _trip(self, doc_id):
         if self.fail_times is None:
             return True

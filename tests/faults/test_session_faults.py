@@ -3,15 +3,19 @@ quarantine it once, record it, and keep iterating over the reduced
 corpus.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.assistant.oracle import GroundTruth, SimulatedDeveloper
 from repro.assistant.session import RefinementSession
+from repro.assistant.strategies import SimulationStrategy
 from repro.errors import ExecutionFailure
 from repro.features.registry import default_registry
-from repro.processor.context import ExecConfig
+from repro.processor.context import ExecConfig, FeatureEvaluator
 from repro.processor.executor import IFlexEngine
-from repro.text.span import Span
+from repro.text import parse_html
+from repro.text.span import Span, doc_span
 from tests.faults.harness import build_corpus, build_program, faulting_registry
 from tests.processor.test_parallel import result_image
 
@@ -95,3 +99,90 @@ class TestSessionSurvival:
             validate=False,
         ).execute()
         assert not result.report
+
+
+class _UnwrappedDeveloper(SimulatedDeveloper):
+    """Answers from the default registry: the oracle calls the feature
+    itself, so a faulting wrap would fail the developer, not the engine."""
+
+    def answer(self, question, registry):
+        return super().answer(question, default_registry())
+
+
+def _probe_session(on_error, poisoned):
+    """The slice of a session ``SimulationStrategy`` probes through:
+    two one-span anchors, ``poisoned`` ones failing their Verify."""
+    docs = [
+        parse_html("good", "<p><b>Alpha</b></p>"),
+        parse_html("bad", "<p>beta</p>"),
+    ]
+    feature = default_registry().get("bold_font")
+    evaluator = FeatureEvaluator()
+
+    def verify_feature(feature, span, value):
+        if span.doc.doc_id in poisoned:
+            raise ExecutionFailure.wrap(
+                RuntimeError("injected"),
+                doc_id=span.doc.doc_id,
+                operator="Verify",
+                feature=feature.name,
+            )
+        return evaluator.verify_span(feature, span, value)
+
+    session = SimpleNamespace(
+        config=ExecConfig(on_error=on_error),
+        registry=SimpleNamespace(get=lambda name: feature),
+        attribute_profile=lambda *_: [doc_span(d) for d in docs],
+        example_spans=lambda *_: [],
+        verify_feature=verify_feature,
+    )
+    question = SimpleNamespace(
+        ie_predicate="ie", attribute="p", feature_name="bold_font"
+    )
+    return session, question
+
+
+class TestSimulationProbes:
+    """Answer-prior probes follow the session's error policy."""
+
+    @pytest.mark.parametrize("feature", ["bold_font", "hyperlinked", "preceded_by"])
+    def test_session_finishes_when_a_probed_feature_faults(self, feature):
+        from repro.experiments.tasks import build_task
+
+        task = build_task("T1", size=30, seed=0)
+        poisoned = task.corpus.table(task.corpus.table_names()[0])[0].doc_id
+        session = RefinementSession(
+            task.program,
+            task.corpus,
+            _UnwrappedDeveloper(task.truth, seed=0),
+            strategy=SimulationStrategy(),
+            features=faulting_registry((poisoned,), feature=feature),
+            config=ExecConfig(on_error="skip"),
+            max_iterations=4,
+        )
+        trace = session.run()
+        assert trace.final_result is not None
+        assert session.poisoned_docs == {poisoned}
+
+    def test_failing_samples_are_left_out_of_the_estimate(self):
+        strategy = SimulationStrategy()
+        faulty = strategy._weighted_values(*_probe_session("skip", {"bad"}))
+        clean_session, question = _probe_session("skip", set())
+        clean_session.attribute_profile = lambda *_: [
+            doc_span(parse_html("good", "<p><b>Alpha</b></p>"))
+        ]
+        assert faulty == strategy._weighted_values(clean_session, question)
+
+    def test_no_surviving_sample_falls_back_to_uniform(self):
+        values = SimulationStrategy()._weighted_values(
+            *_probe_session("retry", {"good", "bad"})
+        )
+        assert [v for v, _ in values] == ["yes", "no", "distinct_yes"]
+        assert all(p == pytest.approx(1 / 3) for _, p in values)
+
+    def test_fail_fast_surfaces_the_probe_failure(self):
+        with pytest.raises(ExecutionFailure) as excinfo:
+            SimulationStrategy()._weighted_values(
+                *_probe_session("fail-fast", {"bad"})
+            )
+        assert excinfo.value.doc_id == "bad"

@@ -154,9 +154,8 @@ class TestSharedStores:
             "ie(@x, p) :- from(@x, p), numeric(p) = yes.\n",
             query="r",
         )
-        assert a.engine.index_store is service.index_store
-        assert b.engine.index_store is service.index_store
         assert a.engine.eval_cache is service.eval_cache
+        assert b.engine.eval_cache is service.eval_cache
 
     def test_result_store_shared_via_config(self, tmp_path):
         config = ExecConfig(result_cache=str(tmp_path / "rc"))

@@ -260,6 +260,10 @@ class TestArgValidation:
             ["serve", "--no-eval-cache"],
             ["serve", "--no-incremental"],
             ["serve", "--backend", "thread"],
+            ["run", "p.alog", "--no-index"],
+            ["explain", "p.alog", "--no-index"],
+            ["session", "p.alog", "--no-index"],
+            ["serve", "--no-index"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -273,7 +277,7 @@ class TestArgValidation:
         with pytest.raises(SystemExit):
             build_parser().parse_args([command, "--help"])
         text = capsys.readouterr().out
-        for removed in ("--no-eval-cache", "--no-incremental", "thread"):
+        for removed in ("--no-eval-cache", "--no-incremental", "thread", "--no-index"):
             assert removed not in text, removed
 
     def test_valid_values_accepted(self):
@@ -412,7 +416,7 @@ class TestServeCommand:
                 "--result-cache", "/tmp/rc",
                 "--rate-limit", "5", "--rate-burst", "10",
                 "--partition-docs", "2", "--workers", "3",
-                "--backend", "process", "--no-index",
+                "--backend", "process",
             ]
         )
         assert args.port == 0
@@ -420,7 +424,6 @@ class TestServeCommand:
         assert args.result_cache == "/tmp/rc"
         assert args.rate_limit == 5.0
         assert args.rate_burst == 10
-        assert args.no_index
 
     def test_config_comes_from_the_shared_builder(self):
         from repro.cli import _exec_config
@@ -428,7 +431,7 @@ class TestServeCommand:
         args = build_parser().parse_args(
             [
                 "serve", "--result-cache", "/tmp/rc", "--partition-docs", "2",
-                "--workers", "3", "--backend", "process", "--no-index",
+                "--workers", "3", "--backend", "process",
                 "--max-fixpoint-iterations", "7",
             ]
         )
@@ -438,7 +441,6 @@ class TestServeCommand:
             "process",
             2,
         )
-        assert not config.use_index
         assert config.result_cache == "/tmp/rc"
         assert config.max_fixpoint_iterations == 7
         assert config.on_error == "fail-fast"

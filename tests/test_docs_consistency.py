@@ -57,7 +57,7 @@ class TestCliDocs:
             s for action in run_parser._actions for s in action.option_strings
         }
         for flag in (
-            "--no-index",
+            "--backend",
             "--result-cache",
             "--metrics-out",
             "--trace-out",
@@ -75,22 +75,27 @@ class TestCliDocs:
 
 class TestPerformanceDocs:
     def test_columnar_contract_matches_code(self):
-        """The documented in-memory columnar tier names real API."""
+        """The documented columnar package holds only the result store,
+        and the Verify/Refine counters the page names are real."""
         import repro.columnar as columnar
         import repro.text.corpus as corpus
 
         text = (DOCS / "performance.md").read_text(encoding="utf-8")
-        for name in ("DocColumns", "build_doc_columns"):
-            assert name in text, name
-            assert hasattr(columnar, name), name
+        assert sorted(columnar.__all__) == sorted(
+            ("ResultStore", "load_result", "prune_cache_dir", "save_result")
+        )
         assert "corpus_digest" in text
         assert hasattr(corpus, "corpus_digest")
-        # the documented batch counters are real ExecutionStats fields
         from repro.processor.context import ExecutionStats
 
         stats = ExecutionStats()
-        for field in ("verify_batch", "refine_batch"):
-            assert "`%s`" % field in text or field in text, field
+        for field in (
+            "verify_calls",
+            "refine_calls",
+            "verify_cache_hits",
+            "refine_cache_hits",
+        ):
+            assert "`%s`" % field in text, field
             assert hasattr(stats, field), field
 
     def test_join_condition_contract_matches_code(self):
