@@ -44,8 +44,7 @@ def _faulting_predicate(poisoned, trip_dir=None, fail_times=None):
     """A cleanup p-predicate that raises on poisoned documents.
 
     With ``fail_times`` / ``trip_dir`` the fault is transient, counting
-    its trips in files (the process backend's forked children share no
-    memory with the parent, so an in-memory counter would never trip).
+    its trips in one file per poisoned document under ``trip_dir``.
     """
     from repro.xlog.program import PPredicate
 

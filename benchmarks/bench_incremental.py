@@ -78,7 +78,7 @@ def _run(program, corpus, cache_dir):
     from repro.processor import ExecConfig, IFlexEngine
 
     config = ExecConfig(
-        workers=WORKERS, backend="serial", result_cache=cache_dir
+        workers=WORKERS, result_cache=cache_dir
     )
     engine = IFlexEngine(program, corpus, config=config, validate=False)
     start = time.perf_counter()

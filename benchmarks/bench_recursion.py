@@ -6,8 +6,8 @@ A chain of N edge pages (``<p>AAA BBB</p>``, fixed-width numbers so
 wall-clock-free so CI can run them at any scale: the iteration count is
 *pinned* (a chain of N edges takes exactly N productive iterations plus
 the one empty iteration that proves convergence), the closure size is
-the exact N(N+1)/2, and the query table is byte-identical across the
-serial and process backends.
+the exact N(N+1)/2, and the query table is byte-identical between the
+unpartitioned run and a run over worker partitions.
 
 Results land in ``benchmarks/results/recursion.json``.
 """
@@ -25,9 +25,10 @@ RESULTS_PATH = Path(__file__).resolve().parent / "results" / "recursion.json"
 BASE_EDGES = 40
 WORKERS = 2
 
-BACKENDS = ("serial", "process")
+#: partition counts compared: unpartitioned, then worker partitions
+LAYOUTS = (1, WORKERS)
 
-HEADERS = ("backend", "seconds", "iterations", "paths", "identical")
+HEADERS = ("workers", "seconds", "iterations", "paths", "identical")
 
 TC_SOURCE = """
 edge(x, y) :- docs(d), pair(@d, x, y).
@@ -50,13 +51,11 @@ def _build(edges):
     return program, Corpus({"docs": docs})
 
 
-def _run(program, corpus, backend):
+def _run(program, corpus, workers):
     from repro.ctables import table_key
     from repro.processor import ExecConfig, IFlexEngine
 
-    config = ExecConfig(
-        backend=backend, workers=1 if backend == "serial" else WORKERS
-    )
+    config = ExecConfig(workers=workers)
     engine = IFlexEngine(program, corpus, config=config, validate=False)
     start = time.perf_counter()
     result = engine.execute()
@@ -73,10 +72,10 @@ def recursion_cycle(scale, seed):
     edges = max(4, int(round(BASE_EDGES * scale)))
     program, corpus = _build(edges)
     points = {
-        backend: _run(program, corpus, backend)
-        for backend in BACKENDS
+        "workers=%d" % workers: _run(program, corpus, workers)
+        for workers in LAYOUTS
     }
-    serial_key = points["serial"]["key"]
+    serial_key = points["workers=1"]["key"]
     for point in points.values():
         point["identical"] = point["key"] == serial_key
     return {"edges": edges, "workers": WORKERS, **points}
@@ -90,13 +89,13 @@ def test_recursion(benchmark, bench_scale, bench_seed, artifacts):
     )
     rows = [
         (
-            backend,
-            "%.3f" % cycle[backend]["seconds"],
-            cycle[backend]["iterations"],
-            cycle[backend]["paths"],
-            "yes" if cycle[backend]["identical"] else "NO",
+            workers,
+            "%.3f" % cycle["workers=%d" % workers]["seconds"],
+            cycle["workers=%d" % workers]["iterations"],
+            cycle["workers=%d" % workers]["paths"],
+            "yes" if cycle["workers=%d" % workers]["identical"] else "NO",
         )
-        for backend in BACKENDS
+        for workers in LAYOUTS
     ]
     print_block(
         render_table(
@@ -111,9 +110,9 @@ def test_recursion(benchmark, bench_scale, bench_seed, artifacts):
     RESULTS_PATH.write_text(json.dumps(cycle, indent=2) + "\n")
 
     edges = cycle["edges"]
-    for backend in BACKENDS:
-        point = cycle[backend]
+    for workers in LAYOUTS:
+        point = cycle["workers=%d" % workers]
         # pinned: N productive iterations + the final empty proof
-        assert point["iterations"] == edges + 1, (backend, point)
-        assert point["paths"] == edges * (edges + 1) // 2, (backend, point)
-        assert point["identical"], (backend, point)
+        assert point["iterations"] == edges + 1, (workers, point)
+        assert point["paths"] == edges * (edges + 1) // 2, (workers, point)
+        assert point["identical"], (workers, point)

@@ -138,7 +138,7 @@ class RefinementSession:
         #: a closing ``session`` summary (the paper's Table-4 columns)
         self.telemetry = telemetry
         #: optional tracer shared with the subset/full engines (never
-        #: with candidate simulations, which may run in forked workers)
+        #: with candidate simulations)
         self.tracer = tracer
         #: optional metrics registry the subset/full engine runs record
         #: into
@@ -304,65 +304,18 @@ class RefinementSession:
 
         Runs over the evaluation subset with a throwaway copy of the
         reuse cache, so simulation cost is one incremental constraint
-        application in the common case.
-        """
-        self.simulations += 1
-        score, elapsed, stats = self._simulate_one(ie_predicate, attribute, feature, value)
-        self.machine_seconds += elapsed
-        self.exec_stats.merge(stats)
-        return score
-
-    def simulate_refinements(self, candidates):
-        """Batch :meth:`simulate_refinement`; scores in candidate order.
-
-        ``candidates`` holds ``(ie_predicate, attribute, feature,
-        value)`` tuples.  With ``config.workers > 1`` the candidate
-        executions fan out on the same scheduler backend the engine uses
-        for partitioned plans — each candidate is an independent program
-        over the evaluation subset, so answer simulation parallelises
-        across candidates rather than within one.  ``machine_seconds``
-        accumulates per-candidate engine time either way, keeping the
+        application in the common case.  Appends to the shared eval
+        cache but never invalidates it (entries are content-keyed).
+        ``machine_seconds`` accumulates the engine time, keeping the
         cost model wall-clock-independent.
         """
-        candidates = list(candidates)
-        self.simulations += len(candidates)
-        workers = getattr(self.config, "workers", 1)
-        if workers <= 1 or len(candidates) <= 1:
-            results = [self._simulate_one(*candidate) for candidate in candidates]
-        else:
-            from repro.processor.schedulers import make_scheduler
-
-            scheduler = make_scheduler(getattr(self.config, "backend", "serial"), workers)
-            results = scheduler.map(
-                lambda candidate: self._simulate_one(*candidate), candidates
-            )
-        scores = []
-        for score, elapsed, stats in results:
-            self.machine_seconds += elapsed
-            self.exec_stats.merge(stats)
-            scores.append(score)
-        return scores
-
-    def _simulate_one(self, ie_predicate, attribute, feature, value):
-        """``(score, engine seconds, stats)`` for one candidate refinement.
-
-        Appends to the shared eval cache but never
-        invalidates (entries are content-keyed), so batches of these may
-        run concurrently: concurrent writers only ever write identical
-        values under identical keys, and the rule caches are only read,
-        through throwaway copies.  Per-candidate cache-hit counters do
-        depend on execution order across a parallel batch, which is why
-        stats are returned and merged (order-insensitive) rather than
-        compared per candidate.
-        """
+        self.simulations += 1
         try:
             variant = self.program.add_constraint(ie_predicate, attribute, feature, value)
         except Exception:
-            return float("inf"), 0.0, ExecutionStats()
+            return float("inf")
         # validate=False: simulation deliberately tries constraints that
         # may be infeasible (the result is then 0 tuples, a fine answer).
-        # No tracer/metrics here: candidate batches may run on worker
-        # threads, and the session's Tracer is not thread-safe.
         engine = IFlexEngine(
             variant,
             self.subset_corpus,
@@ -372,27 +325,32 @@ class RefinementSession:
             eval_cache=self._eval_cache,
         )
         result = engine.execute(cache=_CacheCopy.copy(self._subset_cache))
+        self.machine_seconds += result.elapsed
+        self.exec_stats.merge(result.stats)
         # tuple count first; narrowing measures as tie-breakers, so a
         # question that shrinks the extraction without (yet) moving the
         # result size still beats a no-op question
         assignments = sum(t.assignment_count() for t in result.tables.values())
         values = sum(t.encoded_value_count() for t in result.tables.values())
-        score = result.tuple_count + assignments * 1e-5 + values * 1e-10
-        return score, result.elapsed, result.stats
+        return result.tuple_count + assignments * 1e-5 + values * 1e-10
+
+    def simulate_refinements(self, candidates):
+        """:meth:`simulate_refinement` per ``(ie_predicate, attribute,
+        feature, value)`` candidate; scores in candidate order."""
+        return [self.simulate_refinement(*candidate) for candidate in candidates]
 
     def _simulation_config(self):
         """The candidate engines' config: always single-worker.
 
-        Parallel sessions fan out *across* candidates, and the subset
-        corpus is small — partitioning it inside each simulation would
-        nest pools for no gain.
+        The subset corpus is small and each simulation runs on a
+        throwaway cache copy, so worker partitions would buy no reuse.
         """
         if getattr(self.config, "workers", 1) <= 1:
             return self.config
         if not hasattr(self, "_serial_config"):
             from dataclasses import replace
 
-            self._serial_config = replace(self.config, workers=1, backend="serial")
+            self._serial_config = replace(self.config, workers=1)
         return self._serial_config
 
     def attribute_profile(self, ie_predicate, attribute, max_tuples=50):

@@ -173,8 +173,7 @@ class SimulationStrategy:
             return None
         pool = questions[: self.pool_size]
         # flatten the (question, answer value) grid into one candidate
-        # batch so a parallel session can fan the simulations out on its
-        # scheduler; serial sessions run the same batch in order
+        # batch, simulated in order
         jobs = []  # (pool index, probability, candidate tuple)
         for index, question in enumerate(pool):
             for value, prob in self._weighted_values(session, question):

@@ -104,14 +104,10 @@ def build_parser():
             "--workers",
             type=_positive_int,
             default=1,
-            help="corpus partitions for the document-local plan prefix "
+            help="corpus partitions for the document-local plan prefix, "
+            "run one after another; with --result-cache a rerun "
+            "re-executes only the partitions whose documents changed "
             "(default 1: no partitioning)",
-        )
-        p.add_argument(
-            "--backend",
-            choices=("serial", "process"),
-            default="serial",
-            help="scheduler for per-partition work (with --workers > 1)",
         )
         p.add_argument(
             "--result-cache",
@@ -153,11 +149,10 @@ def build_parser():
             type=_positive_float,
             default=None,
             metavar="SECONDS",
-            help="abort any partition running longer than this (enforced "
-            "by the process backend; detected within one polling "
-            "interval on serial, where the hung work itself cannot be "
-            "killed); timeouts always fail the run, whatever --on-error "
-            "says",
+            help="abort any partition running longer than this (needs "
+            "--workers > 1; detected within one polling interval, but "
+            "the hung work itself cannot be killed); timeouts always "
+            "fail the run, whatever --on-error says",
         )
         p.add_argument(
             "--trace-out",
@@ -170,9 +165,7 @@ def build_parser():
             "--metrics-out",
             metavar="PATH",
             help="write a deterministic metrics-registry snapshot (JSON); "
-            "byte-identical across scheduler backends for the same run "
-            "(except repro.sched.payload_bytes, which measures the "
-            "backend itself)",
+            "byte-identical across --workers counts for the same run",
         )
         p.add_argument(
             "--log-level",
@@ -350,18 +343,6 @@ def build_parser():
         "documents re-executes at most ceil(k/N)+1 partitions",
     )
     serve.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="scheduler slots for per-partition work",
-    )
-    serve.add_argument(
-        "--backend",
-        choices=("serial", "process"),
-        default="serial",
-        help="scheduler for per-partition work",
-    )
-    serve.add_argument(
         "--result-cache",
         metavar="DIR",
         help="persistent partition-result cache directory; survives "
@@ -456,8 +437,7 @@ def _exec_config(args):
     from repro.processor.context import ExecConfig
 
     return ExecConfig(
-        workers=args.workers,
-        backend=args.backend,
+        workers=getattr(args, "workers", 1),
         partition_docs=getattr(args, "partition_docs", None),
         on_error=getattr(args, "on_error", "fail-fast"),
         max_retries=getattr(args, "max_retries", 2),
@@ -501,22 +481,6 @@ def _record_cache_metric(holder, metrics):
     from repro.observability.metrics import record_evictions
 
     record_evictions(metrics, store.evicted)
-
-
-def _record_payload_metric(engine, metrics):
-    """Fold scheduler payload bytes into the snapshot (opt-in by design:
-    the value measures the backend, so it is the one series that varies
-    across --backend choices)."""
-    physical = getattr(engine, "physical", None)
-    if metrics is None or physical is None:
-        return
-    from repro.observability.metrics import record_payload
-
-    record_payload(
-        metrics,
-        physical.payload_bytes,
-        backend=getattr(engine.config, "backend", "serial"),
-    )
 
 
 def _write_observability(args, tracer, metrics):
@@ -567,11 +531,9 @@ def _cmd_run(args):
         # under fail-fast (or a non-containable failure) the run exits
         # non-zero with the enriched message, never a bare traceback
         print("error: %s" % (exc,), file=sys.stderr)
-        _record_payload_metric(engine, metrics)
         _record_cache_metric(engine, metrics)
         _write_observability(args, tracer, metrics)
         return 1
-    _record_payload_metric(engine, metrics)
     _record_cache_metric(engine, metrics)
     _write_observability(args, tracer, metrics)
     _print_failure_report(result)
@@ -873,7 +835,12 @@ def _cmd_serve(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "partition_timeout", None) is not None and args.workers <= 1:
+        # only partitions run under the deadline: without them the
+        # timeout would be silently ignored
+        parser.error("--partition-timeout needs --workers > 1")
     if getattr(args, "log_level", None):
         from repro.observability.logs import configure_logging
 

@@ -9,7 +9,7 @@ identical tuples produced in different processes (or different runs)
 key identically.
 
 ``table_key`` digests a whole table into one hex token: the fixed-point
-test ("did this iteration change the table?") and the cross-backend
+test ("did this iteration change the table?") and the cross-layout
 byte-identity assertions in the tests and benchmarks both compare it.
 Tuple *order* is part of the key — compact tables are ordered multisets
 and the engine guarantees deterministic derivation order.

@@ -9,8 +9,8 @@ Best-effort execution additionally needs failures as *data*, not just
 control flow: a malformed document or a raising p-predicate must be
 reportable (which document, which operator, how many retries) without
 aborting the run.  :class:`ExecutionFailure` is the enriched exception
-that crosses scheduler/process boundaries, :class:`FailureRecord` is
-its per-incident report row, and :class:`ExecutionReport` accumulates
+the error policy acts on, :class:`FailureRecord` is its per-incident
+report row, and :class:`ExecutionReport` accumulates
 the rows for one execution (see ``docs/robustness.md``).
 """
 
@@ -93,8 +93,8 @@ class EnumerationLimitError(ReproError):
 def summarize_traceback(exc, limit=3):
     """The innermost ``limit`` frames of an exception as one line.
 
-    Kept as a plain string so it survives pickling across process
-    boundaries (tracebacks themselves do not pickle).
+    Kept as a plain string so it outlives the traceback and fits in a
+    failure report or a log line.
     """
     tb = getattr(exc, "__traceback__", None)
     if tb is None:
@@ -115,11 +115,8 @@ class ExecutionFailure(ReproError):
     partition, operator phase, feature / p-predicate name, the original
     exception class, and a one-line traceback summary.
 
-    Instances are picklable by construction — every context field is a
-    string, int, or ``None`` — so a failure raised inside a forked
-    worker crosses the result pipe intact (the original exception, which
-    may reference unpicklable closures, travels only as its rendered
-    summary; in-process backends chain it via ``__cause__``).
+    Every context field is a string, int, or ``None``; the original
+    exception is chained via ``__cause__``.
     """
 
     def __init__(
@@ -141,25 +138,6 @@ class ExecutionFailure(ReproError):
         self.predicate = predicate
         self.exc_type = exc_type
         self.traceback_summary = traceback_summary
-
-    def __reduce__(self):
-        # explicit reconstructor: the default exception reduce replays
-        # positional args only, and __cause__ (possibly unpicklable)
-        # must not ride along
-        return (
-            _rebuild_failure,
-            (
-                type(self),
-                self.args[0] if self.args else "",
-                self.doc_id,
-                self.partition,
-                self.operator,
-                self.feature,
-                self.predicate,
-                self.exc_type,
-                self.traceback_summary,
-            ),
-        )
 
     @classmethod
     def wrap(cls, exc, **context):
@@ -201,21 +179,6 @@ class ExecutionFailure(ReproError):
         )
 
 
-def _rebuild_failure(cls, message, doc_id, partition, operator, feature,
-                     predicate, exc_type, traceback_summary):
-    """Unpickling constructor for :class:`ExecutionFailure` subclasses."""
-    return cls(
-        message,
-        doc_id=doc_id,
-        partition=partition,
-        operator=operator,
-        feature=feature,
-        predicate=predicate,
-        exc_type=exc_type,
-        traceback_summary=traceback_summary,
-    )
-
-
 def _failure_message(exc, context):
     parts = []
     if context.get("doc_id") is not None:
@@ -234,9 +197,9 @@ class PartitionTimeout(ExecutionFailure):
     """A partition exceeded ``ExecConfig.partition_timeout`` seconds.
 
     Never skippable (the hung work is not attributable to one document),
-    so every error policy surfaces it; the process backend additionally
-    terminates the hung worker, the serial backend can only detect, not
-    preempt (see ``docs/robustness.md``).
+    so every error policy surfaces it.  Detection only: the task runner
+    abandons the hung work but cannot preempt it (see
+    ``docs/robustness.md``).
     """
 
 

@@ -67,23 +67,21 @@ def run_iflex(
     cost_model=None,
     include_cleanup=True,
     workers=1,
-    backend="serial",
     **session_kwargs,
 ):
     """Run one refinement session on ``task`` and score it.
 
-    ``workers``/``backend`` select the partitioned execution engine for
-    every engine run inside the session (full executions, subset
-    executions, and the simulation fan-out); scores are identical across
-    backends — only machine time changes.
+    ``workers`` partitions the corpus of every full and subset engine
+    run inside the session; scores are identical at any worker count —
+    only machine time changes.
     """
     cost_model = cost_model or CostModel()
     strategy = strategy or SimulationStrategy(alpha=alpha)
     developer = SimulatedDeveloper(task.truth, alpha=alpha, seed=seed)
-    if (workers > 1 or backend != "serial") and "config" not in session_kwargs:
+    if workers > 1 and "config" not in session_kwargs:
         from repro.processor.context import ExecConfig
 
-        session_kwargs["config"] = ExecConfig(workers=workers, backend=backend)
+        session_kwargs["config"] = ExecConfig(workers=workers)
     session = RefinementSession(
         task.program,
         task.corpus,

@@ -7,9 +7,9 @@ JSON keys all serialize sorted, so two runs that did the same work
 produce byte-identical snapshot files.  That is the contract the
 execution stack builds on — the engine populates the registry from
 :class:`~repro.processor.context.ExecutionStats` (whose counters are
-already proven backend-independent by the determinism suite), never
-from wall-clock time, so the same program yields the same snapshot on
-the serial and process scheduler backends alike.
+already proven layout-independent by the determinism suite), never
+from wall-clock time, so the same program yields the same snapshot
+whatever its partition layout.
 
 Per-partition registries combine with :meth:`MetricsRegistry.merge`
 exactly like ``ExecutionStats.merge``: counters and histogram buckets
@@ -244,41 +244,23 @@ def record_stats(registry, stats, **labels):
     """Fold one :class:`ExecutionStats` into ``repro.exec.*`` counters.
 
     Every stats field becomes the counter ``repro.exec.<field>``; the
-    optional labels (``backend="process"``, ``task="T1"``, ...) key the
-    series.  Only deterministic counters are recorded — never
-    wall-clock — so snapshots stay byte-identical across scheduler
-    backends.
+    optional labels (``task="T1"``, ...) key the series.  Only
+    deterministic counters are recorded — never wall-clock — so
+    snapshots stay byte-identical across partition layouts.
     """
     for name in sorted(vars(stats)):
         registry.counter("repro.exec.%s" % name).inc(getattr(stats, name), **labels)
     return registry
 
 
-def record_payload(registry, payload_bytes, **labels):
-    """Record shipped scheduler bytes as ``repro.sched.payload_bytes``.
-
-    Deliberately *not* part of :func:`record_stats` /
-    :func:`record_execution`: the value depends on the scheduler backend
-    (in-process backends ship nothing, the process backend's bytes vary
-    with the shipping mode), so auto-recording it would break the
-    cross-backend byte-identity of execution snapshots.  The CLI and the
-    benchmarks opt in explicitly.
-    """
-    registry.counter(
-        "repro.sched.payload_bytes",
-        help="bytes shipped across scheduler address-space boundaries",
-    ).inc(payload_bytes, **labels)
-    return registry
-
-
 def record_evictions(registry, evicted, **labels):
     """Record result-cache evictions as ``repro.cache.evicted``.
 
-    Like :func:`record_payload`, deliberately *not* part of
-    :func:`record_stats` / :func:`record_execution`: how many entries
-    the pruner removed depends on what previous runs left on disk, not
-    on this run's execution, so auto-recording it would break the
-    cross-backend (and cross-run) byte-identity of execution snapshots.
+    Deliberately *not* part of :func:`record_stats` /
+    :func:`record_execution`: how many entries the pruner removed
+    depends on what previous runs left on disk, not on this run's
+    execution, so auto-recording it would break the cross-run
+    byte-identity of execution snapshots.
     The CLI opts in explicitly whenever a result store is configured.
     """
     registry.counter(

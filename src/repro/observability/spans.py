@@ -5,10 +5,9 @@ corpus partition, a scheduler ``map``, a Verify/Refine batch, a
 refinement-session iteration — with a name, a category, start/end
 times, free-form attributes, and a parent link forming a tree.  A
 :class:`Tracer` records them (context-manager nesting or explicit
-begin/end) and adopts span lists produced elsewhere: partition workers
-build their own tracers and ship the resulting spans back through the
-scheduler result pipe exactly like ``ExecutionStats`` (spans are plain
-picklable data).
+begin/end) and adopts span lists produced elsewhere: partition tasks
+build their own tracers and return the resulting spans with their
+results, exactly like ``ExecutionStats``.
 
 Two serializations:
 
@@ -40,7 +39,7 @@ __all__ = [
 
 @dataclass
 class Span:
-    """One timed region.  All fields are picklable primitives."""
+    """One timed region.  All fields are plain data."""
 
     name: str
     category: str = ""
@@ -58,9 +57,8 @@ class Span:
 class Tracer:
     """Records spans; completed spans accumulate on :attr:`spans`.
 
-    Not thread-safe by design: parallel workers each build their own
-    tracer and the parent adopts the results (:meth:`adopt`), which is
-    also how spans cross the process backend's fork result pipe.
+    Not thread-safe by design: partition tasks each build their own
+    tracer and the caller adopts the results (:meth:`adopt`).
     """
 
     def __init__(self, clock=time.perf_counter):

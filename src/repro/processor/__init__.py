@@ -4,7 +4,7 @@ The processor is layered: :mod:`~repro.processor.plan` compiles rules to
 operator trees, :mod:`~repro.processor.split` analyzes each tree into a
 document-local prefix and a global suffix, and
 :mod:`~repro.processor.physical` executes the prefix per corpus
-partition on a pluggable :mod:`~repro.processor.schedulers` backend
+partition through the task runner of :mod:`~repro.processor.schedulers`
 before running the suffix once.  :class:`IFlexEngine` drives the whole
 pipeline with cross-iteration reuse.
 """
@@ -19,17 +19,9 @@ from repro.processor.executor import (
 from repro.processor.library import jaccard, make_similar, token_set
 from repro.processor.physical import PhysicalExecutor
 from repro.processor.plan import compile_predicate, compile_rule
-from repro.processor.schedulers import (
-    BACKENDS,
-    ProcessBackend,
-    Scheduler,
-    SerialBackend,
-    make_scheduler,
-)
 from repro.processor.split import PlanSplit, split_plan
 
 __all__ = [
-    "BACKENDS",
     "ExecConfig",
     "ExecutionContext",
     "ExecutionResult",
@@ -37,15 +29,11 @@ __all__ = [
     "IFlexEngine",
     "PhysicalExecutor",
     "PlanSplit",
-    "ProcessBackend",
     "RuleCache",
-    "Scheduler",
-    "SerialBackend",
     "compile_predicate",
     "compile_rule",
     "evaluation_order",
     "jaccard",
-    "make_scheduler",
     "make_similar",
     "split_plan",
     "token_set",

@@ -40,11 +40,10 @@ class ExecConfig:
     ppredicate_cap: int = 5_000
     blocking_joins: bool = True
     #: Corpus partitions for the document-local plan prefix; 1 keeps the
-    #: engine on the original single-threaded path.
+    #: engine on the original unpartitioned path.  Partitions run one
+    #: after another (:func:`repro.processor.schedulers.run_tasks`);
+    #: they exist for partition-keyed reuse, not for parallel speed.
     workers: int = 1
-    #: Scheduler for per-partition work: ``serial`` | ``process`` (see
-    #: :mod:`repro.processor.schedulers`).
-    backend: str = "serial"
     #: Documents per corpus partition (``Corpus.chunk``) instead of the
     #: default ``workers``-way split (``Corpus.partition``).  Chunk
     #: boundaries are positionally stable under ingestion — appending
@@ -123,7 +122,7 @@ class ExecutionStats:
     #: corpus partitions on which every partition-local predicate was
     #: served from cache (in-memory or persistent) instead of
     #: re-execution; ticks only when a reuse cache is active, so
-    #: cacheless runs stay counter-identical across backends
+    #: cacheless runs stay counter-identical across partition layouts
     partitions_reused: int = 0
     #: corpus partitions on which some partition-local predicate was
     #: re-executed while a reuse cache was active (the delta path's
@@ -135,8 +134,8 @@ class ExecutionStats:
     result_cache_misses: int = 0
     #: semi-naive fixpoint iterations across all recursive groups
     #: (including the final empty iteration that proves convergence);
-    #: ticks in the coordinating process only, so the count is
-    #: identical across scheduler backends
+    #: ticks outside the partition tasks only, so the count is
+    #: identical across partition layouts
     fixpoint_iterations: int = 0
 
     def merge(self, other):
@@ -286,9 +285,9 @@ class ExecutionContext:
 
     ``eval_cache`` may be passed in to share across contexts (the
     assistant session shares one across simulations).  When omitted, a
-    fresh one is created — so parallel partition contexts get *fresh*
-    eval caches, keeping per-partition hit/miss counters identical to a
-    serial run over the same documents
+    fresh one is created — so partition contexts get *fresh* eval
+    caches, keeping per-partition hit/miss counters identical to an
+    unpartitioned run over the same documents
     (cache keys are document-scoped and partitions are document-disjoint).
     """
 

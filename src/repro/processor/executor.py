@@ -317,7 +317,7 @@ class RuleCache:
     Entries are keyed ``(predicate name, partition id)``.  Partition
     ``None`` holds the whole-corpus table — the only key serial
     execution uses, and always written so results reuse across worker
-    configurations.  Parallel execution additionally keys the
+    configurations.  Partitioned execution additionally keys the
     document-local predicates per corpus partition, so the
     constraints-commute incremental path applies partition by partition.
 
@@ -367,7 +367,7 @@ class _PolicyDriver:
     excluded from the engine's active corpus and the execution restarts.
     The surviving result is therefore literally a clean run over the
     corpus minus the quarantined documents — the byte-identical
-    invariant holds by construction, on every scheduler backend, for
+    invariant holds by construction, on every partition layout, for
     global plans and joins included.  Cost is bounded by k+1 attempts
     for k poisoned documents, and the engine-level Verify/Refine caches
     stay warm across attempts, so re-runs mostly replay memoized work.
@@ -468,7 +468,7 @@ class IFlexEngine:
         #: construction reaches every layer.
         self.tracer = tracer
         #: optional :class:`~repro.observability.metrics.MetricsRegistry`;
-        #: every completed execution folds its (backend-deterministic)
+        #: every completed execution folds its (layout-deterministic)
         #: counters into it
         self.metrics = metrics
         # Verify/Refine memo, shared by every execution of this engine
@@ -630,7 +630,7 @@ class IFlexEngine:
         """Does this predicate route through the partition-keyed cache?"""
         return (
             self.physical is not None
-            and self.physical.parallel
+            and self.physical.partitioned
             and self.physical.fully_local(name)
         )
 
@@ -947,9 +947,9 @@ class IFlexEngine:
         the whole iteration, so results never depend on member order;
         iteration over members and tuples follows deterministic list
         order, which is what keeps results byte-identical across
-        scheduler backends (the loop runs in the coordinating process on
-        every backend — recursive plans scan intensional tables, so they
-        are never document-local).
+        partition layouts (the loop runs outside the partition tasks —
+        recursive plans scan intensional tables, so they are never
+        document-local).
 
         Returns ``({member: table}, iterations)`` or raises an
         :class:`~repro.errors.ExecutionFailure` (operator ``Fixpoint``,
@@ -1050,7 +1050,7 @@ class IFlexEngine:
         partition's corpus signature — and, for a chained predicate, the
         upstream's token for that partition) and its own full-hit /
         incremental / compute decision; only partitions that could not
-        be reused are re-executed, on the scheduler.  Returns ``(merged
+        be reused are re-executed, in partition order.  Returns ``(merged
         table, kind, partitions reused)`` where ``kind`` summarises the
         weakest reuse across partitions.
 

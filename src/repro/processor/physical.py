@@ -1,4 +1,4 @@
-"""The physical execution layer: partitioned, scheduled plan execution.
+"""The physical execution layer: partitioned plan execution.
 
 :class:`PhysicalExecutor` sits between the engine's per-predicate loop
 and the operator trees.  For each predicate it
@@ -6,11 +6,12 @@ and the operator trees.  For each predicate it
 1. asks the plan-analysis layer (:mod:`repro.processor.split`) for the
    document-local prefix / global suffix split;
 2. partitions the corpus (``Corpus.partition``) and executes the prefix
-   once per partition on the configured :class:`Scheduler` backend;
+   once per partition, in order, through
+   :func:`~repro.processor.schedulers.run_tasks`;
 3. unions the per-partition compact tables (``CompactTable.union``,
    preserving maybe flags and multiset semantics — and, because
    partitions are contiguous document slices processed in order, the
-   exact serial tuple order);
+   exact unpartitioned tuple order);
 4. executes the global suffix once against the merged tables.
 
 Under fixed-size chunking (``partition_docs``, the resident service's
@@ -22,13 +23,13 @@ for that same partition, so a delta re-executes only the partitions it
 dirtied all down the chain.
 
 With one worker (the default) every plan executes exactly as the
-original single-threaded engine did — same operators, same context,
-same statistics — so serial behaviour is the identity baseline the
-determinism tests compare the backends against.
+original unpartitioned engine did — same operators, same context,
+same statistics — so that path is the identity baseline the
+determinism tests compare partitioned runs against.
 
 Per-partition work re-compiles the predicate's plan from the program:
 compilation is deterministic and cheap relative to extraction, and
-fresh trees mean no operator state is shared across workers.
+fresh trees mean no operator state is shared across partitions.
 """
 
 from repro.ctables.ctable import CompactTable
@@ -36,7 +37,7 @@ from repro.observability.logs import get_logger
 from repro.observability.spans import Tracer
 from repro.processor.context import ExecutionContext
 from repro.processor.plan import compile_predicate
-from repro.processor.schedulers import TaskError, make_scheduler
+from repro.processor.schedulers import TaskError, run_tasks
 from repro.processor.split import PlanSplit, bind_tables
 
 __all__ = ["PhysicalExecutor"]
@@ -48,14 +49,12 @@ class PhysicalExecutor:
     """Executes one (unfolded) program's plans over a partitioned corpus.
 
     Tracing is per call: with a tracer (the calling context's, or the
-    one passed to :meth:`execute_local_partitions`), every scheduler
-    ``map`` records a scheduler span and each partition task builds its
-    *own* :class:`~repro.observability.spans.Tracer` — operators record
-    into it — whose spans ride back as the last element of the task's
-    result tuple (across the process backend's fork result pipe exactly
-    like ``ExecutionStats``) and are grafted under the scheduler span on
-    arrival.  Timestamps stay comparable because ``time.perf_counter``
-    is the system-wide monotonic clock, shared by forked children.
+    one passed to :meth:`execute_local_partitions`), every task batch
+    records a scheduler span and each partition task builds its *own*
+    :class:`~repro.observability.spans.Tracer` — operators record into
+    it — whose spans ride back as the last element of the task's result
+    tuple, like ``ExecutionStats``, and are grafted under the scheduler
+    span.
     """
 
     def __init__(
@@ -64,7 +63,6 @@ class PhysicalExecutor:
         corpus,
         features,
         config,
-        scheduler=None,
         order=(),
         previous=None,
     ):
@@ -76,9 +74,6 @@ class PhysicalExecutor:
         self.corpus = corpus
         self.features = features
         self.config = config
-        self.scheduler = scheduler or make_scheduler(
-            getattr(config, "backend", "serial"), getattr(config, "workers", 1)
-        )
         workers = getattr(config, "workers", 1)
         partition_docs = getattr(config, "partition_docs", None)
         self.chunked = bool(partition_docs)
@@ -98,19 +93,9 @@ class PhysicalExecutor:
         self.timeout = getattr(config, "partition_timeout", None)
         self._splits = {}
         self._corpus_sigs = None
-        #: fork-inherited objects result spans point into; the process
-        #: backend ships these by reference instead of re-pickling the
-        #: corpus once per partition
-        self._shared = [
-            doc for name in corpus.table_names() for doc in corpus.table(name)
-        ]
-        #: bytes shipped across address-space boundaries by this
-        #: executor's scheduler ``map`` calls (the
-        #: ``repro.sched.payload_bytes`` metric; 0 in-process)
-        self.payload_bytes = 0
 
     @property
-    def parallel(self):
+    def partitioned(self):
         return len(self.partitions) > 1
 
     def corpus_sigs(self):
@@ -159,27 +144,24 @@ class PhysicalExecutor:
     # partition-level execution
     # ------------------------------------------------------------------
     def _map(self, work, pids, label="", tracer=None):
-        """Scheduler ``map`` with partition-attributed failures.
+        """:func:`run_tasks` with partition-attributed failures.
 
-        The scheduler reports failures by *task index*; this layer knows
+        The task runner reports failures by *task index*; this layer knows
         which corpus partition each task was, stamps it onto the
         failure, and re-raises the bare :class:`ExecutionFailure` so the
         engine's error policy sees the same exception type whether the
         plan ran serially or partitioned.
 
-        With a tracer, the whole ``map`` is recorded as a scheduler
-        span, and each task's result tuple carries its partition span
-        list as the *last* element; that element is stripped here and
-        adopted into the tracer, so callers see the untraced result
-        shapes.
+        With a tracer, the whole batch is recorded as a scheduler span,
+        and each task's result tuple carries its partition span list as
+        the *last* element; that element is stripped here and adopted
+        into the tracer, so callers see the untraced result shapes.
         """
         if tracer is None:
             return self._map_raw(work, pids)
         with tracer.span(
             "scheduler.map",
             category="scheduler",
-            backend=self.scheduler.name,
-            workers=self.scheduler.workers,
             tasks=len(pids),
             predicate=label,
         ) as scheduler_span:
@@ -193,9 +175,7 @@ class PhysicalExecutor:
 
     def _map_raw(self, work, pids):
         try:
-            return self.scheduler.map(
-                work, pids, shared=self._shared, timeout=self.timeout
-            )
+            return run_tasks(work, pids, timeout=self.timeout)
         except TaskError as error:
             failure = error.failure if error.failure is not None else error
             if failure.partition is None and error.task_index is not None:
@@ -203,16 +183,13 @@ class PhysicalExecutor:
             if failure.__cause__ is None:
                 failure.__cause__ = error.__cause__
             raise failure from error.__cause__
-        finally:
-            self.payload_bytes += getattr(
-                self.scheduler, "last_map_payload_bytes", 0
-            )
 
     def _partition_context(self, pid, tracer=None, seeds=None):
         # The eval cache is *fresh* per partition so hit/miss counters
-        # are backend-independent and sum to the serial counts — cache
-        # keys are document-scoped and partitions document-disjoint, so
-        # a shared cache could not produce extra hits anyway.
+        # are layout-independent and sum to the unpartitioned counts —
+        # cache keys are document-scoped and partitions
+        # document-disjoint, so a shared cache could not produce extra
+        # hits anyway.
         context = ExecutionContext(
             self.program,
             self.partitions[pid],
@@ -229,11 +206,9 @@ class PhysicalExecutor:
 
         Returns ``[(tables, stats)]`` in ``pids`` order.  ``seeds`` maps
         a chained upstream predicate to its tables by partition id; each
-        partition context sees its own (fork children inherit them).
-        Workers never write to the caller's tracer (fork children
-        mutate a dead copy): with tracing on, each task records
-        into its own fresh tracer and the spans travel home inside the
-        result tuple.
+        partition context sees its own.  Tasks never write to the
+        caller's tracer: with tracing on, each task records into its own
+        fresh tracer and the spans come back inside the result tuple.
         """
         traced = tracer is not None
 
@@ -279,8 +254,8 @@ class PhysicalExecutor:
     def execute_plan(self, name, context):
         """Execute one predicate's plan over the whole corpus.
 
-        Parallel runs partition the document-local prefix across the
-        scheduler; serial runs (or plans with no local work, e.g. pure
+        Partitioned runs execute the document-local prefix partition by
+        partition; unpartitioned runs (or plans with no local work, e.g. pure
         joins over intensional tables) execute the tree directly.
         Partition statistics merge into ``context.stats``, so counters
         match a serial execution exactly.  A fully local predicate's
@@ -288,7 +263,7 @@ class PhysicalExecutor:
         for the chained predicates downstream of it.
         """
         info = self.split(name)
-        if not self.parallel or not info.has_local_work:
+        if not self.partitioned or not info.has_local_work:
             return compile_predicate(name, self.program).execute(context)
         if info.fully_local:
             computed = self.execute_local_partitions(

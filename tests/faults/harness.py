@@ -4,13 +4,10 @@
 stalls — only on a chosen set of poisoned documents, so tests can dial
 in exactly which documents fail, how many times, and in which operator.
 Faults are keyed on ``doc_id`` alone, which keeps them deterministic
-across scheduler backends, partition layouts, and quarantine re-runs.
+across partition layouts and quarantine re-runs.
 
-Transient faults (``fail_times``) count their trips in *files*: the
-process backend runs tasks in forked children whose memory dies with
-them, so an in-memory counter would reset every attempt and the fault
-would never recover.  A file under ``trip_dir`` is shared by parent and
-children alike.
+Transient faults (``fail_times``) count their trips in one file per
+poisoned document under ``trip_dir``.
 """
 
 import time

@@ -127,7 +127,10 @@ class TestExitCodes:
 class TestEndToEnd:
     def test_real_run_accepts_the_flags(self, program_args, capsys):
         rc = cli.main(
-            ["run", *program_args, "--on-error", "skip", "--partition-timeout", "30"]
+            [
+                "run", *program_args, "--on-error", "skip",
+                "--workers", "2", "--partition-timeout", "30",
+            ]
         )
         captured = capsys.readouterr()
         assert rc == 0

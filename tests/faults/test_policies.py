@@ -11,7 +11,9 @@ from repro.processor.executor import IFlexEngine, _PolicyDriver
 from tests.faults.harness import build_corpus, build_program, faulting_registry
 from tests.processor.test_parallel import result_image
 
-BACKENDS = ("serial", "process")
+#: partitioned layouts, both run serially: worker partitions
+#: (``--workers``) and the service's fixed-size chunks
+LAYOUTS = {"serial": dict(workers=3), "chunked": dict(partition_docs=2)}
 
 
 def make_engine(registry, corpus=None, **config_kwargs):
@@ -38,11 +40,9 @@ class TestFailFast:
         assert "d3" in str(failure)
 
     @pytest.mark.timeout(120)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_partitioned_failure_carries_partition(self, backend):
-        engine = make_engine(
-            faulting_registry(("d5",)), workers=3, backend=backend
-        )
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_partitioned_failure_carries_partition(self, layout):
+        engine = make_engine(faulting_registry(("d5",)), **LAYOUTS[layout])
         with pytest.raises(ExecutionFailure) as excinfo:
             engine.execute()
         assert excinfo.value.doc_id == "d5"
@@ -57,8 +57,8 @@ class TestFailFast:
 
 class TestRetry:
     @pytest.mark.timeout(180)
-    @pytest.mark.parametrize("backend", ("serial", "process"))
-    def test_transient_fault_recovers(self, tmp_path, backend):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_transient_fault_recovers(self, tmp_path, layout):
         # fails twice, succeeds on the third attempt: with two retries
         # budgeted the run recovers with the *full* corpus intact
         registry = faulting_registry(
@@ -66,11 +66,10 @@ class TestRetry:
         )
         engine = make_engine(
             registry,
-            workers=3,
-            backend=backend,
             on_error="retry",
             max_retries=2,
             retry_backoff=0.0,
+            **LAYOUTS[layout],
         )
         result = engine.execute()
         assert result.report.records == []

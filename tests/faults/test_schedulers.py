@@ -1,23 +1,15 @@
-"""Scheduler bug-cluster regressions: fork-payload reentrancy,
-contextful worker exception propagation, and module-state hygiene when
-pickling itself fails mid-map.
+"""Task-runner regressions: contextful exception propagation, nested and
+concurrent runs, and failures that keep their context when copied.
 """
 
+import copy
+import pickle
 import threading
 
 import pytest
 
-from repro.errors import ExecutionFailure
-from repro.processor.schedulers import (
-    _FORK_PAYLOADS,
-    ProcessBackend,
-    SerialBackend,
-    TaskError,
-    make_scheduler,
-)
-from repro.text.html_parser import parse_html
-
-BACKENDS = (SerialBackend(), ProcessBackend(3))
+from repro.errors import ExecutionFailure, PartitionTimeout
+from repro.processor.schedulers import TaskError, run_tasks
 
 
 def boom(item):
@@ -27,36 +19,37 @@ def boom(item):
 
 
 class TestExceptionPropagation:
-    @pytest.mark.timeout(60)
-    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
-    def test_task_error_carries_index_and_context(self, backend):
+    def test_task_error_carries_index_and_context(self):
         with pytest.raises(TaskError) as excinfo:
-            backend.map(boom, [0, 1, 2, 3])
+            run_tasks(boom, [0, 1, 2, 3])
         error = excinfo.value
         assert error.task_index == 2
         assert isinstance(error.failure, ExecutionFailure)
         assert error.failure.exc_type == "ValueError"
         assert "task payload 2 is bad" in str(error.failure)
-        # the traceback summary survives even across a process boundary
         assert "boom" in error.failure.traceback_summary
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
-    def test_in_process_backends_chain_the_original(self, backend):
-        if backend.name == "process":
-            pytest.skip("the original exception cannot cross the fork result pipe")
+    def test_chains_the_original(self):
         with pytest.raises(TaskError) as excinfo:
-            backend.map(boom, [2])
+            run_tasks(boom, [2])
         assert isinstance(excinfo.value.__cause__, ValueError)
 
-    @pytest.mark.timeout(60)
-    def test_enriched_failures_cross_the_pipe_intact(self):
+    def test_watched_task_error_chains_the_original(self):
+        # with a timeout the task runs on a watchdog thread; its
+        # failure still comes back wrapped, index and cause intact
+        with pytest.raises(TaskError) as excinfo:
+            run_tasks(boom, [0, 2], timeout=30.0)
+        assert excinfo.value.task_index == 1
+        assert isinstance(excinfo.value.__cause__, ValueError)
+
+    def test_enriched_failures_keep_their_context(self):
         def fail(item):
             raise ExecutionFailure(
                 "doc boom", doc_id="d9", operator="Verify", feature="numeric"
             )
 
         with pytest.raises(TaskError) as excinfo:
-            ProcessBackend(2).map(fail, [0, 1])
+            run_tasks(fail, [0, 1])
         failure = excinfo.value.failure
         assert (failure.doc_id, failure.operator, failure.feature) == (
             "d9",
@@ -65,50 +58,40 @@ class TestExceptionPropagation:
         )
 
 
-class TestForkPayloadHygiene:
-    @pytest.mark.timeout(60)
-    def test_registry_empty_after_success_and_failure(self):
-        backend = ProcessBackend(2)
-        assert backend.map(lambda i: i + 1, [1, 2]) == [2, 3]
-        assert _FORK_PAYLOADS == {}
-        with pytest.raises(TaskError):
-            backend.map(boom, [2, 3])
-        assert _FORK_PAYLOADS == {}
-
-    @pytest.mark.timeout(60)
-    def test_unpicklable_result_is_a_contextful_error(self):
-        # the child's pickler raises mid-dump; the regression was stale
-        # module globals and a bare pipe error — now it must surface as
-        # a TaskError naming the task, and leave the registry clean
-        with pytest.raises(TaskError) as excinfo:
-            ProcessBackend(2).map(lambda i: (lambda: i), [0, 1])
-        assert excinfo.value.task_index == 0
-        assert excinfo.value.failure.operator == "result-pickling"
-        assert _FORK_PAYLOADS == {}
-
-    @pytest.mark.timeout(60)
-    def test_shared_objects_return_by_reference(self):
-        doc = parse_html("shared0", "<p>shared document</p>")
-        out = ProcessBackend(2).map(lambda i: (i, doc), [0, 1], shared=[doc])
-        # same object, not an equal copy: results were shipped as
-        # (token, index) references resolved against the parent's table
-        assert out[0][1] is doc and out[1][1] is doc
+class TestFailureCopies:
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_every_context_field_round_trips(self, duplicate):
+        fields = dict(
+            doc_id="d3",
+            partition=2,
+            operator="Verify",
+            feature="numeric",
+            predicate="p",
+            exc_type="ValueError",
+            traceback_summary="x.py:1 in f",
+        )
+        for failure in (
+            ExecutionFailure("boom", **fields),
+            PartitionTimeout("hung", **fields),
+        ):
+            clone = duplicate(failure)
+            assert type(clone) is type(failure)
+            assert clone.args == failure.args
+            assert vars(clone) == vars(failure)
 
 
 class TestReentrancy:
-    @pytest.mark.timeout(120)
     def test_concurrent_maps_from_two_threads(self):
-        # the original bug: module-level payload slots clobbered by a
-        # second in-flight map (a session simulating candidates while a
-        # partitioned run executes); with the token registry each call
-        # resolves its own payload
-        backend = ProcessBackend(2)
+        # the runner keeps no module state: two threads running tasks at
+        # once each get their own results back
         results = {}
 
         def runner(key, base):
-            results[key] = backend.map(
-                lambda i: i + base, list(range(10))
-            )
+            results[key] = run_tasks(lambda i: i + base, list(range(10)))
 
         threads = [
             threading.Thread(target=runner, args=("a", 100)),
@@ -120,28 +103,9 @@ class TestReentrancy:
             t.join()
         assert results["a"] == [100 + i for i in range(10)]
         assert results["b"] == [200 + i for i in range(10)]
-        assert _FORK_PAYLOADS == {}
 
-    @pytest.mark.timeout(120)
     def test_nested_map_inside_serial_map(self):
-        serial = SerialBackend(2)
-        process = ProcessBackend(2)
-        out = serial.map(
-            lambda base: process.map(lambda i: i * base, [1, 2, 3]), [10, 100]
+        out = run_tasks(
+            lambda base: run_tasks(lambda i: i * base, [1, 2, 3]), [10, 100]
         )
         assert out == [[10, 20, 30], [100, 200, 300]]
-        assert _FORK_PAYLOADS == {}
-
-
-class TestMakeScheduler:
-    def test_instances_pass_through(self):
-        backend = SerialBackend()
-        assert make_scheduler(backend) is backend
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_scheduler("quantum")
-
-    def test_thread_backend_is_gone(self):
-        with pytest.raises(ValueError, match="choose from process, serial"):
-            make_scheduler("thread", 2)

@@ -1,6 +1,6 @@
 """The tentpole invariant: ``skip`` over k poisoned documents is
 byte-identical to a clean run over the corpus minus those documents —
-on every scheduler backend, with exactly k fully-attributed
+on every partition layout, with exactly k fully-attributed
 FailureRecords.
 """
 
@@ -16,7 +16,9 @@ from tests.faults.harness import (
 )
 from tests.processor.test_parallel import result_image
 
-BACKENDS = ("serial", "process")
+#: partitioned layouts, both run serially: worker partitions
+#: (``--workers``) and the service's fixed-size chunks
+LAYOUTS = {"serial": dict(workers=3), "chunked": dict(partition_docs=2)}
 POISONED = ("d1", "d4")
 
 
@@ -28,16 +30,15 @@ def run_engine(program, corpus, registry, **config_kwargs):
 
 class TestSkipEquivalence:
     @pytest.mark.timeout(120)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_skip_matches_clean_run_minus_poisoned(self, backend):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_skip_matches_clean_run_minus_poisoned(self, layout):
         corpus = build_corpus(6)
         result = run_engine(
             build_program(),
             corpus,
             faulting_registry(POISONED),
-            workers=3,
-            backend=backend,
             on_error="skip",
+            **LAYOUTS[layout],
         )
         # the reference uses the same faulting registry: with the
         # poisoned documents absent, no fault ever trips, so any
@@ -46,11 +47,10 @@ class TestSkipEquivalence:
             build_program(),
             corpus.without(POISONED),
             faulting_registry(POISONED),
-            workers=3,
-            backend=backend,
+            **LAYOUTS[layout],
         )
         assert result_image(result) == result_image(reference), (
-            "skip run diverged from clean-minus-poisoned on %s" % backend
+            "skip run diverged from clean-minus-poisoned on %s" % layout
         )
         report = result.report
         assert report.policy == "skip"
@@ -117,7 +117,7 @@ class TestSkipEquivalence:
     @pytest.mark.timeout(120)
     def test_explain_analyze_skips_and_reports(self):
         corpus = build_corpus(6)
-        config = ExecConfig(workers=2, backend="process", on_error="skip")
+        config = ExecConfig(workers=2, on_error="skip")
         engine = IFlexEngine(
             build_program(), corpus, faulting_registry(("d0",)), config, validate=False
         )

@@ -1,6 +1,6 @@
-"""Partition timeouts: enforcement strength per backend, and the rule
-that a timeout is never skippable (the hung work is not attributable to
-one document).
+"""Partition timeouts: detection by the task runner's watchdog, and the
+rule that a timeout is never skippable (the hung work is not
+attributable to one document).
 """
 
 import time
@@ -10,63 +10,42 @@ import pytest
 from repro.errors import PartitionTimeout
 from repro.processor.context import ExecConfig
 from repro.processor.executor import IFlexEngine
-from repro.processor.schedulers import (
-    ProcessBackend,
-    SerialBackend,
-    TaskError,
-)
+from repro.processor.schedulers import TaskError, run_tasks
 from tests.faults.harness import build_corpus, build_program, faulting_registry
 
 
 class TestSchedulerTimeouts:
     def test_serial_detects_after_the_fact(self):
-        backend = SerialBackend()
         with pytest.raises(TaskError) as excinfo:
-            backend.map(lambda s: time.sleep(s), [0.15], timeout=0.05)
+            run_tasks(lambda s: time.sleep(s), [0.15], timeout=0.05)
         assert isinstance(excinfo.value.failure, PartitionTimeout)
         assert excinfo.value.task_index == 0
 
     @pytest.mark.timeout(60)
     def test_serial_detects_hung_task_promptly(self):
-        # regression: a task that never returns used to hang the serial
-        # backend forever (timeout was checked only after the task
-        # completed); the watchdog now raises within ~1 poll interval
-        backend = SerialBackend()
+        # regression: a task that never returns used to hang the run
+        # forever (timeout was checked only after the task completed);
+        # the watchdog now raises within ~1 poll interval
         start = time.perf_counter()
         with pytest.raises(TaskError) as excinfo:
-            backend.map(lambda s: time.sleep(s), [10.0], timeout=0.2)
+            run_tasks(lambda s: time.sleep(s), [10.0], timeout=0.2)
         assert time.perf_counter() - start < 2.0
         assert isinstance(excinfo.value.failure, PartitionTimeout)
         assert excinfo.value.task_index == 0
 
-    @pytest.mark.timeout(60)
-    def test_process_enforces_by_termination(self):
-        backend = ProcessBackend(2)
-        start = time.perf_counter()
-        with pytest.raises(TaskError) as excinfo:
-            backend.map(lambda s: time.sleep(s), [30.0, 30.0], timeout=0.4)
-        # the hung children were terminated with the pool, so the call
-        # returns in timeout-time, not task-time
-        assert time.perf_counter() - start < 15.0
-        assert isinstance(excinfo.value.failure, PartitionTimeout)
-
     def test_no_timeout_means_no_limit(self):
-        assert SerialBackend().map(lambda s: time.sleep(s), [0.01]) == [None]
+        assert run_tasks(lambda s: time.sleep(s), [0.01]) == [None]
 
 
 class TestEngineTimeouts:
     @pytest.mark.timeout(120)
     def test_hung_partition_fails_even_under_skip(self):
-        # a stalling (not raising) feature on one document; the process
-        # backend kills the partition at the deadline, and no policy may
+        # a stalling (not raising) feature on one document; the
+        # watchdog detects the hung partition at the deadline (the
+        # stalled thread is abandoned, not killed), and no policy may
         # contain the resulting PartitionTimeout
         registry = faulting_registry(("d4",), sleep=30.0)
-        config = ExecConfig(
-            workers=3,
-            backend="process",
-            on_error="skip",
-            partition_timeout=0.5,
-        )
+        config = ExecConfig(workers=3, on_error="skip", partition_timeout=0.5)
         engine = IFlexEngine(
             build_program(), build_corpus(6), registry, config, validate=False
         )
@@ -77,7 +56,7 @@ class TestEngineTimeouts:
         assert excinfo.value.partition is not None
 
     def test_generous_timeout_is_harmless(self):
-        config = ExecConfig(workers=2, backend="serial", partition_timeout=60.0)
+        config = ExecConfig(workers=2, partition_timeout=60.0)
         engine = IFlexEngine(
             build_program(), build_corpus(4), None, config, validate=False
         )

@@ -23,10 +23,10 @@ class TestCounter:
 
     def test_labels_key_separate_series(self):
         counter = MetricsRegistry().counter("repro.test.ops")
-        counter.inc(2, backend="serial")
-        counter.inc(3, backend="process")
-        assert counter.value(backend="serial") == 2
-        assert counter.value(backend="process") == 3
+        counter.inc(2, task="T1")
+        counter.inc(3, task="T5")
+        assert counter.value(task="T1") == 2
+        assert counter.value(task="T5") == 3
         assert counter.value() == 0
 
     def test_negative_increment_rejected(self):
@@ -135,9 +135,9 @@ class TestExecutionBridges:
     def test_record_stats_covers_every_field(self):
         stats = ExecutionStats(verify_calls=3, tuples_built=7)
         registry = MetricsRegistry()
-        record_stats(registry, stats, backend="serial")
-        assert registry.counter("repro.exec.verify_calls").value(backend="serial") == 3
-        assert registry.counter("repro.exec.tuples_built").value(backend="serial") == 7
+        record_stats(registry, stats, task="T1")
+        assert registry.counter("repro.exec.verify_calls").value(task="T1") == 3
+        assert registry.counter("repro.exec.tuples_built").value(task="T1") == 7
         recorded = {m["name"] for m in registry.snapshot()["metrics"]}
         assert recorded == {"repro.exec.%s" % name for name in vars(stats)}
 

@@ -22,7 +22,7 @@ def make_tree():
     with tracer.span("execute", "engine", policy="fail-fast"):
         with tracer.span("predicate:q", "plan"):
             tracer.add("Scan[pages]", "operator", start=1.0, end=2.0, tuples=4)
-        with tracer.span("scheduler.map", "scheduler", backend="serial"):
+        with tracer.span("scheduler.map", "scheduler", tasks=2):
             pass
     return tracer
 

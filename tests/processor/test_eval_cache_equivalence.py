@@ -8,7 +8,7 @@ compact tables including maybe flags and assignment multisets.  It must
 also account for every request: a cached run's evaluations plus cache
 hits equal the naive run's evaluations.  These tests enforce that on
 hypothesis-generated documents and constraint chains, at engine level on
-Table 2 tasks, and across the partitioned scheduler backends.
+Table 2 tasks, and across partition layouts.
 """
 
 import pytest
@@ -319,10 +319,14 @@ class TestEngineEquivalence:
 
 
 class TestPartitionedBackends:
-    """Partitioned runs per scheduler backend against the naive path."""
+    """Partitioned runs per partition layout against the naive path."""
 
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_results_and_counters_identical(self, backend):
+    @pytest.mark.parametrize(
+        "layout",
+        [dict(workers=4), dict(partition_docs=5)],
+        ids=["serial", "chunked"],
+    )
+    def test_results_and_counters_identical(self, layout):
         from repro.experiments.tasks import build_task
 
         task = build_task("T1", size=24, seed=0)
@@ -340,10 +344,10 @@ class TestPartitionedBackends:
             ).execute()
 
         naive = naive_engine(program, task.corpus).execute()
-        serial = run(workers=4, backend="serial")
-        parallel = run(workers=4, backend=backend)
+        unpartitioned = run()
+        parallel = run(**layout)
         assert result_image(parallel) == result_image(naive)
-        assert vars(parallel.stats) == vars(serial.stats)
+        assert vars(parallel.stats) == vars(unpartitioned.stats)
         assert_same_requests(naive.stats, parallel.stats)
         assert parallel.stats.verify_calls > 0
         assert parallel.stats.refine_calls > 0
@@ -367,7 +371,7 @@ class TestPartitionCounterMerge:
         parallel = IFlexEngine(
             program,
             task.corpus,
-            config=ExecConfig(workers=4, backend="process"),
+            config=ExecConfig(workers=4),
             validate=False,
         ).execute()
         assert serial.stats.verify_cache_misses > 0

@@ -6,9 +6,9 @@ one through :meth:`IFlexEngine.execute`, one through
 table, every deterministic stats counter, the per-predicate reuse
 summary, and the :class:`RuleCache` hit/miss counters.  The scenarios
 cover each reuse path: cold, warm result cache, a one-document delta,
-the constraints-commute incremental path, partitioned execution on all
-three scheduler backends, a recursive fixpoint group, and the ``skip``
-error policy.
+the constraints-commute incremental path, partitioned execution on
+worker partitions and on fixed-size chunks, a recursive fixpoint group,
+and the ``skip`` error policy.
 """
 
 import collections
@@ -105,10 +105,10 @@ def added_constraint(tmp):
     return _engine(refined, corpus), cache
 
 
-def partitioned(backend):
+def partitioned(**layout):
     def build(tmp):
         task = _t1()
-        config = dict(workers=2, backend=backend, result_cache=str(tmp))
+        config = dict(result_cache=str(tmp), **layout)
         return _engine(task.program, task.corpus, **config), None
 
     return build
@@ -119,7 +119,7 @@ def recursive(tmp):
 
 
 def skip_one_faulting_doc(tmp):
-    config = dict(workers=2, backend="process", on_error="skip")
+    config = dict(workers=2, on_error="skip")
     engine = _engine(
         harness.build_program(),
         harness.build_corpus(6),
@@ -135,8 +135,8 @@ SCENARIOS = {
     "warm-result-cache": warm_result_cache,
     "one-doc-delta": one_doc_delta,
     "added-constraint": added_constraint,
-    "workers2-serial": partitioned("serial"),
-    "workers2-process": partitioned("process"),
+    "workers2-serial": partitioned(workers=2),
+    "chunked": partitioned(partition_docs=3),
     "recursive": recursive,
     "skip": skip_one_faulting_doc,
 }

@@ -6,8 +6,8 @@ The contract under test, end to end:
   from the store (100% reuse, zero recompute);
 * after editing / adding / removing documents, only the partitions
   whose content digests moved re-execute — and the folded result is
-  byte-identical to a cold run over the changed corpus, on every
-  scheduler backend, with deterministic stats counters;
+  byte-identical to a cold run over the changed corpus, on worker
+  partitions and fixed-size chunks, with deterministic stats counters;
 * predicates that invoke procedural atoms (p-predicates / p-functions)
   never persist;
 * the quarantine path composes: a faulted run's spills serve a clean
@@ -33,7 +33,9 @@ from tests.faults.harness import faulting_registry
 from tests.processor.test_parallel import result_image
 
 WORKERS = 4
-BACKENDS = ("serial", "process")
+#: partitioned layouts, both run serially: worker partitions
+#: (``--workers``) and the service's fixed-size chunks
+LAYOUTS = {"serial": {}, "chunked": {"partition_docs": 2}}
 
 PROGRAM_SOURCE = """
 q(x, <p>) :- pages(x), ie(@x, p).
@@ -57,12 +59,11 @@ def build_corpus(n=8, salts=()):
     return Corpus({"pages": [page(i, salts.get(i, "")) for i in range(n)]})
 
 
-def run(corpus, store_dir, backend="serial", registry=None, **config_kwargs):
+def run(corpus, store_dir, registry=None, **config_kwargs):
     """One fresh-engine execution (cold process semantics: no warm
     in-memory cache, only whatever ``store_dir`` holds on disk)."""
     config = ExecConfig(
         workers=WORKERS,
-        backend=backend,
         result_cache=str(store_dir) if store_dir is not None else None,
         **config_kwargs,
     )
@@ -110,13 +111,13 @@ class TestWarmAndDelta:
         assert delta.stats.partitions_recomputed == 2
         assert delta.stats.partitions_reused == partition_count(corpus) - 2
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_delta_matches_cold_on_every_backend(self, backend, tmp_path):
-        store = tmp_path / backend
-        run(build_corpus(), store, backend=backend)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_delta_matches_cold_on_every_backend(self, layout, tmp_path):
+        store = tmp_path / layout
+        run(build_corpus(), store, **LAYOUTS[layout])
         edited = build_corpus(salts={3: " now different"})
-        delta = run(edited, store, backend=backend)
-        cold = run(build_corpus(salts={3: " now different"}), None, backend=backend)
+        delta = run(edited, store, **LAYOUTS[layout])
+        cold = run(build_corpus(salts={3: " now different"}), None, **LAYOUTS[layout])
         assert result_image(delta) == result_image(cold)
         assert delta.stats.partitions_recomputed == 1
 
@@ -174,7 +175,7 @@ class TestWarmAndDelta:
 class TestExplainAnalyze:
     def _engine(self, corpus, store_dir):
         config = ExecConfig(
-            workers=WORKERS, backend="serial", result_cache=str(store_dir)
+            workers=WORKERS, result_cache=str(store_dir)
         )
         return IFlexEngine(
             build_program(), corpus, config=config, validate=False
@@ -247,23 +248,30 @@ class TestDifferentialProperty:
     def test_delta_runs_byte_identical_across_backends(
         self, tmp_path_factory, n, op, targets
     ):
-        """Delta == cold on every backend, with identical stats."""
+        """Delta == cold on every layout; each partition is reused or
+        recomputed, exactly once."""
         base = build_corpus(n)
         mutated = _mutate(n, op, targets)
         reference = run(_mutate(n, op, targets), None)
-        stats_by_backend = {}
         root = tmp_path_factory.mktemp("delta")
-        for backend in BACKENDS:
-            # one store per backend, warmed by a same-backend base run,
-            # so the delta run's hit/miss counters are backend-invariant
-            store = root / backend
-            run(base, store, backend=backend)
-            delta = run(mutated, store, backend=backend)
+        for layout, config in LAYOUTS.items():
+            # one store per layout, warmed by a same-layout base run
+            store = root / layout
+            run(base, store, **config)
+            delta = run(mutated, store, **config)
             assert result_image(delta) == result_image(reference), (
-                "%s delta diverged (op=%s targets=%s)" % (backend, op, targets)
+                "%s delta diverged (op=%s targets=%s)" % (layout, op, targets)
             )
-            stats_by_backend[backend] = vars(delta.stats)
-        assert stats_by_backend["serial"] == stats_by_backend["process"]
+            partitions = (
+                len(mutated.chunk(config["partition_docs"]))
+                if config
+                else partition_count(mutated)
+            )
+            if partitions == 1:
+                # one partition runs unpartitioned: no partition counters
+                partitions = 0
+            stats = delta.stats
+            assert stats.partitions_recomputed + stats.partitions_reused == partitions
 
 
 class TestQuarantineInteraction:
@@ -319,7 +327,7 @@ def _tainted_program():
 class TestProceduralTaint:
     def _run(self, store_dir):
         config = ExecConfig(
-            workers=WORKERS, backend="serial", result_cache=str(store_dir)
+            workers=WORKERS, result_cache=str(store_dir)
         )
         engine = IFlexEngine(
             _tainted_program(), build_corpus(), config=config, validate=False

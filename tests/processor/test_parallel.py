@@ -1,11 +1,11 @@
-"""Partitioned parallel execution: determinism and layer unit tests.
+"""Partitioned execution: determinism and layer unit tests.
 
-The guard for the physical execution layer: every backend, at any
-worker count, must produce *identical* compact tables to the serial
-engine — same tuple order, same cells, same maybe flags, same
-assignment multisets.  Partitions are contiguous document slices and
-the schedulers preserve task order, so this holds exactly (not just up
-to reordering).
+The guard for the physical execution layer: every partition layout, at
+any worker count, must produce *identical* compact tables to the
+unpartitioned engine — same tuple order, same cells, same maybe flags,
+same assignment multisets.  Partitions are contiguous document slices
+and the task runner preserves task order, so this holds exactly (not
+just up to reordering).
 """
 
 import pytest
@@ -14,11 +14,7 @@ from repro.ctables.ctable import CompactTable
 from repro.processor.context import ExecConfig, ExecutionContext
 from repro.processor.executor import IFlexEngine, RuleCache
 from repro.processor.plan import compile_predicate
-from repro.processor.schedulers import (
-    ProcessBackend,
-    SerialBackend,
-    make_scheduler,
-)
+from repro.processor.schedulers import run_tasks
 from repro.processor.split import GatherOp, PlanSplit, bind_tables
 from repro.text.corpus import Corpus
 from repro.text.document import Document
@@ -37,8 +33,8 @@ def result_image(result):
     return {name: table_image(table) for name, table in result.tables.items()}
 
 
-def execute(task, workers, backend, cache=None):
-    config = ExecConfig(workers=workers, backend=backend)
+def execute(task, cache=None, **config):
+    config = ExecConfig(**config)
     engine = IFlexEngine(task.program, task.corpus, config=config, validate=False)
     return engine.execute(cache=cache)
 
@@ -47,7 +43,9 @@ def execute(task, workers, backend, cache=None):
 # extraction + selection; T7 joins two extracted tables through a
 # similarity p-function.
 DETERMINISM_TASKS = ("T1", "T7")
-BACKENDS = ("serial", "process")
+#: partitioned layouts, both run serially: worker partitions
+#: (``--workers``) and the service's fixed-size chunks (``partition_docs``)
+LAYOUTS = {"serial": dict(workers=4), "chunked": dict(partition_docs=7)}
 
 
 class TestBackendDeterminism:
@@ -56,11 +54,11 @@ class TestBackendDeterminism:
         from repro.experiments.tasks import build_task
 
         task = build_task(task_id, size=40, seed=0)
-        reference = execute(task, 1, "serial")
-        for backend in BACKENDS:
-            result = execute(task, 4, backend)
+        reference = execute(task)
+        for layout, config in LAYOUTS.items():
+            result = execute(task, **config)
             assert result_image(result) == result_image(reference), (
-                "%s backend diverged from serial on %s" % (backend, task_id)
+                "%s layout diverged from unpartitioned on %s" % (layout, task_id)
             )
             assert vars(result.stats) == vars(reference.stats)
 
@@ -69,9 +67,9 @@ class TestBackendDeterminism:
         from repro.experiments.runner import run_iflex
         from repro.experiments.tasks import build_task
 
-        def outcome(workers, backend):
+        def outcome(workers):
             task = build_task(task_id, size=40, seed=0)
-            run = run_iflex(task, seed=0, workers=workers, backend=backend)
+            run = run_iflex(task, seed=0, workers=workers)
             return (
                 run.final_count,
                 run.exact_keys,
@@ -80,9 +78,7 @@ class TestBackendDeterminism:
                 [(r.mode, r.tuples, r.assignments) for r in run.trace.records],
             )
 
-        reference = outcome(1, "serial")
-        for backend in BACKENDS:
-            assert outcome(4, backend) == reference
+        assert outcome(4) == outcome(1)
 
     def test_maybe_flags_survive_partitioning(self):
         # two numeric candidates per document, one on each side of the
@@ -106,7 +102,7 @@ class TestBackendDeterminism:
         parallel = IFlexEngine(
             program,
             corpus,
-            config=ExecConfig(workers=3, backend="process"),
+            config=ExecConfig(workers=3),
             validate=False,
         ).execute()
         assert serial.query_table.maybe_count() > 0
@@ -119,9 +115,9 @@ class TestReuseAcrossBackends:
 
         task = build_task("T1", size=40, seed=0)
         cache = RuleCache()
-        first = execute(task, 4, "serial", cache=cache)
+        first = execute(task, cache=cache, workers=4)
         assert set(first.reuse_summary.values()) == {"computed"}
-        second = execute(task, 4, "serial", cache=cache)
+        second = execute(task, cache=cache, workers=4)
         assert set(second.reuse_summary.values()) == {"full"}
         assert result_image(second) == result_image(first)
 
@@ -130,12 +126,12 @@ class TestReuseAcrossBackends:
 
         task = build_task("T1", size=40, seed=0)
         cache = RuleCache()
-        execute(task, 4, "serial", cache=cache)
+        execute(task, cache=cache, workers=4)
         variant = task.program.add_constraint("extractIMDB", "title", "max_length", 200)
         engine = IFlexEngine(
             variant,
             task.corpus,
-            config=ExecConfig(workers=4, backend="serial"),
+            config=ExecConfig(workers=4),
             validate=False,
         )
         incremental = engine.execute(cache=cache)
@@ -171,29 +167,11 @@ class TestCorpusPartition:
         assert corpus.partition(4) == [corpus]
 
 
-class TestSchedulers:
-    @pytest.mark.parametrize(
-        "scheduler",
-        [SerialBackend(), ProcessBackend(4)],
-        ids=lambda s: s.name,
-    )
-    def test_map_preserves_order(self, scheduler):
+class TestTaskRunner:
+    @pytest.mark.parametrize("timeout", [None, 30.0], ids=["inline", "watched"])
+    def test_run_tasks_preserves_order(self, timeout):
         items = list(range(17))
-        assert scheduler.map(lambda i: i * i, items) == [i * i for i in items]
-
-    def test_process_backend_handles_closures(self):
-        # p-functions are closures; the fork payload slot must carry
-        # them into children without pickling
-        offset = 41
-        backend = ProcessBackend(2)
-        assert backend.map(lambda i: i + offset, [0, 1, 2, 3]) == [41, 42, 43, 44]
-
-    def test_make_scheduler(self):
-        assert make_scheduler("process", 3).workers == 3
-        ready = SerialBackend()
-        assert make_scheduler(ready) is ready
-        with pytest.raises(ValueError):
-            make_scheduler("gpu", 2)
+        assert run_tasks(lambda i: i * i, items, timeout) == [i * i for i in items]
 
 
 class TestPlanSplit:
@@ -262,10 +240,10 @@ class TestPlanSplit:
 
 class TestObservabilityAcrossBackends:
     """Metrics derive only from ExecutionStats counters, never timing,
-    so every backend must produce byte-identical snapshots; spans must
-    survive the scheduler result pipe (including the process fork)."""
+    so every partition layout must produce byte-identical snapshots;
+    partition spans must come back with the task results."""
 
-    def snapshot(self, backend, workers=4):
+    def snapshot(self, **config):
         from repro.experiments.tasks import build_task
         from repro.observability.metrics import MetricsRegistry
 
@@ -274,7 +252,7 @@ class TestObservabilityAcrossBackends:
         engine = IFlexEngine(
             task.program,
             task.corpus,
-            config=ExecConfig(workers=workers, backend=backend),
+            config=ExecConfig(**config),
             metrics=registry,
             validate=False,
         )
@@ -282,14 +260,20 @@ class TestObservabilityAcrossBackends:
         return registry.to_json()
 
     def test_metrics_byte_identical_across_backends(self):
-        reference = self.snapshot("serial", workers=1)
-        for backend in BACKENDS:
-            assert self.snapshot(backend) == reference, (
-                "%s backend metrics diverged from serial" % backend
+        reference = self.snapshot()
+        for layout, config in LAYOUTS.items():
+            assert self.snapshot(**config) == reference, (
+                "%s layout metrics diverged from unpartitioned" % layout
             )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_spans_survive_scheduler_pipe(self, backend):
+    @pytest.mark.parametrize(
+        "config, expected",
+        # chunked layouts also run the chained query predicate
+        # partition by partition: two predicates x two partitions
+        [(dict(workers=2), 2), (dict(partition_docs=10), 4)],
+        ids=["serial", "chunked"],
+    )
+    def test_spans_survive_scheduler_pipe(self, config, expected):
         from repro.experiments.tasks import build_task
         from repro.observability.spans import Tracer
 
@@ -298,7 +282,7 @@ class TestObservabilityAcrossBackends:
         engine = IFlexEngine(
             task.program,
             task.corpus,
-            config=ExecConfig(workers=2, backend=backend),
+            config=ExecConfig(**config),
             tracer=tracer,
             validate=False,
         )
@@ -308,6 +292,7 @@ class TestObservabilityAcrossBackends:
         # worker-side spans hang under a scheduler span after adoption
         by_id = {span.span_id: span for span in tracer.spans}
         partitions = [s for s in tracer.spans if s.category == "partition"]
-        assert len(partitions) == 2
+        assert len(partitions) == expected
+        assert {span.attrs["partition"] for span in partitions} == {0, 1}
         for span in partitions:
             assert by_id[span.parent_id].category == "scheduler"

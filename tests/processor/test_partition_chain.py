@@ -8,15 +8,17 @@ the same partition.  The contract:
 
 * every step of a resident engine's life — cold, warm, append, in-place
   edit, removal, an added constraint on the chained predicate — is
-  byte-identical to a serial cold run, on every backend and chunk size;
+  byte-identical to a cold unpartitioned run, at every chunk size, with
+  or without a persistent result store behind the in-memory cache;
 * ``partitions_recomputed`` / ``partitions_reused`` count corpus
   partitions (a partition is recomputed once, however many predicates
-  re-executed on it) and are identical across backends;
+  re-executed on it) and are identical with and without the store;
 * annotated ψ over keys that are not doc-anchored, joins, multi-rule
   unions and recursive groups stay global.
 """
 
 import functools
+import tempfile
 
 import pytest
 
@@ -29,7 +31,9 @@ from tests.processor.test_incremental import build_corpus, page
 from tests.processor.test_parallel import result_image
 from tests.processor.test_recursion import TC_SOURCE, chain, edge_corpus
 
-BACKENDS = ("serial", "process")
+#: the resident engine's cache backends: the in-memory RuleCache alone,
+#: or backed by a persistent result store
+CACHES = ("memory", "stored")
 
 #: T1's shape: extract -> ψ -> ScanRel -> condition -> project
 SOURCE = """
@@ -52,21 +56,26 @@ def cold_image(source, corpus):
     return result_image(IFlexEngine(program(source), snapshot).execute())
 
 
-def engine_for(source, corpus, backend, partition_docs, **config):
+def engine_for(source, corpus, partition_docs, **config):
     return IFlexEngine(
         program(source),
         corpus,
-        config=ExecConfig(
-            partition_docs=partition_docs, backend=backend, workers=2, **config
-        ),
+        config=ExecConfig(partition_docs=partition_docs, workers=2, **config),
     )
 
 
 @functools.lru_cache(maxsize=None)
-def lifecycle(backend, partition_docs):
+def lifecycle(caches, partition_docs):
     """One resident engine's life: ``[(step, image, expected, counters)]``."""
+    if caches == "stored":
+        with tempfile.TemporaryDirectory() as store:
+            return _lifecycle(partition_docs, result_cache=store)
+    return _lifecycle(partition_docs)
+
+
+def _lifecycle(partition_docs, **config):
     corpus = build_corpus(6)
-    engine = engine_for(SOURCE, corpus, backend, partition_docs)
+    engine = engine_for(SOURCE, corpus, partition_docs, **config)
     cache = RuleCache()
     steps = []
 
@@ -94,7 +103,7 @@ def lifecycle(backend, partition_docs):
     engine.rebind_corpus()
     step("remove")
     # a refinement: a new engine over the refined program, same cache
-    refined = engine_for(REFINED, corpus, backend, partition_docs)
+    refined = engine_for(REFINED, corpus, partition_docs, **config)
     step("constraint", source=REFINED, run_engine=refined)
     return steps
 
@@ -109,16 +118,16 @@ EXPECTED_COUNTERS = {
 
 class TestLifecycle:
     @pytest.mark.parametrize("partition_docs", [1, 3])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_every_step_matches_a_serial_cold_run(self, backend, partition_docs):
-        for label, image, expected, _, _ in lifecycle(backend, partition_docs):
+    @pytest.mark.parametrize("caches", CACHES)
+    def test_every_step_matches_a_serial_cold_run(self, caches, partition_docs):
+        for label, image, expected, _, _ in lifecycle(caches, partition_docs):
             assert image == expected, label
 
     @pytest.mark.parametrize("partition_docs", [1, 3])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_counters_identical_across_backends(self, backend, partition_docs):
-        counters = [c for _, _, _, c, _ in lifecycle(backend, partition_docs)]
-        reference = [c for _, _, _, c, _ in lifecycle("serial", partition_docs)]
+    @pytest.mark.parametrize("caches", CACHES)
+    def test_counters_identical_across_backends(self, caches, partition_docs):
+        counters = [c for _, _, _, c, _ in lifecycle(caches, partition_docs)]
+        reference = [c for _, _, _, c, _ in lifecycle("memory", partition_docs)]
         assert counters == reference
         assert counters == EXPECTED_COUNTERS[partition_docs]
 
@@ -126,7 +135,7 @@ class TestLifecycle:
     def test_reuse_paths(self, partition_docs):
         summaries = {
             label: summary
-            for label, _, _, _, summary in lifecycle("serial", partition_docs)
+            for label, _, _, _, summary in lifecycle("memory", partition_docs)
         }
         assert summaries["cold"] == {"items": "computed", "cheap": "computed"}
         assert summaries["warm"] == {"items": "full", "cheap": "full"}
@@ -137,7 +146,7 @@ class TestLifecycle:
 
 class TestRouting:
     def test_chained_predicate_is_partition_local(self):
-        engine = engine_for(SOURCE, build_corpus(4), "serial", 1)
+        engine = engine_for(SOURCE, build_corpus(4), 1)
         assert engine.physical.fully_local("cheap")
         assert engine.physical.upstream("cheap") == "items"
         assert engine.physical.upstream("items") is None
@@ -145,7 +154,7 @@ class TestRouting:
     def test_one_delta_reexecutes_one_partition_of_each_predicate(self):
         corpus = build_corpus(6)
         tracer = Tracer()
-        engine = engine_for(SOURCE, corpus, "serial", 1)
+        engine = engine_for(SOURCE, corpus, 1)
         cache = RuleCache()
         engine.execute(cache=cache)
         corpus.add_documents("pages", [page(6)])
@@ -182,7 +191,7 @@ class TestRouting:
         partition keys on its upstream's new token and re-runs."""
         corpus = build_corpus(6)
         cache = RuleCache()
-        engine_for(SOURCE, corpus, "serial", 1).execute(cache=cache)
+        engine_for(SOURCE, corpus, 1).execute(cache=cache)
         refined = program().add_constraint("ie", "p", "preceded_by", "$")
         engine = IFlexEngine(
             refined, corpus, config=ExecConfig(partition_docs=1, workers=2)
@@ -201,9 +210,9 @@ class TestRouting:
         program whose new constraint cannot be applied incrementally)."""
         corpus = build_corpus(6)
         cache = RuleCache()
-        engine_for(SOURCE, corpus, "serial", 1).execute(cache=cache)
+        engine_for(SOURCE, corpus, 1).execute(cache=cache)
         changed = SOURCE.replace("p < 150", "p < 140")
-        result = engine_for(changed, corpus, "serial", 1).execute(cache=cache)
+        result = engine_for(changed, corpus, 1).execute(cache=cache)
         assert result.reuse_summary == {"items": "full", "cheap": "computed"}
         # the chained rule changed everywhere: every partition re-ran it
         assert result.stats.partitions_recomputed == 6
@@ -215,10 +224,10 @@ class TestRouting:
         partition from the hydrated upstream tables — and each of those
         partitions counts as recomputed."""
         store = str(tmp_path / "rc")
-        engine_for(SOURCE, build_corpus(6), "serial", 1, result_cache=store).execute()
+        engine_for(SOURCE, build_corpus(6), 1, result_cache=store).execute()
         edited = build_corpus(6, salts={3: " changed"})
         tracer = Tracer()
-        engine = engine_for(SOURCE, edited, "serial", 1, result_cache=store)
+        engine = engine_for(SOURCE, edited, 1, result_cache=store)
         engine.tracer = tracer
         result = engine.execute()
         scans = [s for s in tracer.spans if s.name.startswith("ScanRel[items")]
@@ -230,7 +239,7 @@ class TestRouting:
         assert result_image(result) == cold_image(SOURCE, edited)
         # the merged chained table is persisted: an unchanged rerun
         # hydrates it whole
-        again = engine_for(SOURCE, edited, "serial", 1, result_cache=store).execute()
+        again = engine_for(SOURCE, edited, 1, result_cache=store).execute()
         assert again.reuse_summary == {"items": "full", "cheap": "full"}
         assert again.stats.partitions_recomputed == 0
 
@@ -246,9 +255,8 @@ class TestRouting:
 
     def test_cacheless_parallel_run_matches_serial(self):
         corpus = build_corpus(6)
-        for backend in BACKENDS:
-            result = engine_for(SOURCE, corpus, backend, 2).execute()
-            assert result_image(result) == cold_image(SOURCE, corpus)
+        result = engine_for(SOURCE, corpus, 2).execute()
+        assert result_image(result) == cold_image(SOURCE, corpus)
 
 
 #: plans that scan the partition-local ``items`` but must stay global

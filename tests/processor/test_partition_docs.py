@@ -33,9 +33,7 @@ class TestEquivalence:
     def test_chunking_composes_with_workers(self):
         corpus = build_corpus(8)
         _, serial = execute(corpus)
-        _, chunked = execute(
-            corpus, partition_docs=2, workers=3, backend="process"
-        )
+        _, chunked = execute(corpus, partition_docs=2, workers=3)
         assert result_image(chunked) == result_image(serial)
 
 

@@ -3,7 +3,7 @@
 Transitive closure as edge documents: each ``<p>AAA BBB</p>`` page is
 one edge (fixed-width numbers so ``first_half`` splits source from
 target), ``path`` is the recursive closure.  The suite pins byte
-identity across backends, a differential check against a hand-unrolled
+identity across partition layouts, a differential check against a hand-unrolled
 program, the unsafe-cycle refusal, the ``max_fixpoint_iterations``
 guard, and the warm result-cache interaction.
 """
@@ -94,10 +94,11 @@ class TestBackendByteIdentity:
     @pytest.mark.parametrize(
         "config",
         [
-            ExecConfig(backend="serial"),
-            ExecConfig(backend="process", workers=2),
+            ExecConfig(),
+            ExecConfig(workers=2),
+            ExecConfig(partition_docs=1),
         ],
-        ids=["serial", "process"],
+        ids=["serial", "partitioned", "chunked"],
     )
     def test_each_backend_matches_the_serial_image(self, config):
         corpus = edge_corpus(chain(4))

@@ -8,6 +8,10 @@ evaluator of :mod:`repro.alog.semantics` — every exact world must be a
 subset of some approximate world... no: every exact world must itself
 be representable; superset semantics means the *set of worlds* of the
 output contains every exact world.
+
+Multi-document inputs are checked on every partition layout: the
+unpartitioned path, worker partitions and the service's one-document
+chunks (where rules over a partition-local predicate run per chunk).
 """
 
 import pytest
@@ -15,21 +19,28 @@ from hypothesis import given, settings, strategies as st
 
 from repro.alog.semantics import program_possible_relations
 from repro.ctables.worlds import compact_worlds
+from repro.processor.context import ExecConfig
 from repro.processor.executor import IFlexEngine
 from repro.text.corpus import Corpus
 from repro.text.document import Document
 from repro.xlog.program import Program
 
 
-def assert_superset(program, corpus, max_worlds=100_000):
+#: unpartitioned, worker partitions, one-document chunks
+LAYOUTS = (ExecConfig(), ExecConfig(workers=2), ExecConfig(partition_docs=1))
+
+
+def assert_superset(program, corpus, max_worlds=100_000, configs=(ExecConfig(),)):
     exact = program_possible_relations(program, corpus, max_worlds=max_worlds)
-    result = IFlexEngine(program, corpus).execute()
-    approx = compact_worlds(result.query_table, max_worlds=max_worlds)
-    missing = exact - approx
-    assert not missing, "missing %d exact worlds, e.g. %r" % (
-        len(missing),
-        next(iter(missing)),
-    )
+    for config in configs:
+        result = IFlexEngine(program, corpus, config=config).execute()
+        approx = compact_worlds(result.query_table, max_worlds=max_worlds)
+        missing = exact - approx
+        assert not missing, "missing %d exact worlds under %r, e.g. %r" % (
+            len(missing),
+            config,
+            next(iter(missing)),
+        )
 
 
 class TestSupersetOnFixedPrograms:
@@ -97,7 +108,24 @@ class TestSupersetOnFixedPrograms:
             extensional=["left", "right"],
             query="q",
         )
-        assert_superset(program, corpus)
+        assert_superset(program, corpus, configs=LAYOUTS)
+
+    def test_selection_on_annotated_choice_over_two_documents(self):
+        # under one-document chunks the selection over ``vals`` is a
+        # chained predicate: it runs chunk by chunk
+        corpus = Corpus(
+            {"base": [Document("d1", "5 500"), Document("d2", "700 7 90")]}
+        )
+        program = Program.parse(
+            """
+            vals(x, <p>) :- base(x), ie(@x, p).
+            q(p) :- vals(x, p), p > 100.
+            ie(@x, p) :- from(@x, p), numeric(p) = yes.
+            """,
+            extensional=["base"],
+            query="q",
+        )
+        assert_superset(program, corpus, configs=LAYOUTS)
 
     def test_formatting_constraint(self):
         doc = Document("d", "aa bb cc", regions={"bold": [(3, 5)]})
@@ -160,4 +188,4 @@ def test_superset_two_documents(text_a, text_b):
         """,
         extensional=["base"],
     )
-    assert_superset(program, corpus)
+    assert_superset(program, corpus, configs=LAYOUTS)

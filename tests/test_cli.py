@@ -264,6 +264,11 @@ class TestArgValidation:
             ["explain", "p.alog", "--no-index"],
             ["session", "p.alog", "--no-index"],
             ["serve", "--no-index"],
+            ["run", "p.alog", "--workers", "2", "--backend", "process"],
+            ["explain", "p.alog", "--backend", "serial"],
+            ["session", "p.alog", "--backend", "process"],
+            ["serve", "--backend", "process"],
+            ["serve", "--workers", "2"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -277,8 +282,24 @@ class TestArgValidation:
         with pytest.raises(SystemExit):
             build_parser().parse_args([command, "--help"])
         text = capsys.readouterr().out
-        for removed in ("--no-eval-cache", "--no-incremental", "thread", "--no-index"):
+        removed_switches = [
+            "--no-eval-cache", "--no-incremental", "thread", "--no-index", "--backend",
+        ]
+        if command == "serve":
+            removed_switches.append("--workers")
+        for removed in removed_switches:
             assert removed not in text, removed
+
+    @pytest.mark.parametrize("command", ["run", "explain", "session"])
+    def test_partition_timeout_needs_workers(self, command, capsys):
+        # only partitions run under the deadline; without --workers > 1
+        # the timeout would be silently ignored, so it is refused
+        for extra in ([], ["--workers", "1"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "p.alog", "--partition-timeout", "0.5", *extra])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert "--partition-timeout" in err and "--workers" in err
 
     def test_valid_values_accepted(self):
         args = build_parser().parse_args(
@@ -318,7 +339,7 @@ class TestObservabilityFlags:
         trace_path = tmp_path / "run.trace.json"
         code = main(
             ["run", str(program_file), "--table", "pages=%s" % pages_dir,
-             "--query", "q", "--workers", "2", "--backend", "serial",
+             "--query", "q", "--workers", "2",
              "--trace-out", str(trace_path)]
         )
         assert code == 0
@@ -415,8 +436,7 @@ class TestServeCommand:
                 "serve", "--port", "0", "--table", "pages=/tmp/p",
                 "--result-cache", "/tmp/rc",
                 "--rate-limit", "5", "--rate-burst", "10",
-                "--partition-docs", "2", "--workers", "3",
-                "--backend", "process",
+                "--partition-docs", "2",
             ]
         )
         assert args.port == 0
@@ -431,16 +451,11 @@ class TestServeCommand:
         args = build_parser().parse_args(
             [
                 "serve", "--result-cache", "/tmp/rc", "--partition-docs", "2",
-                "--workers", "3", "--backend", "process",
                 "--max-fixpoint-iterations", "7",
             ]
         )
         config = _exec_config(args)
-        assert (config.workers, config.backend, config.partition_docs) == (
-            3,
-            "process",
-            2,
-        )
+        assert (config.workers, config.partition_docs) == (1, 2)
         assert config.result_cache == "/tmp/rc"
         assert config.max_fixpoint_iterations == 7
         assert config.on_error == "fail-fast"

@@ -57,7 +57,6 @@ class TestCliDocs:
             s for action in run_parser._actions for s in action.option_strings
         }
         for flag in (
-            "--backend",
             "--result-cache",
             "--metrics-out",
             "--trace-out",
