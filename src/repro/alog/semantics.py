@@ -11,7 +11,8 @@ definitions:
   per group;
 * Alog semantics: a rule over approximate inputs is evaluated for each
   combination of possible input relations, and its output set is the
-  union over combinations.
+  union over combinations; a predicate defined by several rules takes
+  one possible relation per rule and unions them.
 
 The approximate query processor must return a *superset* of this set
 (section 4); the test suite checks exactly that.  Everything here is
@@ -21,7 +22,7 @@ exponential and capped — reference oracle, not production code.
 import itertools
 
 from repro.ctables.assignments import value_key
-from repro.errors import EnumerationLimitError, EvaluationError
+from repro.errors import EnumerationLimitError
 from repro.features.registry import default_registry
 from repro.xlog.ast import PredicateAtom
 from repro.xlog.engine import XlogEngine
@@ -147,15 +148,10 @@ def program_possible_relations(
     possible = {}  # name -> list of relations, each a list of concrete rows
     for name in order:
         rules = unfolded.rules_for(name)
-        if len(rules) != 1:
-            raise EvaluationError(
-                "reference semantics supports one rule per predicate; %r has %d"
-                % (name, len(rules))
-            )
-        rule = rules[0]
         body_intensional = sorted(
             {
                 atom.name
+                for rule in rules
                 for atom in rule.body_atoms(PredicateAtom)
                 if atom.name in unfolded.intensional
             }
@@ -165,11 +161,24 @@ def program_possible_relations(
         out_relations = {}
         for combo in combos:
             relations = dict(zip(body_intensional, combo))
-            rows = engine._eval_rule(rule, relations)
-            for frozen in rule_possible_relations(rule, rows, max_worlds):
-                out_relations.setdefault(frozen, _rows_for(frozen, rows))
-            if len(out_relations) > max_worlds:
-                raise EnumerationLimitError("program exceeds the world cap")
+            per_rule = []
+            for rule in rules:
+                rows = engine._eval_rule(rule, relations)
+                per_rule.append(
+                    [
+                        _rows_for(frozen, rows)
+                        for frozen in rule_possible_relations(rule, rows, max_worlds)
+                    ]
+                )
+            # several rules: one possible relation per rule, unioned
+            for choice in itertools.product(*per_rule):
+                union = {}
+                for rows in choice:
+                    for row in rows:
+                        union.setdefault(tuple(value_key(v) for v in row), row)
+                out_relations.setdefault(frozenset(union), list(union.values()))
+                if len(out_relations) > max_worlds:
+                    raise EnumerationLimitError("program exceeds the world cap")
         possible[name] = list(out_relations.values())
     query_relations = possible[unfolded.query]
     return {_freeze(rows) for rows in query_relations}

@@ -53,7 +53,7 @@ CODES = {
     # ALOG019 ("constraint can never use an index") is retired with the
     # feature indexes; the number is not reused
     "ALOG020": (WARNING, "unbounded fan-out"),
-    "ALOG021": (WARNING, "gather of an unbounded local table"),
+    "ALOG021": (WARNING, "unbounded local table consumed globally"),
 }
 
 #: severity -> SARIF 2.1.0 result level

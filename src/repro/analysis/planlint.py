@@ -24,9 +24,10 @@ not reused):
     product) or a p-predicate enumerating a still-wide input cell
     (the ``enumerate_values`` cap is how that ends at runtime);
 ``ALOG021`` (warning)
-    a non-degenerate global suffix gathers a document-local table that
-    still carries a wide attribute: every partition ships its full
-    unbounded expansion to the merge point.
+    the global part of a plan (a join, a union, a cross-document ψ)
+    consumes a document-local table that still carries a wide
+    attribute: the cross-document operator sees its full unbounded
+    expansion.
 
 Each compiled rule also gets a structural cost estimate from
 :meth:`~repro.baselines.cost_model.CostModel.plan_complexity` — a
@@ -210,8 +211,8 @@ class _Scout:
                     if _STATE_RANK[state] > _STATE_RANK[merged[i]]:
                         merged[i] = state
             return dict(zip(op.attrs, merged))
-        # TableSource / GatherOp / unknown operators: already-merged
-        # concrete tables, nothing unbounded left
+        # TableSource / unknown operators: already-merged concrete
+        # tables, nothing unbounded left
         return {attr: "value" for attr in getattr(op, "attrs", ())}
 
 
@@ -311,7 +312,7 @@ def check_plan(analyzer, program=None):
             pred_plan = scouts[0][1]
         else:
             pred_plan = UnionOp([plan for _, plan, _, _ in scouts])
-        _check_gather(analyzer, name, pred_plan, scouts)
+        _check_global_use(analyzer, name, pred_plan, scouts)
         head_states = _head_states(pred_plan, scouts)
         pred_states[name] = head_states
     analyzer.plan_report = report
@@ -341,8 +342,8 @@ def _head_states(pred_plan, scouts):
     return [root_states.get(attr, "value") for attr in plan.attrs]
 
 
-def _check_gather(analyzer, name, pred_plan, scouts):
-    """``ALOG021``: global suffix gathering a wide local table."""
+def _check_global_use(analyzer, name, pred_plan, scouts):
+    """``ALOG021``: the global part consuming a wide local table."""
     from repro.processor.split import split_plan
 
     split = split_plan(pred_plan)
@@ -364,9 +365,9 @@ def _check_gather(analyzer, name, pred_plan, scouts):
             subject = "attribute %s is still an unbounded expansion" % wide[0]
         analyzer.emit(
             "ALOG021",
-            "the global part of %r gathers a document-local table whose "
-            "%s: every partition ships its full sub-span fan-out to the "
-            "merge point — constrain %s before the boundary"
+            "the global part of %r consumes a document-local table whose "
+            "%s: the cross-document operator above it sees the full "
+            "sub-span fan-out — constrain %s before the boundary"
             % (name, subject, ", ".join(wide)),
             rule=scout.anchor,
         )

@@ -16,7 +16,7 @@ iteration: result size, execution mode, questions asked, and time.
 """
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.assistant.convergence import ConvergenceMonitor
 from repro.assistant.strategies import SequentialStrategy
@@ -340,17 +340,14 @@ class RefinementSession:
         return [self.simulate_refinement(*candidate) for candidate in candidates]
 
     def _simulation_config(self):
-        """The candidate engines' config: always single-worker.
+        """The candidate engines' config: always unpartitioned.
 
         The subset corpus is small and each simulation runs on a
-        throwaway cache copy, so worker partitions would buy no reuse.
+        throwaway cache copy, so partitions — by worker count or by
+        fixed-size chunk — would buy no reuse.
         """
-        if getattr(self.config, "workers", 1) <= 1:
-            return self.config
         if not hasattr(self, "_serial_config"):
-            from dataclasses import replace
-
-            self._serial_config = replace(self.config, workers=1)
+            self._serial_config = replace(self.config, workers=1, partition_docs=None)
         return self._serial_config
 
     def attribute_profile(self, ie_predicate, attribute, max_tuples=50):

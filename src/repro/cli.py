@@ -101,19 +101,28 @@ def build_parser():
             help="Jaccard threshold for the built-in similar()/approxMatch()",
         )
         p.add_argument(
+            "--log-level",
+            choices=("debug", "info", "warning", "error", "critical"),
+            default="warning",
+            help="threshold for the repro.* logger hierarchy (stderr)",
+        )
+
+    def add_exec_args(p):
+        add_program_args(p)
+        p.add_argument(
             "--workers",
             type=_positive_int,
             default=1,
-            help="corpus partitions for the document-local plan prefix, "
-            "run one after another; with --result-cache a rerun "
+            help="corpus partitions for the wholly document-local "
+            "predicates, run one after another; with --result-cache a rerun "
             "re-executes only the partitions whose documents changed "
             "(default 1: no partitioning)",
         )
         p.add_argument(
             "--result-cache",
             metavar="DIR",
-            help="persistent partition-result cache directory: evaluated "
-            "local-prefix tables are keyed by (plan fingerprint, corpus "
+            help="persistent partition-result cache directory: "
+            "evaluated tables are keyed by (plan fingerprint, corpus "
             "content digest) so warm runs re-serve unchanged partitions "
             "from disk and re-execute only the partitions whose "
             "documents changed",
@@ -167,15 +176,9 @@ def build_parser():
             help="write a deterministic metrics-registry snapshot (JSON); "
             "byte-identical across --workers counts for the same run",
         )
-        p.add_argument(
-            "--log-level",
-            choices=("debug", "info", "warning", "error", "critical"),
-            default="warning",
-            help="threshold for the repro.* logger hierarchy (stderr)",
-        )
 
     run = sub.add_parser("run", help="execute a program and print the result")
-    add_program_args(run)
+    add_exec_args(run)
     run.add_argument("--max-rows", type=_positive_int, default=25)
     run.add_argument(
         "--analyze",
@@ -277,7 +280,7 @@ def build_parser():
     session = sub.add_parser(
         "session", help="interactive best-effort refinement session"
     )
-    add_program_args(session)
+    add_exec_args(session)
     session.add_argument(
         "--strategy", choices=("sequential", "simulation"), default="sequential"
     )
@@ -641,7 +644,7 @@ def _cmd_check(args):
 def _cmd_explain(args):
     corpus = load_corpus(args.table)
     program = load_program(args, corpus)
-    print(IFlexEngine(program, corpus, config=_exec_config(args)).explain())
+    print(IFlexEngine(program, corpus).explain())
     return 0
 
 

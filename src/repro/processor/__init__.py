@@ -1,11 +1,11 @@
 """Approximate query processing over compact tables (paper section 4).
 
 The processor is layered: :mod:`~repro.processor.plan` compiles rules to
-operator trees, :mod:`~repro.processor.split` analyzes each tree into a
-document-local prefix and a global suffix, and
-:mod:`~repro.processor.physical` executes the prefix per corpus
-partition through the task runner of :mod:`~repro.processor.schedulers`
-before running the suffix once.  :class:`IFlexEngine` drives the whole
+operator trees, :mod:`~repro.processor.split` judges which subtrees are document-local,
+and :mod:`~repro.processor.physical` runs each wholly document-local
+plan once per corpus partition through the task runner of
+:mod:`~repro.processor.schedulers` (every other plan runs once, over the
+whole corpus).  :class:`IFlexEngine` drives the whole
 pipeline with cross-iteration reuse.
 """
 

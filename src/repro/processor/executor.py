@@ -813,9 +813,10 @@ class IFlexEngine:
         return self._partitioned_path(name) and not self.physical.upstream(name)
 
     def _execute_plan(self, name, context):
-        """One predicate's table: direct on the serial path, partitioned
+        """One predicate's table: direct on the serial path, through the
 
-        through the physical layer when workers > 1.
+        physical layer (partitioned when the plan is wholly
+        document-local) when the corpus is partitioned.
         """
         if self.physical is not None:
             return self.physical.execute_plan(name, context)
@@ -1158,11 +1159,10 @@ class IFlexEngine:
         ordinary traced execution — same error policy, reuse chain,
         result-cache hydration and counters — on the engine's tracer, or
         on a private one when none is set.  The report has one section
-        per predicate: its operator rows (per-partition measurements of
-        the document-local prefix merged, counts summing to the serial
-        counts, nested under the suffix's gather leaves), or a line
-        saying which cache answered it; then the cache summary and any
-        contained failures.
+        per predicate: its operator rows (for a partitioned predicate,
+        the per-partition measurements merged, counts summing to the
+        serial counts), or a line saying which cache answered it; then
+        the cache summary and any contained failures.
         """
         from repro.observability.spans import Tracer
         from repro.processor.tracing import render_analysis

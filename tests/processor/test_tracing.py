@@ -72,48 +72,45 @@ Q(x, <p>) :- pages(x), from(@x, p), numeric(p) = yes.
 
 
 class TestPartitionMerge:
-    def _report_rows(self, corpus, workers):
+    @staticmethod
+    def _traced(corpus, config, source=UNION_SOURCE, predicate="pages"):
+        """``(spans, operator rows of predicate)`` for one traced run."""
         from repro.xlog import Program
 
         program = Program.parse(
-            UNION_SOURCE, extensional=["housePages", "schoolPages"], query="Q"
+            source, extensional=["housePages", "schoolPages"], query="Q"
         )
-        engine = IFlexEngine(
-            program, corpus, config=ExecConfig(workers=workers)
-        )
+        engine = IFlexEngine(program, corpus, config=config)
         tracer = engine.tracer = Tracer()
         engine.execute()
-        roots = {
-            s.name: s for s in tracer.spans if s.name.startswith("predicate:")
-        }
-        return operator_rows(tracer.spans, roots["predicate:pages"])
+        root = [s for s in tracer.spans if s.name == "predicate:%s" % predicate][0]
+        return tracer.spans, operator_rows(tracer.spans, root)
 
-    def test_partition_rows_merge_under_their_gather(self, figure1_corpus):
-        serial = self._report_rows(figure1_corpus, 1)
-        parallel = self._report_rows(figure1_corpus, 2)
-        assert parallel[0].describe == "Union[2]"
-        gathers = [r for r in parallel if r.describe.startswith("Gather")]
-        assert [g.depth for g in gathers] == [1, 1]
-        # each gather is followed by its local root's rows, one level
-        # deeper, merged across both partitions
-        scans = [r for r in parallel if r.describe.startswith("Scan")]
-        assert [r.describe for r in scans] == [
-            "Scan[housePages -> x]",
-            "Scan[schoolPages -> x]",
+    @staticmethod
+    def counts(rows):
+        return [
+            (r.depth, r.describe, r.out_tuples, r.out_assignments, r.maybe_tuples)
+            for r in rows
         ]
-        for gather, scan in zip(gathers, scans):
-            local = parallel[parallel.index(gather) + 1:parallel.index(scan) + 1]
-            assert all(r.depth > gather.depth for r in local)
 
-        def counts(rows):
-            return [
-                (r.describe, r.out_tuples, r.out_assignments, r.maybe_tuples)
-                for r in rows
-                if not r.describe.startswith("Gather")
-            ]
+    def test_mixed_plan_runs_once_over_the_whole_corpus(self, figure1_corpus):
+        # the two-scan union is document-local below the Union only:
+        # under one-document chunks it runs once, like an unpartitioned
+        # run, instead of splitting at the union
+        spans, rows = self._traced(figure1_corpus, ExecConfig(partition_docs=1))
+        maps = [s for s in spans if s.name == "scheduler.map"]
+        assert "pages" not in {s.attrs["predicate"] for s in maps}
+        assert rows[0].describe == "Union[2]"
+        _, serial = self._traced(figure1_corpus, ExecConfig())
+        assert self.counts(rows) == self.counts(serial)
 
+    def test_partition_rows_merge_for_a_fully_local_plan(self, figure1_corpus):
+        source = "Q(x, <p>) :- housePages(x), from(@x, p), numeric(p) = yes."
+        spans, rows = self._traced(figure1_corpus, ExecConfig(workers=2), source, "Q")
+        assert len([s for s in spans if s.category == "partition"]) == 2
         # merged partition counts sum to the serial counts
-        assert counts(parallel) == counts(serial)
+        _, serial = self._traced(figure1_corpus, ExecConfig(), source, "Q")
+        assert self.counts(rows) == self.counts(serial)
 
 
 class TestRenderEdgeCases:

@@ -167,6 +167,16 @@ class TestSharedStores:
     def test_partition_docs_defaulted(self):
         assert build_service().config.partition_docs == 1
 
+    def test_callers_config_is_left_unchanged(self, tmp_path):
+        from dataclasses import replace
+
+        config = ExecConfig(result_cache=str(tmp_path / "rc"))
+        before = replace(config)
+        service = build_service(config=config)
+        assert config == before
+        assert service.config.partition_docs == 1
+        assert service.config.result_cache is service.result_store
+
     def test_metrics_counters_tick(self):
         service = build_service()
         service.ingest("pages", [page_doc(0)])

@@ -269,6 +269,15 @@ class TestArgValidation:
             ["session", "p.alog", "--backend", "process"],
             ["serve", "--backend", "process"],
             ["serve", "--workers", "2"],
+            # explain only compiles plans: execution flags are refused
+            ["explain", "p.alog", "--workers", "2"],
+            ["explain", "p.alog", "--result-cache", "d"],
+            ["explain", "p.alog", "--max-fixpoint-iterations", "5"],
+            ["explain", "p.alog", "--on-error", "skip"],
+            ["explain", "p.alog", "--max-retries", "1"],
+            ["explain", "p.alog", "--partition-timeout", "0.5"],
+            ["explain", "p.alog", "--trace-out", "t.json"],
+            ["explain", "p.alog", "--metrics-out", "m.json"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -290,7 +299,7 @@ class TestArgValidation:
         for removed in removed_switches:
             assert removed not in text, removed
 
-    @pytest.mark.parametrize("command", ["run", "explain", "session"])
+    @pytest.mark.parametrize("command", ["run", "session"])
     def test_partition_timeout_needs_workers(self, command, capsys):
         # only partitions run under the deadline; without --workers > 1
         # the timeout would be silently ignored, so it is refused
