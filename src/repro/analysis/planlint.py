@@ -243,7 +243,7 @@ def check_plan(analyzer, program=None):
         return
     try:
         from repro.alog.unfold import unfold_program
-        from repro.processor.executor import evaluation_order
+        from repro.processor.ordering import evaluation_order
         from repro.processor.plan import compile_program
 
         unfolded = unfold_program(program)

@@ -38,7 +38,8 @@ from repro.errors import ReproError
 from repro.observability.logs import get_logger
 from repro.observability.metrics import MetricsRegistry
 from repro.processor.context import EvalCache, ExecConfig
-from repro.processor.executor import IFlexEngine, RuleCache
+from repro.processor.executor import IFlexEngine
+from repro.processor.reuse import RuleCache
 from repro.processor.library import make_similar
 from repro.text.corpus import Corpus
 from repro.xlog.program import PFunction, Program

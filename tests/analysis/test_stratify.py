@@ -10,7 +10,7 @@ import pytest
 
 from repro.analysis import analyze_source
 from repro.errors import EvaluationError
-from repro.processor.executor import evaluation_order
+from repro.processor.ordering import evaluation_order
 from repro.xlog.program import Program
 
 STRATIFIED_SAFE = """

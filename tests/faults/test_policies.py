@@ -7,7 +7,8 @@ import pytest
 from repro.errors import ExecutionFailure
 from repro.features.registry import default_registry
 from repro.processor.context import ExecConfig
-from repro.processor.executor import IFlexEngine, _PolicyDriver
+from repro.processor.executor import IFlexEngine
+from repro.processor.policy import _PolicyDriver
 from tests.faults.harness import build_corpus, build_program, faulting_registry
 from tests.processor.test_parallel import result_image
 

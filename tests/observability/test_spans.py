@@ -128,7 +128,8 @@ class TestSpansFromTraces:
             assert span.attrs["cache_hits"] >= 0 and span.attrs["cache_misses"] >= 0
 
     def test_empty_traces(self, figure2_program, figure1_corpus):
-        from repro.processor.executor import IFlexEngine, RuleCache
+        from repro.processor.executor import IFlexEngine
+        from repro.processor.reuse import RuleCache
         from repro.processor.tracing import operator_rows, render_traces
 
         tracer = Tracer()

@@ -24,7 +24,8 @@ import pytest
 
 from repro.observability.spans import Tracer
 from repro.processor.context import ExecConfig
-from repro.processor.executor import IFlexEngine, RuleCache
+from repro.processor.executor import IFlexEngine
+from repro.processor.reuse import RuleCache
 from repro.text.corpus import Corpus
 from repro.xlog.program import Program
 from tests.processor.test_incremental import build_corpus, page

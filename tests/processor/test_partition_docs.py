@@ -10,7 +10,8 @@ append or edit dirtied.
 import pytest
 
 from repro.processor.context import ExecConfig
-from repro.processor.executor import IFlexEngine, RuleCache
+from repro.processor.executor import IFlexEngine
+from repro.processor.reuse import RuleCache
 from tests.processor.test_incremental import build_corpus, build_program, page
 from tests.processor.test_parallel import result_image
 

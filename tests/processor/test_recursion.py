@@ -16,7 +16,8 @@ from repro.ctables import table_key
 from repro.ctables.assignments import value_text
 from repro.errors import EvaluationError, ExecutionFailure
 from repro.processor.context import ExecConfig
-from repro.processor.executor import IFlexEngine, RuleCache
+from repro.processor.executor import IFlexEngine
+from repro.processor.reuse import RuleCache
 from repro.text.corpus import Corpus
 from repro.text.html_parser import parse_html
 from repro.xlog.program import Program

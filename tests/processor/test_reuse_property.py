@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ctables.assignments import value_key
-from repro.processor.executor import IFlexEngine, RuleCache
+from repro.processor.executor import IFlexEngine
+from repro.processor.reuse import RuleCache
 from repro.text.corpus import Corpus
 from repro.text.html_parser import parse_html
 from repro.xlog.program import Program
