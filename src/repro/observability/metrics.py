@@ -276,9 +276,7 @@ def record_execution(registry, result, **labels):
     registry.counter("repro.result.executions").inc(1, **labels)
     registry.gauge("repro.result.tuples").set(result.tuple_count, **labels)
     registry.gauge("repro.result.assignments").set(result.assignment_count, **labels)
-    registry.gauge("repro.result.maybe_tuples").set(
-        result.query_table.maybe_count(), **labels
-    )
+    registry.gauge("repro.result.maybe_tuples").set(result.maybe_count, **labels)
     registry.histogram("repro.result.tuples_per_execution").observe(
         result.tuple_count, **labels
     )

@@ -59,7 +59,6 @@ __all__ = [
     "PlanSplit",
     "split_plan",
     "walk_plan",
-    "subtree_locality",
 ]
 
 
@@ -134,16 +133,6 @@ def _locality(op, chained):
     # JoinOp pairs tuples across documents; TableSource reads a merged
     # table; unknown operators: conservatively global
     return False, set()
-
-
-def subtree_locality(op):
-    """Public form of the locality judgment for one subtree.
-
-    Returns ``(local, doc_attrs)`` — whether the subtree is
-    document-local and which output attributes are doc-anchored; the
-    same judgment :func:`split_plan` uses, exposed for static analysis.
-    """
-    return _locality(op, {})
 
 
 def _collect_local_roots(op, out):

@@ -176,7 +176,7 @@ class ServiceSession:
             info["converged"] = trace.converged
             info["iterations"] = len(trace.records)
             info["tuples"] = trace.final_result.tuple_count
-            info["maybe"] = trace.final_result.query_table.maybe_count()
+            info["maybe"] = trace.final_result.maybe_count
             info["refined_source"] = trace.program.source()
         return info
 

@@ -60,25 +60,14 @@ class Corpus:
             self.add_table(name, docs)
 
     @property
-    def signature(self):
-        """A hashable fingerprint of the corpus contents (doc ids per
-
-        table) — what the executor's reuse cache keys on.
-        """
-        return tuple(
-            (name, tuple(d.doc_id for d in self._tables[name]))
-            for name in self.table_names()
-        )
-
-    @property
     def content_digest(self):
         """A short hex digest of the full corpus *content*.
 
-        Unlike :attr:`signature`, which only sees doc ids, this hashes
-        every document's id, text, and regions (via :func:`corpus_digest`)
-        per table — so editing a document in place changes the digest.  The persistent result
-        cache keys partition results on it.  Cached after first use;
-        :meth:`add_table` invalidates.
+        It hashes every document's id, text, and regions (via
+        :func:`corpus_digest`) per table — so editing a document in place
+        changes the digest.  The executor's reuse cache and the
+        persistent result cache key their fingerprints on it.  Cached
+        after first use; every mutation invalidates.
         """
         if self._content_digest is None:
             hasher = hashlib.sha256()

@@ -1,5 +1,7 @@
 """ExtractionService core: hosting, running, ingesting, invalidating."""
 
+import collections
+
 import pytest
 
 from repro.processor.context import ExecConfig
@@ -81,6 +83,29 @@ class TestRun:
         assert result.tuple_count == 3
         assert host.runs == 1
         assert host.last_summary["tuples"] == 3
+
+    def test_one_run_counts_its_result_once(self, monkeypatch):
+        """Metrics, the host summary and the streamed summary line
+        share one walk of the query table per count."""
+        from repro.ctables.ctable import CompactTable
+        from repro.service.app import stream_result
+
+        service = build_service()
+        service.ingest("pages", [page_doc(i) for i in range(3)])
+        host, _ = service.submit_program(PROGRAM_SOURCE, query="q")
+        counts = ("tuple_count", "assignment_count", "maybe_count")
+        walks = collections.Counter()
+        for method in counts:
+
+            def counted(table, _count=getattr(CompactTable, method), _method=method):
+                walks[_method, id(table)] += 1
+                return _count(table)
+
+            monkeypatch.setattr(CompactTable, method, counted)
+        result = service.run_program(host.program_id)
+        b"".join(stream_result({}, result))
+        table = id(result.query_table)
+        assert [walks[method, table] for method in counts] == [1, 1, 1]
 
 
 class TestIngest:

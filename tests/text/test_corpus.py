@@ -83,17 +83,6 @@ class TestRestriction:
         assert cut.size_of("B") == 3
 
 
-class TestSignature:
-    def test_signature_stable(self):
-        corpus = Corpus({"A": docs("a", 3)})
-        assert corpus.signature == corpus.signature
-
-    def test_signature_changes_with_content(self):
-        a = Corpus({"A": docs("a", 3)})
-        b = Corpus({"A": docs("a", 4)})
-        assert a.signature != b.signature
-
-
 class TestMutation:
     """The service's in-place mutation surfaces (add/remove/upsert)."""
 
@@ -239,18 +228,18 @@ class TestChunk:
         corpus leaves every existing full chunk byte-identical, so the
         delta path re-executes only the tail."""
         corpus = Corpus({"A": docs("a", 5)})
-        before = [p.signature for p in corpus.chunk(2)]
+        before = [p.content_digest for p in corpus.chunk(2)]
         corpus.add_documents("A", docs("z", 3))
-        after = [p.signature for p in corpus.chunk(2)]
+        after = [p.content_digest for p in corpus.chunk(2)]
         assert after[:2] == before[:2]           # full chunks untouched
         assert len(after) == 4
 
     def test_partition_boundaries_shift_under_append(self):
         # the contrast that motivates chunk(): partition(n) re-slices
         corpus = Corpus({"A": docs("a", 5)})
-        before = [p.signature for p in corpus.partition(2)]
+        before = [p.content_digest for p in corpus.partition(2)]
         corpus.add_documents("A", docs("z", 3))
-        after = [p.signature for p in corpus.partition(2)]
+        after = [p.content_digest for p in corpus.partition(2)]
         assert after[0] != before[0]
 
     def test_chunk_covers_every_table(self):
