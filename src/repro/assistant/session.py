@@ -94,9 +94,6 @@ class SessionTrace:
     def iterations(self):
         return len([r for r in self.records if r.mode == "subset"])
 
-    def tuple_series(self):
-        return [r.tuples for r in self.records]
-
 
 class RefinementSession:
     """Drives execute → converge? → ask → refine until convergence."""

@@ -154,16 +154,6 @@ def build_parser():
             help="retry attempts per failure site under --on-error retry",
         )
         p.add_argument(
-            "--partition-timeout",
-            type=_positive_float,
-            default=None,
-            metavar="SECONDS",
-            help="abort any partition running longer than this (needs "
-            "--workers > 1; detected within one polling interval, but "
-            "the hung work itself cannot be killed); timeouts always "
-            "fail the run, whatever --on-error says",
-        )
-        p.add_argument(
             "--trace-out",
             metavar="PATH",
             help="write a Chrome trace-event file (chrome://tracing, "
@@ -444,7 +434,6 @@ def _exec_config(args):
         partition_docs=getattr(args, "partition_docs", None),
         on_error=getattr(args, "on_error", "fail-fast"),
         max_retries=getattr(args, "max_retries", 2),
-        partition_timeout=getattr(args, "partition_timeout", None),
         result_cache=args.result_cache,
         max_fixpoint_iterations=args.max_fixpoint_iterations,
     )
@@ -840,10 +829,6 @@ def _cmd_serve(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "partition_timeout", None) is not None and args.workers <= 1:
-        # only partitions run under the deadline: without them the
-        # timeout would be silently ignored
-        parser.error("--partition-timeout needs --workers > 1")
     if getattr(args, "log_level", None):
         from repro.observability.logs import configure_logging
 

@@ -131,9 +131,6 @@ class CompactTuple:
     def assignment_count(self):
         return sum(len(cell.assignments) for cell in self.cells)
 
-    def has_empty_cell(self):
-        return any(cell.is_empty() for cell in self.cells)
-
     def __len__(self):
         return len(self.cells)
 

@@ -193,16 +193,6 @@ def _failure_message(exc, context):
     return ": ".join(p for p in (where, head, origin) if p)
 
 
-class PartitionTimeout(ExecutionFailure):
-    """A partition exceeded ``ExecConfig.partition_timeout`` seconds.
-
-    Never skippable (the hung work is not attributable to one document),
-    so every error policy surfaces it.  Detection only: the task runner
-    abandons the hung work but cannot preempt it (see
-    ``docs/robustness.md``).
-    """
-
-
 @dataclass
 class FailureRecord:
     """One contained failure, as reported by :class:`ExecutionReport`."""

@@ -31,8 +31,6 @@ Boolean features take ``yes`` / ``no`` / ``distinct_yes`` /
 
 from dataclasses import dataclass
 
-from repro.text.span import Span
-
 __all__ = [
     "YES",
     "NO",
@@ -184,8 +182,3 @@ def trim_to_tokens(doc, start, end):
     if not tokens:
         return None
     return (tokens[0].start, tokens[-1].end)
-
-
-def interval_span(doc, interval):
-    """Build a :class:`Span` from a ``(start, end)`` interval."""
-    return Span(doc, interval[0], interval[1])

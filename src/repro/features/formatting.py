@@ -40,16 +40,6 @@ class RegionFeature(Feature):
         self.name = name
         self.region_kind = region_kind
 
-    # ------------------------------------------------------------------
-    def _trimmed_regions(self, doc, start, end):
-        """Token-trimmed regions of our kind overlapping [start, end)."""
-        out = []
-        for rstart, rend in doc.regions_overlapping(self.region_kind, start, end):
-            trimmed = trim_to_tokens(doc, rstart, rend)
-            if trimmed is not None:
-                out.append(trimmed)
-        return out
-
     def verify(self, span, value):
         doc = span.doc
         if value == YES:

@@ -5,9 +5,8 @@ corpus partition, a scheduler ``map``, a Verify/Refine batch, a
 refinement-session iteration — with a name, a category, start/end
 times, free-form attributes, and a parent link forming a tree.  A
 :class:`Tracer` records them (context-manager nesting or explicit
-begin/end) and adopts span lists produced elsewhere: partition tasks
-build their own tracers and return the resulting spans with their
-results, exactly like ``ExecutionStats``.
+begin/end); partitions run one after another in the calling thread, so
+their spans go straight into the caller's tracer.
 
 Two serializations:
 
@@ -57,8 +56,9 @@ class Span:
 class Tracer:
     """Records spans; completed spans accumulate on :attr:`spans`.
 
-    Not thread-safe by design: partition tasks each build their own
-    tracer and the caller adopts the results (:meth:`adopt`).
+    Not thread-safe: one tracer records one thread's nesting, which is
+    all an execution needs, since partitions run serially in the
+    calling thread.
     """
 
     def __init__(self, clock=time.perf_counter):
@@ -127,35 +127,6 @@ class Tracer:
         if parent is not None:
             return parent.span_id if isinstance(parent, Span) else parent
         return self._stack[-1].span_id if self._stack else None
-
-    def adopt(self, spans, parent=None):
-        """Graft foreign spans (another tracer's output) into this tree.
-
-        Ids are re-assigned from this tracer's sequence; parent links
-        internal to the adopted list are preserved, and its roots hang
-        under ``parent`` (default: the innermost open span).  Returns
-        the adopted spans in input order.
-        """
-        root_parent = self._parent_id(parent)
-        # Spans are recorded in end-order, so children can precede their
-        # parents; assign every new id before resolving parent links.
-        spans = list(spans)
-        mapping = {span.span_id: next(self._ids) for span in spans}
-        adopted = []
-        for span in spans:
-            new_id = mapping[span.span_id]
-            copy = Span(
-                name=span.name,
-                category=span.category,
-                start=span.start,
-                end=span.end,
-                span_id=new_id,
-                parent_id=mapping.get(span.parent_id, root_parent),
-                attrs=dict(span.attrs),
-            )
-            self.spans.append(copy)
-            adopted.append(copy)
-        return adopted
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,8 @@
 The processor is layered: :mod:`~repro.processor.plan` compiles rules to
 operator trees, :mod:`~repro.processor.split` judges which subtrees are document-local,
 and :mod:`~repro.processor.physical` runs each wholly document-local
-plan once per corpus partition through the task runner of
-:mod:`~repro.processor.schedulers` (every other plan runs once, over the
-whole corpus).  :class:`IFlexEngine` (:mod:`~repro.processor.executor`)
+plan once per corpus partition, one partition after another (every
+other plan runs once, over the whole corpus).  :class:`IFlexEngine` (:mod:`~repro.processor.executor`)
 drives the whole pipeline: :mod:`~repro.processor.ordering` orders the
 predicates, :mod:`~repro.processor.reuse` resolves each table through
 the cross-iteration reuse ladder, :mod:`~repro.processor.fixpoint`

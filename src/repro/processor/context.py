@@ -39,10 +39,10 @@ class ExecConfig:
     pair_cap: int = 1_000
     ppredicate_cap: int = 5_000
     blocking_joins: bool = True
-    #: Corpus partitions for the document-local plan prefix; 1 keeps the
+    #: Corpus partitions for wholly document-local plans; 1 keeps the
     #: engine on the original unpartitioned path.  Partitions run one
-    #: after another (:func:`repro.processor.schedulers.run_tasks`);
-    #: they exist for partition-keyed reuse, not for parallel speed.
+    #: after another, in a plain loop; they exist for partition-keyed
+    #: reuse, not for parallel speed.
     workers: int = 1
     #: Documents per corpus partition (``Corpus.chunk``) instead of the
     #: default ``workers``-way split (``Corpus.partition``).  Chunk
@@ -64,9 +64,6 @@ class ExecConfig:
     #: Base backoff delay in seconds for ``retry`` (doubles per attempt,
     #: capped at 2s); 0 disables sleeping (deterministic tests).
     retry_backoff: float = 0.05
-    #: Seconds one partition may run before the scheduler raises a
-    #: :class:`~repro.errors.PartitionTimeout`; ``None`` means no limit.
-    partition_timeout: object = None
     #: Directory (or a :class:`~repro.columnar.results.ResultStore`) for
     #: persisted partition results, keyed by (plan fingerprint, corpus
     #: content digest); ``None`` disables persistence (the CLI's

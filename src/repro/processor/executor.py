@@ -26,6 +26,7 @@ from repro.errors import (
 from repro.processor.context import EvalCache, ExecConfig, ExecutionContext
 from repro.processor.fixpoint import FixpointMixin
 from repro.processor.ordering import _stratification_for, evaluation_order
+from repro.processor.physical import PhysicalExecutor
 from repro.processor.plan import compile_predicate
 from repro.processor.policy import _PolicyDriver
 from repro.processor.reuse import ReuseMixin, RuleCache, _Run
@@ -202,21 +203,14 @@ class IFlexEngine(ReuseMixin, FixpointMixin):
         return self
 
     def _make_physical(self, previous=None):
-        """The physical execution layer, or None on the serial path.
+        """The physical execution layer over the active corpus.
 
-        With one worker the engine executes plans directly (the original
-        single-threaded code path, byte for byte); with more — or with
-        ``partition_docs`` chunking configured, as the resident service
-        does — it routes every plan through
-        :class:`~repro.processor.physical.PhysicalExecutor`.
-        ``previous`` is the executor it replaces after a corpus change.
+        With one worker and no ``partition_docs`` chunking the corpus is
+        one partition, and every plan executes directly on the run's
+        context (the original single-threaded code path, byte for
+        byte).  ``previous`` is the executor it replaces after a corpus
+        change.
         """
-        if getattr(self.config, "workers", 1) <= 1 and not getattr(
-            self.config, "partition_docs", None
-        ):
-            return None
-        from repro.processor.physical import PhysicalExecutor
-
         return PhysicalExecutor(
             self.unfolded,
             self._active,
@@ -273,11 +267,7 @@ class IFlexEngine(ReuseMixin, FixpointMixin):
 
     def _partitioned_path(self, name):
         """Does this predicate route through the partition-keyed cache?"""
-        return (
-            self.physical is not None
-            and self.physical.partitioned
-            and self.physical.fully_local(name)
-        )
+        return self.physical.partitioned and self.physical.fully_local(name)
 
     def _context(self):
         """A fresh whole-corpus execution context on the shared stores."""
@@ -366,7 +356,7 @@ class IFlexEngine(ReuseMixin, FixpointMixin):
                 entry = cache.get(name) if cache is not None else None
                 if entry is not None and entry.fingerprint.token == fingerprint.token:
                     table, kind = entry.table, "full"
-                elif cache is not None and self._partitioned_path(name):
+                elif self._partitioned_path(name):
                     # constraints apply partition by partition, not here
                     table, kind = self._resolve(
                         run, name, fingerprint, store=self._merged_store(cache, name),
@@ -375,7 +365,10 @@ class IFlexEngine(ReuseMixin, FixpointMixin):
                 else:
                     table, kind = self._resolve(
                         run, name, fingerprint, entry, self._merged_store(cache, name),
-                        compute=lambda: (self._execute_plan(name, context), "computed"),
+                        compute=lambda: (
+                            compile_predicate(name, self.unfolded).execute(context),
+                            "computed",
+                        ),
                     )
                 if span is not None:
                     # what explain_analyze renders the reuse lines from
@@ -387,7 +380,8 @@ class IFlexEngine(ReuseMixin, FixpointMixin):
             run.tokens[name] = fingerprint.token
         if run.partition_tokens:
             # counted per corpus partition, over every partition-local
-            # predicate of the run (see _execute_partitioned)
+            # predicate that went through the partition-keyed cache
+            # (see _execute_partitioned); a cacheless run counts none
             recomputed = len(run.recomputed)
             stats.partitions_recomputed += recomputed
             stats.partitions_reused += len(self.physical.partitions) - recomputed
@@ -399,15 +393,6 @@ class IFlexEngine(ReuseMixin, FixpointMixin):
             elapsed=elapsed,
             reuse_summary=run.reuse,
         )
-
-    def _execute_plan(self, name, context):
-        """One predicate's table: direct on the serial path, through the
-        physical layer (partitioned when the plan is wholly
-        document-local) when the corpus is partitioned.
-        """
-        if self.physical is not None:
-            return self.physical.execute_plan(name, context)
-        return compile_predicate(name, self.unfolded).execute(context)
 
     # -- semi-naive fixpoint over recursive groups ---------------------
 

@@ -2,7 +2,7 @@
 
 import time
 
-from repro.errors import ExecutionFailure, ExecutionReport, PartitionTimeout
+from repro.errors import ExecutionFailure, ExecutionReport
 from repro.observability.logs import get_logger
 from repro.processor.context import ERROR_POLICIES
 
@@ -27,8 +27,7 @@ class _PolicyDriver:
     operator, feature/predicate, exception class) gets up to
     ``max_retries`` attempts with capped exponential backoff before the
     document is quarantined as under ``skip``.  Failures with no
-    document attribution — and :class:`PartitionTimeout`, where the
-    guilty document is unknown — always surface, whatever the policy.
+    document attribution always surface, whatever the policy.
     """
 
     def __init__(self, engine):
@@ -63,7 +62,7 @@ class _PolicyDriver:
     def _handle(self, failure):
         if self.policy == "fail-fast":
             raise failure
-        if failure.doc_id is None or isinstance(failure, PartitionTimeout):
+        if failure.doc_id is None:
             # not attributable to one document: quarantining cannot help
             raise failure
         retries_used = 0

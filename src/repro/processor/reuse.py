@@ -307,19 +307,21 @@ class ReuseMixin:
             ).hexdigest()[:24]
 
     def _execute_partitioned(self, name, run):
-        """A partition-local predicate with a partition-keyed cache.
+        """A partition-local predicate, partition by partition.
 
-        Each corpus partition gets its own fingerprint (same rules, the
-        partition's corpus signature — and, for a chained predicate, the
-        upstream's token for that partition) and its own full-hit /
-        incremental / compute decision; only partitions that could not
-        be reused are re-executed, in partition order.  Returns ``(merged
-        table, kind)`` where ``kind`` summarises the weakest reuse across
+        With a cache, each corpus partition gets its own fingerprint
+        (same rules, the partition's corpus signature — and, for a
+        chained predicate, the upstream's token for that partition) and
+        its own full-hit / incremental / compute decision; only
+        partitions that could not be reused are re-executed, in partition
+        order.  Without one, every partition executes and nothing is
+        fingerprinted, stored or counted.  Returns ``(merged table,
+        kind)`` where ``kind`` summarises the weakest reuse across
         partitions.
 
-        A chained predicate's upstream normally went through the
-        partition-keyed cache earlier this run.  When it was a whole-table
-        hit instead, its partitions resolve first, through the same cache
+        A chained predicate's upstream normally went partition by
+        partition earlier this run.  When it was a whole-table hit
+        instead, its partitions resolve first, through the same cache
         (on a resident engine: all in-memory hits), traced under a span of
         their own.
 
@@ -334,57 +336,56 @@ class ReuseMixin:
 
         cache, context = run.cache, run.context
         upstream = self.physical.upstream(name)
-        if upstream is None:
-            store = cache.store if self._persistable[name] else None
-            seeds, upstream_tokens = None, None
-        else:
-            store = None
-            if upstream not in run.partition_tokens:
-                with self._span("partitions:%s" % upstream, "plan", predicate=upstream):
-                    self._execute_partitioned(upstream, run)
-            seeds = context.partition_relations[upstream]
-            upstream_tokens = run.partition_tokens[upstream]
-        part = self._rule_part(name, run)
-        tables = []
-        kinds = []
+        if upstream is not None and upstream not in context.partition_relations:
+            with self._span("partitions:%s" % upstream, "plan", predicate=upstream):
+                self._execute_partitioned(upstream, run)
+        count = len(self.physical.partitions)
+        tables = [None] * count
+        kinds = ["computed"] * count
         fingerprints = []
         fresh = []  # partitions whose cache entry is replaced
-        for pid, corpus_sig in enumerate(self.physical.corpus_sigs()):
-            tokens = {upstream: upstream_tokens[pid]} if upstream else {}
-            entry = cache.get(name, partition=pid)
-            if entry is not None and part.matches(entry.fingerprint, tokens, corpus_sig):
-                # the clean-partition fast path: no new fingerprint, no
-                # token to hash, nothing to put back
-                fingerprints.append(entry.fingerprint)
-                tables.append(entry.table)
-                kinds.append("full")
-                continue
-            fingerprint = part.fingerprint(tokens, corpus_sig)
-            fingerprints.append(fingerprint)
-            fresh.append(pid)
-            table, kind = self._resolve(run, name, fingerprint, entry, store)
-            tables.append(table)
-            kinds.append(kind)
+        store = None
+        if cache is not None:
+            if upstream is None and self._persistable[name]:
+                store = cache.store
+            part = self._rule_part(name, run)
+            upstream_tokens = run.partition_tokens.get(upstream)
+            for pid, corpus_sig in enumerate(self.physical.corpus_sigs()):
+                tokens = {upstream: upstream_tokens[pid]} if upstream else {}
+                entry = cache.get(name, partition=pid)
+                if entry is not None and part.matches(entry.fingerprint, tokens, corpus_sig):
+                    # the clean-partition fast path: no new fingerprint, no
+                    # token to hash, nothing to put back
+                    fingerprints.append(entry.fingerprint)
+                    tables[pid], kinds[pid] = entry.table, "full"
+                    continue
+                fingerprint = part.fingerprint(tokens, corpus_sig)
+                fingerprints.append(fingerprint)
+                fresh.append(pid)
+                tables[pid], kinds[pid] = self._resolve(run, name, fingerprint, entry, store)
         missing = [pid for pid, table in enumerate(tables) if table is None]
         # the delta accounting: clean partitions fold in from cache,
         # dirty ones (content digest moved, or cold) re-execute
         run.recomputed.update(missing)
         if missing:
             computed = self.physical.execute_local_partitions(
-                name, missing, tracer=context.tracer, upstream=seeds
+                name,
+                missing,
+                tracer=context.tracer,
+                upstream=context.partition_relations.get(upstream),
             )
             for pid, (table, stats) in zip(missing, computed):
                 tables[pid] = table
-                kinds[pid] = "computed"
                 context.stats.merge(stats)
         for pid in fresh:
             cache.put(name, fingerprints[pid], tables[pid], partition=pid)
             if store is not None and kinds[pid] == "computed":
                 store.save(fingerprints[pid].token, tables[pid])
         context.partition_relations[name] = tables
-        run.partition_tokens[name] = [fp.token for fp in fingerprints]
+        if cache is not None:
+            run.partition_tokens[name] = [fp.token for fp in fingerprints]
         merged = CompactTable.union(tables, attrs=self.physical.split(name).root.attrs)
-        run.partitions_reused[name] = len(tables) - len(missing)
+        run.partitions_reused[name] = count - len(missing)
         kind = next(k for k in ("computed", "incremental", "full") if k in kinds)
         return merged, kind
 

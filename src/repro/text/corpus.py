@@ -235,12 +235,13 @@ class Corpus:
     def partition(self, n):
         """Split into at most ``n`` corpora of contiguous document slices.
 
-        Document-at-a-time extraction is embarrassingly parallel, so the
-        physical execution layer partitions the corpus and runs the
-        document-local plan prefix once per partition.  Each table is
-        sliced independently, preserving document order, so concatenating
-        the partitions' results in partition order reproduces a serial
-        scan exactly.  Partitions that receive no documents at all are
+        Extraction works one document at a time, so the physical
+        execution layer runs a wholly document-local plan once per
+        partition, one partition after another, and the result cache
+        re-executes only the partitions whose documents changed.  Each
+        table is sliced independently, preserving document order, so
+        concatenating the partitions' results in partition order
+        reproduces an unpartitioned scan exactly.  Partitions that receive no documents at all are
         dropped; at least one corpus is always returned.
         """
         n = max(1, int(n))

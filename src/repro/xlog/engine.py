@@ -120,13 +120,6 @@ class XlogEngine:
                 )
         return rows
 
-    def eval_rule_body(self, rule, relations=None, seed=None):
-        """Public hook: all head-projected rows of one rule.
-
-        Used by the possible-worlds reference evaluator and by tests.
-        """
-        return self._eval_rule(rule, relations or {}, seed=seed)
-
     def _pick_ready(self, remaining, sample_binding):
         bound = set(sample_binding)
 

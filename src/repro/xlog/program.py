@@ -188,18 +188,6 @@ class Program:
         for diagnostic in analyzer.diagnostics:
             raise SafetyError(diagnostic.message)
 
-    def _binding_vars(self, rule):
-        bound = set(rule.head.input_vars)
-        for atom in rule.body_atoms(PredicateAtom):
-            kind = self.atom_kind(atom)
-            if kind == "p_function":
-                continue  # p-functions bind nothing
-            if kind in ("extensional", "intensional"):
-                bound.update(atom.variables)
-            else:  # from, ie, p_predicate: outputs bind
-                bound.update(v for v in atom.output_args if isinstance(v, Var))
-        return bound
-
     # ------------------------------------------------------------------
     # refinement (copy-on-write)
     # ------------------------------------------------------------------

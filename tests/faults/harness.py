@@ -1,16 +1,14 @@
 """Deterministic fault-injection harness (see docs/robustness.md).
 
-``FaultingFeature`` wraps a real feature and misbehaves — raises, or
-stalls — only on a chosen set of poisoned documents, so tests can dial
-in exactly which documents fail, how many times, and in which operator.
+``FaultingFeature`` wraps a real feature and raises only on a chosen
+set of poisoned documents, so tests can dial in exactly which
+documents fail, how many times, and in which operator.
 Faults are keyed on ``doc_id`` alone, which keeps them deterministic
 across partition layouts and quarantine re-runs.
 
 Transient faults (``fail_times``) count their trips in one file per
 poisoned document under ``trip_dir``.
 """
-
-import time
 
 from repro.features.base import Feature
 from repro.features.registry import default_registry
@@ -34,19 +32,17 @@ class FaultingFeature(Feature):
     ``fail_times=None`` (the default) fails every evaluation over a
     poisoned document; an integer, together with ``trip_dir``, fails
     that many evaluations per document and then recovers (transient
-    faults, for exercising the ``retry`` policy).  ``sleep`` stalls
-    instead of raising (partition-timeout tests).
+    faults, for exercising the ``retry`` policy).
     """
 
     parameterized = False
 
-    def __init__(self, inner, poisoned, fail_times=None, trip_dir=None, sleep=None):
+    def __init__(self, inner, poisoned, fail_times=None, trip_dir=None):
         self.name = inner.name
         self.inner = inner
         self.poisoned = set(poisoned)
         self.fail_times = fail_times
         self.trip_dir = trip_dir
-        self.sleep = sleep
 
     def _trip(self, doc_id):
         if self.fail_times is None:
@@ -62,9 +58,6 @@ class FaultingFeature(Feature):
     def _maybe_fault(self, span):
         doc_id = span.doc.doc_id
         if doc_id not in self.poisoned:
-            return
-        if self.sleep is not None:
-            time.sleep(self.sleep)
             return
         if self._trip(doc_id):
             raise RuntimeError("injected fault on %s" % doc_id)

@@ -54,23 +54,6 @@ class TestTracer:
         assert len(tracer.spans) == 1
         assert tracer.current is None
 
-    def test_adopt_remaps_ids_and_preserves_structure(self):
-        worker = Tracer()
-        with worker.span("partition[0]", "partition", partition=0):
-            with worker.span("verify-batch:numeric(p)", "feature"):
-                pass
-        parent = Tracer()
-        with parent.span("scheduler.map", "scheduler") as scheduler_span:
-            adopted = parent.adopt(worker.spans, parent=scheduler_span)
-        assert len(adopted) == 2
-        image = span_tree_image(parent.spans)
-        parents = {name: parent_name for name, _, parent_name, _ in image}
-        assert parents["partition[0]"] == "scheduler.map"
-        assert parents["verify-batch:numeric(p)"] == "partition[0]"
-        # ids re-assigned from the adopting tracer's sequence
-        ids = [s.span_id for s in parent.spans]
-        assert len(ids) == len(set(ids))
-
 
 class TestSpansFromTraces:
     """Operator spans recorded by a traced plan execution."""

@@ -4,8 +4,8 @@ The guard for the physical execution layer: every partition layout, at
 any worker count, must produce *identical* compact tables to the
 unpartitioned engine — same tuple order, same cells, same maybe flags,
 same assignment multisets.  Partitions are contiguous document slices
-and the task runner preserves task order, so this holds exactly (not
-just up to reordering).
+run in partition order, so this holds exactly (not just up to
+reordering).
 """
 
 import pytest
@@ -15,7 +15,6 @@ from repro.processor.context import ExecConfig, ExecutionContext
 from repro.processor.executor import IFlexEngine
 from repro.processor.reuse import RuleCache
 from repro.processor.plan import compile_predicate
-from repro.processor.schedulers import run_tasks
 from repro.processor.split import PlanSplit
 from repro.text.corpus import Corpus
 from repro.text.document import Document
@@ -169,13 +168,6 @@ class TestCorpusPartition:
         assert corpus.partition(4) == [corpus]
 
 
-class TestTaskRunner:
-    @pytest.mark.parametrize("timeout", [None, 30.0], ids=["inline", "watched"])
-    def test_run_tasks_preserves_order(self, timeout):
-        items = list(range(17))
-        assert run_tasks(lambda i: i * i, items, timeout) == [i * i for i in items]
-
-
 class TestPlanSplit:
     def build(self, source, corpus, query=None):
         from repro.alog.unfold import unfold_program
@@ -287,7 +279,8 @@ class TestObservabilityAcrossBackends:
         engine.execute()
         categories = {span.category for span in tracer.spans}
         assert {"engine", "plan", "scheduler", "partition"} <= categories
-        # worker-side spans hang under a scheduler span after adoption
+        # partition spans record straight into the caller's tracer,
+        # under the batch's scheduler span
         by_id = {span.span_id: span for span in tracer.spans}
         partitions = [s for s in tracer.spans if s.category == "partition"]
         assert len(partitions) == expected

@@ -12,7 +12,13 @@ output contains every exact world.
 Multi-document inputs are checked on every partition layout: the
 unpartitioned path, worker partitions and the service's one-document
 chunks (where rules over a partition-local predicate run per chunk).
+The partitioned layouts are also checked through the result cache:
+cold, warm, and after a one-document edit, each answer against the
+oracle over its own corpus.
 """
+
+import dataclasses
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,17 +36,48 @@ from repro.xlog.program import Program
 LAYOUTS = (ExecConfig(), ExecConfig(workers=2), ExecConfig(partition_docs=1))
 
 
+def edit_one_document(corpus):
+    """``corpus`` with one more number appended to its last document."""
+    names = corpus.table_names()
+    edited = Corpus()
+    for name in names:
+        docs = list(corpus.table(name))
+        if name == names[-1]:
+            last = docs[-1]
+            docs[-1] = Document(last.doc_id, last.text + " 9", regions=last.regions)
+        edited.add_table(name, docs)
+    return edited
+
+
+def check_superset(program, corpus, exact, config, max_worlds):
+    result = IFlexEngine(program, corpus, config=config).execute()
+    approx = compact_worlds(result.query_table, max_worlds=max_worlds)
+    missing = exact - approx
+    assert not missing, "missing %d exact worlds under %r, e.g. %r" % (
+        len(missing),
+        config,
+        next(iter(missing)),
+    )
+    return result.stats
+
+
 def assert_superset(program, corpus, max_worlds=100_000, configs=(ExecConfig(),)):
     exact = program_possible_relations(program, corpus, max_worlds=max_worlds)
     for config in configs:
-        result = IFlexEngine(program, corpus, config=config).execute()
-        approx = compact_worlds(result.query_table, max_worlds=max_worlds)
-        missing = exact - approx
-        assert not missing, "missing %d exact worlds under %r, e.g. %r" % (
-            len(missing),
-            config,
-            next(iter(missing)),
-        )
+        check_superset(program, corpus, exact, config, max_worlds)
+    partitioned = [c for c in configs if c.workers > 1 or c.partition_docs]
+    if not partitioned:
+        return
+    edited = edit_one_document(corpus)
+    exact_edited = program_possible_relations(program, edited, max_worlds=max_worlds)
+    for config in partitioned:
+        # cold, warm and one-document-edit runs through the result cache
+        with tempfile.TemporaryDirectory() as directory:
+            cached = dataclasses.replace(config, result_cache=directory)
+            check_superset(program, corpus, exact, cached, max_worlds)
+            warm = check_superset(program, corpus, exact, cached, max_worlds)
+            assert warm.result_cache_hits and not warm.partitions_recomputed, warm
+            check_superset(program, edited, exact_edited, cached, max_worlds)
 
 
 class TestSupersetOnFixedPrograms:

@@ -231,8 +231,6 @@ class TestArgValidation:
         ["--workers", "0"],
         ["--workers", "-2"],
         ["--max-retries", "-1"],
-        ["--partition-timeout", "0"],
-        ["--partition-timeout", "-1.5"],
     ]
 
     @pytest.mark.parametrize("extra", BAD, ids=lambda e: " ".join(e))
@@ -276,6 +274,8 @@ class TestArgValidation:
             ["explain", "p.alog", "--on-error", "skip"],
             ["explain", "p.alog", "--max-retries", "1"],
             ["explain", "p.alog", "--partition-timeout", "0.5"],
+            ["run", "p.alog", "--partition-timeout", "0.5"],
+            ["session", "p.alog", "--partition-timeout", "0.5"],
             ["explain", "p.alog", "--trace-out", "t.json"],
             ["explain", "p.alog", "--metrics-out", "m.json"],
         ],
@@ -293,31 +293,19 @@ class TestArgValidation:
         text = capsys.readouterr().out
         removed_switches = [
             "--no-eval-cache", "--no-incremental", "thread", "--no-index", "--backend",
+            "--partition-timeout",
         ]
         if command == "serve":
             removed_switches.append("--workers")
         for removed in removed_switches:
             assert removed not in text, removed
 
-    @pytest.mark.parametrize("command", ["run", "session"])
-    def test_partition_timeout_needs_workers(self, command, capsys):
-        # only partitions run under the deadline; without --workers > 1
-        # the timeout would be silently ignored, so it is refused
-        for extra in ([], ["--workers", "1"]):
-            with pytest.raises(SystemExit) as excinfo:
-                main([command, "p.alog", "--partition-timeout", "0.5", *extra])
-            assert excinfo.value.code == 2
-            err = capsys.readouterr().err
-            assert "--partition-timeout" in err and "--workers" in err
-
     def test_valid_values_accepted(self):
         args = build_parser().parse_args(
-            ["run", "p.alog", "--workers", "3", "--max-retries", "0",
-             "--partition-timeout", "0.5"]
+            ["run", "p.alog", "--workers", "3", "--max-retries", "0"]
         )
         assert args.workers == 3
         assert args.max_retries == 0
-        assert args.partition_timeout == 0.5
 
 
 class TestObservabilityFlags:
