@@ -48,9 +48,9 @@ _LEGACY_ERROR_TYPES = {
 class ExecutionResult:
     """What one program execution produced.
 
-    The query table's counts are taken once, on first use: result
-    tables are finished when execution returns (operators build new
-    tables, cache hits share finished ones) and nothing mutates them
+    The query table's three counts are taken in one pass, on first use:
+    result tables are finished when execution returns (operators build
+    new tables, cache hits share finished ones) and nothing mutates them
     afterwards.
     """
 
@@ -64,16 +64,20 @@ class ExecutionResult:
     report: object = None
 
     @cached_property
+    def _counts(self):
+        return self.query_table.counts()
+
+    @property
     def tuple_count(self):
-        return self.query_table.tuple_count()
+        return self._counts[0]
 
-    @cached_property
+    @property
     def assignment_count(self):
-        return self.query_table.assignment_count()
+        return self._counts[1]
 
-    @cached_property
+    @property
     def maybe_count(self):
-        return self.query_table.maybe_count()
+        return self._counts[2]
 
     def summary(self):
         return {

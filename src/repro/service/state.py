@@ -62,7 +62,17 @@ class ServiceError(ReproError):
 
 
 class ProgramHost:
-    """One submitted program's resident execution state."""
+    """One submitted program's resident execution state.
+
+    Besides the engine and its rule cache, a host keeps the NDJSON tuple
+    lines of the last result it streamed, as ``{id(row): (row, line)}``
+    (:func:`~repro.service.app.stream_result` reads and replaces it).
+    Result tables are finished when execution returns and never mutated,
+    and a warm or delta run shares the unchanged rows of the previous
+    result, so a line is re-sent whenever its stored row *is* the row
+    being streamed; the entry holds that row, so its id cannot be reused
+    while the entry lives.  The memo holds one result's lines.
+    """
 
     __slots__ = (
         "program_id",
@@ -75,6 +85,7 @@ class ProgramHost:
         "warnings",
         "runs",
         "last_summary",
+        "lines",
     )
 
     def __init__(self, program_id, source, query, tables, program, engine, warnings):
@@ -90,6 +101,8 @@ class ProgramHost:
         self.warnings = warnings
         self.runs = 0
         self.last_summary = None
+        #: the tuple lines of the last streamed result, by row identity
+        self.lines = {}
 
     def describe(self):
         info = {

@@ -132,6 +132,7 @@ class TestCompactTable:
         assert table.tuple_count() == 3
         assert table.assignment_count() == 3
         assert table.maybe_count() == 1
+        assert table.counts() == (3, 3, 1)
 
     def test_encoded_value_count_sensitive_to_narrowing(self, doc):
         wide = CompactTable(["s"], [CompactTuple([Cell.contain(doc_span(doc))])])

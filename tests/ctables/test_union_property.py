@@ -116,6 +116,23 @@ def test_union_worlds_round_trip(left, right):
         assert any(wr <= world for world in union_worlds)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(tables(), max_size=4))
+def test_union_splices_operand_tuples_in_order(operands):
+    """The output holds each operand's tuple objects, in operand order,
+    in a list of its own; one-pass counts equal the three measures."""
+    out = CompactTable.union(operands, attrs=ATTRS)
+    spliced = [t for table in operands for t in table.tuples]
+    assert len(out.tuples) == len(spliced)
+    assert all(a is b for a, b in zip(out.tuples, spliced))
+    assert all(out.tuples is not table.tuples for table in operands)
+    assert out.counts() == (
+        out.tuple_count(),
+        out.assignment_count(),
+        out.maybe_count(),
+    )
+
+
 def test_union_preserves_maybe_and_multiplicity():
     dup = CompactTuple([Cell.exact(1), Cell.exact(2)])
     flagged = CompactTuple([Cell.exact(1), Cell.exact(2)], maybe=True)

@@ -1,5 +1,7 @@
 """WSGI route tests, driven without sockets via the fake client."""
 
+import threading
+
 from repro.service import ServiceApp, build_app
 
 from tests.service.conftest import (
@@ -187,6 +189,29 @@ class TestPrograms:
     def test_run_without_tables_409(self, client):
         pid = submit_program(client, tables=["pages"]).json["program_id"]
         assert client.post("/programs/%s/run" % pid).code == 409
+
+    def test_a_drop_during_a_run_cannot_404_it(self, client, service, monkeypatch):
+        """The run and its host are taken under one hold of the lock."""
+        ingest_pages(client, range(2))
+        pid = submit_program(client).json["program_id"]
+        run_program = service.run_program
+        dropper = threading.Thread(
+            target=client.delete, args=("/programs/%s" % pid,)
+        )
+
+        def run_then_drop(program_id):
+            result = run_program(program_id)
+            dropper.start()
+            dropper.join(0.2)  # the drop waits for the service lock
+            return result
+
+        monkeypatch.setattr(service, "run_program", run_then_drop)
+        resp = client.post("/programs/%s/run" % pid)
+        dropper.join()
+        assert resp.code == 200, resp.body
+        assert resp.ndjson[-1]["type"] == "summary"
+        assert resp.ndjson[-1]["tuples"] == 2
+        assert client.get("/programs/%s" % pid).code == 404
 
 
 class TestMetricsRoute:
