@@ -26,7 +26,8 @@ RESULTS_PATH = Path(__file__).resolve().parent / "results" / "incremental.json"
 
 TASK_ID = "T1"
 BASE_SIZE = 200
-WORKERS = 4
+#: corpus chunks at every scale: ``partition_docs`` is ``ceil(size / 4)``
+PARTITIONS = 4
 
 HEADERS = (
     "phase",
@@ -74,12 +75,10 @@ def _edit_one_document(corpus):
     return Corpus(tables), edited_id
 
 
-def _run(program, corpus, cache_dir):
+def _run(program, corpus, cache_dir, partition_docs):
     from repro.processor import ExecConfig, IFlexEngine
 
-    config = ExecConfig(
-        workers=WORKERS, result_cache=cache_dir
-    )
+    config = ExecConfig(partition_docs=partition_docs, result_cache=cache_dir)
     engine = IFlexEngine(program, corpus, config=config, validate=False)
     start = time.perf_counter()
     result = engine.execute()
@@ -103,17 +102,18 @@ def incremental_cycle(scale, seed, metrics=None):
 
     size = max(20, int(round(BASE_SIZE * scale)))
     task = build_task(TASK_ID, size=size, seed=seed)
-    partitions = len(task.corpus.partition(WORKERS))
+    partition_docs = -(-size // PARTITIONS)
+    partitions = len(task.corpus.chunk(partition_docs))
     edited_corpus, edited_id = _edit_one_document(task.corpus)
     with tempfile.TemporaryDirectory() as cache_dir, \
             tempfile.TemporaryDirectory() as reference_dir:
-        cold, cold_seconds = _run(task.program, task.corpus, cache_dir)
-        warm, warm_seconds = _run(task.program, task.corpus, cache_dir)
-        delta, delta_seconds = _run(task.program, edited_corpus, cache_dir)
+        cold, cold_seconds = _run(task.program, task.corpus, cache_dir, partition_docs)
+        warm, warm_seconds = _run(task.program, task.corpus, cache_dir, partition_docs)
+        delta, delta_seconds = _run(task.program, edited_corpus, cache_dir, partition_docs)
         # the correctness reference: a cold run over the edited corpus
         # against its own empty cache
         reference, reference_seconds = _run(
-            task.program, edited_corpus, reference_dir
+            task.program, edited_corpus, reference_dir, partition_docs
         )
     if metrics is not None:
         for phase, result in (
@@ -132,7 +132,7 @@ def incremental_cycle(scale, seed, metrics=None):
     return {
         "task": TASK_ID,
         "size": size,
-        "workers": WORKERS,
+        "partition_docs": partition_docs,
         "partitions": partitions,
         "edited_doc": edited_id,
         "warm_speedup": round(

@@ -7,7 +7,7 @@ wall-clock-free so CI can run them at any scale: the iteration count is
 *pinned* (a chain of N edges takes exactly N productive iterations plus
 the one empty iteration that proves convergence), the closure size is
 the exact N(N+1)/2, and the query table is byte-identical between the
-unpartitioned run and a run over worker partitions.
+unpartitioned run and a run over corpus chunks.
 
 Results land in ``benchmarks/results/recursion.json``.
 """
@@ -23,12 +23,11 @@ from conftest import print_block
 RESULTS_PATH = Path(__file__).resolve().parent / "results" / "recursion.json"
 
 BASE_EDGES = 40
-WORKERS = 2
 
-#: partition counts compared: unpartitioned, then worker partitions
-LAYOUTS = (1, WORKERS)
+#: layouts compared: unpartitioned, then two chunks of edge documents
+LAYOUTS = ("unpartitioned", "chunked")
 
-HEADERS = ("workers", "seconds", "iterations", "paths", "identical")
+HEADERS = ("layout", "seconds", "iterations", "paths", "identical")
 
 TC_SOURCE = """
 edge(x, y) :- docs(d), pair(@d, x, y).
@@ -51,11 +50,11 @@ def _build(edges):
     return program, Corpus({"docs": docs})
 
 
-def _run(program, corpus, workers):
+def _run(program, corpus, partition_docs):
     from repro.ctables import table_key
     from repro.processor import ExecConfig, IFlexEngine
 
-    config = ExecConfig(workers=workers)
+    config = ExecConfig(partition_docs=partition_docs)
     engine = IFlexEngine(program, corpus, config=config, validate=False)
     start = time.perf_counter()
     result = engine.execute()
@@ -71,14 +70,14 @@ def _run(program, corpus, workers):
 def recursion_cycle(scale, seed):
     edges = max(4, int(round(BASE_EDGES * scale)))
     program, corpus = _build(edges)
+    partition_docs = -(-edges // 2)
     points = {
-        "workers=%d" % workers: _run(program, corpus, workers)
-        for workers in LAYOUTS
+        "unpartitioned": _run(program, corpus, None),
+        "chunked": _run(program, corpus, partition_docs),
     }
-    serial_key = points["workers=1"]["key"]
     for point in points.values():
-        point["identical"] = point["key"] == serial_key
-    return {"edges": edges, "workers": WORKERS, **points}
+        point["identical"] = point["key"] == points["unpartitioned"]["key"]
+    return {"edges": edges, "partition_docs": partition_docs, **points}
 
 
 def test_recursion(benchmark, bench_scale, bench_seed, artifacts):
@@ -89,13 +88,13 @@ def test_recursion(benchmark, bench_scale, bench_seed, artifacts):
     )
     rows = [
         (
-            workers,
-            "%.3f" % cycle["workers=%d" % workers]["seconds"],
-            cycle["workers=%d" % workers]["iterations"],
-            cycle["workers=%d" % workers]["paths"],
-            "yes" if cycle["workers=%d" % workers]["identical"] else "NO",
+            layout,
+            "%.3f" % cycle[layout]["seconds"],
+            cycle[layout]["iterations"],
+            cycle[layout]["paths"],
+            "yes" if cycle[layout]["identical"] else "NO",
         )
-        for workers in LAYOUTS
+        for layout in LAYOUTS
     ]
     print_block(
         render_table(
@@ -110,9 +109,9 @@ def test_recursion(benchmark, bench_scale, bench_seed, artifacts):
     RESULTS_PATH.write_text(json.dumps(cycle, indent=2) + "\n")
 
     edges = cycle["edges"]
-    for workers in LAYOUTS:
-        point = cycle["workers=%d" % workers]
+    for layout in LAYOUTS:
+        point = cycle[layout]
         # pinned: N productive iterations + the final empty proof
-        assert point["iterations"] == edges + 1, (workers, point)
-        assert point["paths"] == edges * (edges + 1) // 2, (workers, point)
-        assert point["identical"], (workers, point)
+        assert point["iterations"] == edges + 1, (layout, point)
+        assert point["paths"] == edges * (edges + 1) // 2, (layout, point)
+        assert point["identical"], (layout, point)

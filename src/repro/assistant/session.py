@@ -325,11 +325,10 @@ class RefinementSession:
         """The candidate engines' config: always unpartitioned.
 
         The subset corpus is small and each simulation runs on a
-        throwaway cache copy, so partitions — by worker count or by
-        fixed-size chunk — would buy no reuse.
+        throwaway cache copy, so partitions would buy no reuse.
         """
         if not hasattr(self, "_serial_config"):
-            self._serial_config = replace(self.config, workers=1, partition_docs=None)
+            self._serial_config = replace(self.config, partition_docs=None)
         return self._serial_config
 
     def attribute_profile(self, ie_predicate, attribute, max_tuples=50):

@@ -107,17 +107,22 @@ def build_parser():
             help="threshold for the repro.* logger hierarchy (stderr)",
         )
 
+    def add_partition_docs(p, default):
+        p.add_argument(
+            "--partition-docs",
+            type=_positive_int,
+            default=default,
+            metavar="N",
+            help="documents per partition for the partition-local "
+            "predicates, run one after another; boundaries are "
+            "positionally stable, so with a result cache ingesting or "
+            "editing k documents re-executes at most ceil(k/N)+1 "
+            "partitions (default: %s)" % (default or "no partitioning"),
+        )
+
     def add_exec_args(p):
         add_program_args(p)
-        p.add_argument(
-            "--workers",
-            type=_positive_int,
-            default=1,
-            help="corpus partitions for the wholly document-local "
-            "predicates, run one after another; with --result-cache a rerun "
-            "re-executes only the partitions whose documents changed "
-            "(default 1: no partitioning)",
-        )
+        add_partition_docs(p, None)
         p.add_argument(
             "--result-cache",
             metavar="DIR",
@@ -164,7 +169,7 @@ def build_parser():
             "--metrics-out",
             metavar="PATH",
             help="write a deterministic metrics-registry snapshot (JSON); "
-            "byte-identical across --workers counts for the same run",
+            "byte-identical across --partition-docs sizes for the same run",
         )
 
     run = sub.add_parser("run", help="execute a program and print the result")
@@ -326,15 +331,7 @@ def build_parser():
         "of html files); repeatable (more documents can be ingested "
         "over HTTP)",
     )
-    serve.add_argument(
-        "--partition-docs",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="documents per partition for delta execution; boundaries "
-        "are positionally stable under ingestion, so ingesting k "
-        "documents re-executes at most ceil(k/N)+1 partitions",
-    )
+    add_partition_docs(serve, 1)
     serve.add_argument(
         "--result-cache",
         metavar="DIR",
@@ -430,8 +427,7 @@ def _exec_config(args):
     from repro.processor.context import ExecConfig
 
     return ExecConfig(
-        workers=getattr(args, "workers", 1),
-        partition_docs=getattr(args, "partition_docs", None),
+        partition_docs=args.partition_docs,
         on_error=getattr(args, "on_error", "fail-fast"),
         max_retries=getattr(args, "max_retries", 2),
         result_cache=args.result_cache,

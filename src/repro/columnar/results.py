@@ -9,19 +9,18 @@ changes whenever the plan *or* any document content in the partition
 changes, which is what makes delta execution safe: after an edit, only
 the partitions whose digests moved miss the cache.
 
-Two files per entry::
-
-    <key>.res.npy        flat int64 buffer (repro.ctables.codec)
-    <key>.res.meta.json  codec sidecar + store envelope (key, sha256)
+One file per entry, ``<key>.res``: a JSON header line (the codec
+sidecar plus the store envelope: key and sha256), then the flat
+little-endian int64 buffer of :mod:`repro.ctables.codec`.
 
 The envelope's ``sha256`` covers the buffer bytes and the canonical
 sidecar, so a flipped bit that would still decode — a maybe flag, a
-span offset — cannot load as a different table.  Writes go through
+span offset — cannot load as a different table.  Writes go through one
 ``mkstemp`` + ``os.replace`` (a crashed writer leaves no half-entry),
-and *any* load-side defect — missing file, garbage buffer, checksum,
-version or key mismatch, a span that no longer fits its document —
-yields ``None`` so the executor recomputes.  The cache is an
-accelerator, never a source of truth.
+and *any* load-side defect — missing file, garbage header, buffer
+length, checksum, version or key mismatch, a span that no longer fits
+its document — yields ``None`` so the executor recomputes.  The cache
+is an accelerator, never a source of truth.
 
 :func:`prune_cache_dir` keeps a cache directory bounded: when
 entry-count or byte caps are exceeded it evicts whole entries
@@ -47,45 +46,41 @@ __all__ = [
 
 logger = get_logger("columnar")
 
-_I64 = np.int64
+#: ``(suffix, group tag)`` of every file prune knows, longest suffix
+#: first so ``.res.meta.json`` is never mistaken for a ``.meta.json``: a
+#: file belongs to the entry named by its stem plus the tag.  Only
+#: ``.res`` is read and written.  The ``.res.npy``/``.res.meta.json``
+#: pairs of older result entries (an entry of their own beside a ``.res``
+#: under the same key) and the ``.cols.npy``/``.meta.json`` corpus
+#: column bundles of still older versions often share the directory,
+#: and prune still evicts them.
+_ENTRY_SUFFIXES = (
+    (".res.meta.json", ".res.npy"),
+    (".res.npy", ".res.npy"),
+    (".res", ""),
+    (".meta.json", ""),
+    (".cols.npy", ""),
+)
 
-#: suffixes that group a cache entry's files; longest first so
-#: ``.res.meta.json`` is never mistaken for a ``.meta.json``.  The
-#: ``.cols.npy``/``.meta.json`` pair is the corpus column bundle older
-#: versions persisted, often into the same directory: nothing reads it
-#: any more, but prune still evicts it.
-_ENTRY_SUFFIXES = (".res.meta.json", ".res.npy", ".meta.json", ".cols.npy")
+#: the on-disk buffer dtype, fixed so an entry reads the same anywhere
+_DISK_I64 = np.dtype("<i8")
 
 
 def _checksum(data, meta):
     """SHA-256 over the buffer bytes and the sidecar minus ``sha256``."""
-    digest = hashlib.sha256(np.ascontiguousarray(data).tobytes())
+    digest = hashlib.sha256(np.ascontiguousarray(data, dtype=_DISK_I64).tobytes())
     sidecar = {name: value for name, value in meta.items() if name != "sha256"}
     canonical = json.dumps(sidecar, sort_keys=True, separators=(",", ":"))
     digest.update(canonical.encode("utf-8"))
     return digest.hexdigest()
 
 
-def _result_paths(cache_dir, key):
-    return (
-        os.path.join(cache_dir, "%s.res.npy" % key),
-        os.path.join(cache_dir, "%s.res.meta.json" % key),
-    )
-
-
-def _atomic_write(cache_dir, path, suffix, writer):
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=suffix)
-    try:
-        writer(fd)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _entry_path(cache_dir, key):
+    return os.path.join(cache_dir, "%s.res" % key)
 
 
 def save_result(table, cache_dir, key):
-    """Persist one evaluated table under ``key``; returns the ``.npy`` path.
+    """Persist one evaluated table under ``key``; returns the entry's path.
 
     Raises :class:`~repro.ctables.codec.CodecError` when the table
     holds values the codec cannot represent exactly — callers skip
@@ -95,42 +90,43 @@ def save_result(table, cache_dir, key):
     meta["key"] = key
     meta["sha256"] = _checksum(data, meta)
     os.makedirs(cache_dir, exist_ok=True)
-    data_path, meta_path = _result_paths(cache_dir, key)
-
-    def write_data(fd):
+    path = _entry_path(cache_dir, key)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".res.tmp")
+    try:
         with os.fdopen(fd, "wb") as handle:
-            np.save(handle, np.ascontiguousarray(data))
-
-    def write_meta(fd):
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(meta, handle)
-
-    _atomic_write(cache_dir, data_path, ".npy.tmp", write_data)
-    _atomic_write(cache_dir, meta_path, ".json.tmp", write_meta)
-    return data_path
+            handle.write(json.dumps(meta).encode("utf-8") + b"\n")
+            handle.write(np.ascontiguousarray(data, dtype=_DISK_I64).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+    return path
 
 
 def load_result(cache_dir, key, docs_by_id):
     """Decode a persisted result, or ``None`` when absent/corrupt/stale.
 
     ``docs_by_id`` supplies the live documents spans rehydrate against.
-    Every failure mode — missing files, malformed JSON, a key, checksum
-    or codec version mismatch, any structural defect the codec rejects
-    — yields ``None`` so the caller recomputes.
+    Every failure mode — a missing file, a malformed header, a key,
+    length, checksum or codec version mismatch, any structural defect
+    the codec rejects — yields ``None`` so the caller recomputes.
     """
-    data_path, meta_path = _result_paths(cache_dir, key)
-    if not (os.path.exists(data_path) and os.path.exists(meta_path)):
+    try:
+        with open(_entry_path(cache_dir, key), "rb") as handle:
+            raw = handle.read()
+    except FileNotFoundError:
         return None
     try:
-        with open(meta_path, encoding="utf-8") as handle:
-            meta = json.load(handle)
+        header, newline, body = raw.partition(b"\n")
+        if not newline:
+            raise ValueError("no header line")
+        meta = json.loads(header)
         if meta.get("key") != key:
             raise ValueError("key mismatch")
-        data = np.load(data_path, allow_pickle=False)
-        if data.ndim != 1 or data.dtype != _I64:
-            raise ValueError("unexpected buffer shape/dtype")
-        if len(data) != int(meta.get("total", -1)):
+        if len(body) != _DISK_I64.itemsize * int(meta.get("total", -1)):
             raise ValueError("buffer length mismatch")
+        data = np.frombuffer(body, dtype=_DISK_I64)
         if meta.get("sha256") != _checksum(data, meta):
             raise ValueError("checksum mismatch")
         return decode_table(data, meta, docs_by_id)
@@ -147,14 +143,14 @@ def _entry_groups(cache_dir):
     except OSError:
         return groups
     for name in names:
-        for suffix in _ENTRY_SUFFIXES:
+        for suffix, tag in _ENTRY_SUFFIXES:
             if name.endswith(suffix):
                 path = os.path.join(cache_dir, name)
                 try:
                     stat = os.stat(path)
                 except OSError:
                     break
-                key = name[: -len(suffix)]
+                key = name[: -len(suffix)] + tag
                 groups.setdefault(key, []).append(
                     (path, stat.st_size, stat.st_mtime)
                 )
@@ -166,11 +162,12 @@ def prune_cache_dir(cache_dir, max_entries=None, max_bytes=None, keep=()):
     """Evict cache entries beyond the caps; returns the entries removed.
 
     An *entry* is the file group sharing one ``<key>`` stem — a persisted
-    result or an old column bundle.  Eviction is whole-entry, oldest
-    mtime first, with mtime *ties broken by key name*: filesystem
-    timestamps are coarse (whole seconds on some mounts), so entries
-    written in one burst routinely share an mtime and "oldest first"
-    alone would leave the victim to dict/listdir order.  Keys in
+    result, an old two-file result or an old column bundle.  Eviction is
+    whole-entry, oldest mtime first, with mtime *ties broken by key
+    name*: filesystem timestamps are coarse (whole seconds on some
+    mounts), so entries written in one burst routinely share an mtime
+    and "oldest first" alone would leave the victim to dict/listdir
+    order.  Keys in
     ``keep`` (the live working set) are never evicted even when over
     cap.  Unknown files are left alone.
     """
@@ -262,8 +259,7 @@ class ResultStore:
 
     def load(self, key, docs_by_id):
         """The persisted table for ``key``, or ``None`` (silent miss)."""
-        data_path, meta_path = _result_paths(self.cache_dir, key)
-        if not (os.path.exists(data_path) and os.path.exists(meta_path)):
+        if not os.path.exists(_entry_path(self.cache_dir, key)):
             return None
         table = load_result(self.cache_dir, key, docs_by_id)
         if table is None:
@@ -277,19 +273,14 @@ class ResultStore:
     def save(self, key, table):
         """Persist ``table`` under ``key`` unless already present."""
         self._live.add(key)
-        data_path, meta_path = _result_paths(self.cache_dir, key)
-        if (
-            key not in self._rewrite
-            and os.path.exists(data_path)
-            and os.path.exists(meta_path)
-        ):
-            self.skipped += 1
-            for path in (data_path, meta_path):
-                try:
-                    os.utime(path)  # refresh LRU standing
-                except OSError:
-                    pass
-            return
+        if key not in self._rewrite:
+            try:
+                os.utime(_entry_path(self.cache_dir, key))  # refresh LRU standing
+            except OSError:
+                pass  # absent: write it
+            else:
+                self.skipped += 1
+                return
         try:
             save_result(table, self.cache_dir, key)
         except CodecError as exc:

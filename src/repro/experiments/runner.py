@@ -66,22 +66,12 @@ def run_iflex(
     seed=0,
     cost_model=None,
     include_cleanup=True,
-    workers=1,
     **session_kwargs,
 ):
-    """Run one refinement session on ``task`` and score it.
-
-    ``workers`` partitions the corpus of every full and subset engine
-    run inside the session; scores are identical at any worker count —
-    only machine time changes.
-    """
+    """Run one refinement session on ``task`` and score it."""
     cost_model = cost_model or CostModel()
     strategy = strategy or SimulationStrategy(alpha=alpha)
     developer = SimulatedDeveloper(task.truth, alpha=alpha, seed=seed)
-    if workers > 1 and "config" not in session_kwargs:
-        from repro.processor.context import ExecConfig
-
-        session_kwargs["config"] = ExecConfig(workers=workers)
     session = RefinementSession(
         task.program,
         task.corpus,

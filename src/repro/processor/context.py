@@ -39,17 +39,13 @@ class ExecConfig:
     pair_cap: int = 1_000
     ppredicate_cap: int = 5_000
     blocking_joins: bool = True
-    #: Corpus partitions for wholly document-local plans; 1 keeps the
-    #: engine on the original unpartitioned path.  Partitions run one
-    #: after another, in a plain loop; they exist for partition-keyed
-    #: reuse, not for parallel speed.
-    workers: int = 1
-    #: Documents per corpus partition (``Corpus.chunk``) instead of the
-    #: default ``workers``-way split (``Corpus.partition``).  Chunk
-    #: boundaries are positionally stable under ingestion — appending
-    #: documents never moves an existing full chunk — which is what the
-    #: resident service needs for "ingest k docs, recompute exactly the
-    #: k affected partitions".  ``None`` keeps the historical split.
+    #: Documents per corpus partition (``Corpus.chunk``) for the
+    #: partition-local plans; ``None`` keeps the engine on the original
+    #: unpartitioned path.  Partitions run one after another, in a plain
+    #: loop; they exist for partition-keyed reuse, not for parallel
+    #: speed.  Chunk boundaries are positionally stable under ingestion
+    #: — appending documents never moves an existing full chunk — so
+    #: ingesting k docs recomputes exactly the k affected partitions.
     partition_docs: object = None
     #: Error policy for document-attributable failures (a feature or
     #: p-predicate raising on a malformed document): ``fail-fast``
@@ -280,12 +276,11 @@ class FeatureEvaluator:
 class ExecutionContext:
     """Everything operators need while a plan runs.
 
-    ``eval_cache`` may be passed in to share across contexts (the
-    assistant session shares one across simulations).  When omitted, a
-    fresh one is created — so partition contexts get *fresh* eval
-    caches, keeping per-partition hit/miss counters identical to an
-    unpartitioned run over the same documents
-    (cache keys are document-scoped and partitions are document-disjoint).
+    ``eval_cache`` may be passed in to share across contexts: partition
+    contexts share their run's (cache keys are document-scoped and
+    partitions document-disjoint, so hit/miss counters sum to an
+    unpartitioned run's), and the assistant session shares one across
+    simulations.  When omitted, a fresh one is created.
     """
 
     def __init__(

@@ -209,11 +209,10 @@ class IFlexEngine(ReuseMixin, FixpointMixin):
     def _make_physical(self, previous=None):
         """The physical execution layer over the active corpus.
 
-        With one worker and no ``partition_docs`` chunking the corpus is
-        one partition, and every plan executes directly on the run's
-        context (the original single-threaded code path, byte for
-        byte).  ``previous`` is the executor it replaces after a corpus
-        change.
+        Without ``partition_docs`` chunking the corpus is one partition,
+        and every plan executes directly on the run's context (the
+        original single-threaded code path, byte for byte).
+        ``previous`` is the executor it replaces after a corpus change.
         """
         return PhysicalExecutor(
             self.unfolded,

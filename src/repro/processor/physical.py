@@ -15,18 +15,20 @@ exact unpartitioned tuple order).  Every other plan runs once over the
 whole corpus, on the caller's context, exactly as an unpartitioned run
 does.
 
-Under fixed-size chunking (``partition_docs``, the resident service's
-layout) a predicate whose plan is a tuple-local pipeline over a scan of
-an earlier partition-local predicate (a *chained* predicate, see
-:mod:`repro.processor.split`) is partition-local too: it runs partition
-by partition, each partition context seeded with the upstream's table
-for that same partition, so a delta re-executes only the partitions it
-dirtied all down the chain.
+The corpus is cut into fixed-size chunks (``ExecConfig.partition_docs``
+documents each, :meth:`~repro.text.corpus.Corpus.chunk`) whose
+boundaries are positionally stable, so partition-keyed reuse survives
+corpus growth.  A predicate whose plan is a tuple-local pipeline over a
+scan of an earlier partition-local predicate (a *chained* predicate,
+see :mod:`repro.processor.split`) is partition-local too: it runs
+partition by partition, each partition context seeded with the
+upstream's table for that same partition, so a delta re-executes only
+the partitions it dirtied all down the chain.
 
-With one worker (the default) the corpus is one partition and every
-plan executes exactly as the original unpartitioned engine did — same
-operators, same context, same statistics — so that path is the
-identity baseline the determinism tests compare partitioned runs
+Without ``partition_docs`` (the default) the corpus is one partition
+and every plan executes exactly as the original unpartitioned engine
+did — same operators, same context, same statistics — so that path is
+the identity baseline the determinism tests compare partitioned runs
 against.
 
 Per-partition work re-compiles the predicate's plan from the program:
@@ -47,7 +49,7 @@ __all__ = ["PhysicalExecutor"]
 class PhysicalExecutor:
     """Executes one (unfolded) program's plans over a partitioned corpus.
 
-    Tracing is per call: with the tracer passed to
+    Tracing is per call: with a tracer on the run context passed to
     :meth:`execute_local_partitions`, each batch records a
     ``scheduler.map`` span with one ``partition[i]`` span per partition
     under it, and the partition's operators record into the same tracer.
@@ -70,22 +72,18 @@ class PhysicalExecutor:
         self.corpus = corpus
         self.features = features
         self.config = config
-        workers = getattr(config, "workers", 1)
         partition_docs = getattr(config, "partition_docs", None)
-        self.chunked = bool(partition_docs)
         if partition_docs:
-            # fixed-size chunks: boundaries are positionally stable, so
-            # a resident engine's partition-keyed reuse survives corpus
-            # growth (appends only touch the tail chunks); ``previous``,
-            # the executor this one replaces after a corpus change,
-            # lends its unchanged chunks (an empty corpus chunks to
-            # itself, which is never lent)
+            # appends only touch the tail chunks; ``previous``, the
+            # executor this one replaces after a corpus change, lends its
+            # unchanged chunks (an empty corpus chunks to itself, which
+            # is never lent)
             reuse = ()
             if previous is not None and previous.partitions[0] is not previous.corpus:
                 reuse = previous.partitions
             self.partitions = corpus.chunk(partition_docs, reuse=reuse)
         else:
-            self.partitions = corpus.partition(workers) if workers > 1 else [corpus]
+            self.partitions = [corpus]
         self._splits = {}
         self._corpus_sigs = None
 
@@ -107,17 +105,9 @@ class PhysicalExecutor:
     # plan analysis (resolved once, in evaluation order)
     # ------------------------------------------------------------------
     def split(self, name):
-        """The predicate's plan split; chained where chunking allows.
-
-        Chaining follows the chunked layout (``partition_docs``): its
-        boundaries are positionally stable, so a resident engine's
-        partition-keyed cache reuses a chained predicate's partitions
-        from run to run.  Worker-count partitions move whenever the
-        corpus changes size and serve one-shot runs, where a chained
-        predicate's partitions could never be reused: there it reads
-        the merged upstream table, globally.
-        """
-        if not self._splits and self.chunked:
+        """The predicate's plan split, chained over the predicates
+        before it in evaluation order."""
+        if not self._splits:
             chained = {}
             for pred in self.order:
                 split = PlanSplit(compile_predicate(pred, self.program), chained)
@@ -138,27 +128,29 @@ class PhysicalExecutor:
     # ------------------------------------------------------------------
     # partition-level execution
     # ------------------------------------------------------------------
-    def _partition_context(self, pid, tracer, chained, upstream):
-        # The eval cache is *fresh* per partition so hit/miss counters
-        # are layout-independent and sum to the unpartitioned counts —
-        # cache keys are document-scoped and partitions
-        # document-disjoint, so a shared cache could not produce extra
-        # hits anyway.
+    def _partition_context(self, pid, run_context, chained, upstream):
+        # The run's eval cache: its keys are document-scoped and the
+        # partitions document-disjoint, so hit/miss counters sum to the
+        # unpartitioned counts, and a quarantine re-run replays the
+        # evaluations an earlier attempt made.
         context = ExecutionContext(
             self.program,
             self.partitions[pid],
             self.features,
             self.config,
-            tracer=tracer,
+            eval_cache=run_context.eval_cache,
+            tracer=run_context.tracer,
         )
         if chained:
             context.relations[chained] = upstream[pid]
         return context
 
-    def execute_local_partitions(self, name, pids, tracer=None, upstream=None):
+    def execute_local_partitions(self, name, pids, context, upstream=None):
         """Run a *fully local* predicate plan on each of ``pids``, in order.
 
-        Returns ``[(table, stats)]`` in ``pids`` order.  The engine's
+        ``context`` is the run's whole-corpus context: every partition
+        shares its eval cache and tracer.  Returns ``[(table, stats)]``
+        in ``pids`` order.  The engine's
         partition-keyed reuse calls this with only the partitions whose
         cached tables could not be reused.  A chained predicate needs
         ``upstream``: its upstream's tables by partition id; each
@@ -170,6 +162,7 @@ class PhysicalExecutor:
         run.
         """
         chained = self.upstream(name)
+        tracer = context.tracer
         if tracer is None:
             batch = nullcontext()
         else:
@@ -179,11 +172,11 @@ class PhysicalExecutor:
         results = []
         with batch:
             for pid in pids:
-                context = self._partition_context(pid, tracer, chained, upstream)
+                local = self._partition_context(pid, context, chained, upstream)
                 plan = compile_predicate(name, self.program)
                 try:
                     with self._partition_span(pid, tracer):
-                        results.append((plan.execute(context), context.stats))
+                        results.append((plan.execute(local), local.stats))
                 except ExecutionFailure as failure:
                     ExecutionFailure.wrap(failure, partition=pid)
                     raise

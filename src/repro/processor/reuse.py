@@ -147,9 +147,9 @@ class RuleCache:
     """Per-predicate compact-table cache for cross-iteration reuse.
 
     Entries are keyed ``(predicate name, partition id)``.  Partition
-    ``None`` holds the whole-corpus table — the only key serial
-    execution uses, and always written so results reuse across worker
-    configurations.  Partitioned execution additionally keys the
+    ``None`` holds the whole-corpus table — the only key unpartitioned
+    execution uses, and always written so results reuse across chunk
+    sizes.  Partitioned execution additionally keys the
     document-local predicates per corpus partition, so the
     constraints-commute incremental path applies partition by partition.
 
@@ -209,16 +209,14 @@ class ReuseMixin:
     def _merged_store(self, cache, name):
         """The store ``name``'s merged table loads from and saves to.
 
-        ``None`` unless the predicate may persist and is not stored per
-        partition.  Partitioned predicates that read documents persist
-        their partition slices instead: a merged copy would
-        short-circuit the delta path on warm runs.  Chained predicates
-        hold their partition tables in memory only and persist the
-        merged table, one save per computation.
+        ``None`` unless the predicate may persist and is a whole-corpus
+        table.  Partition-local predicates, chained ones included,
+        persist their partition tables instead: a merged copy would
+        short-circuit the delta path on warm runs.
         """
         if cache is None or cache.store is None or not self._persistable[name]:
             return None
-        if self._partitioned_path(name) and not self.physical.upstream(name):
+        if self._partitioned_path(name):
             return None
         return cache.store
 
@@ -327,10 +325,10 @@ class ReuseMixin:
 
         The run counts *corpus partitions*: one is recomputed when any
         partition-local predicate re-executed on it, reused when every
-        one was served from cache.  Chained partition tables are held in
-        memory only, so in a process that hydrated the upstream from the
-        result store a chained predicate re-executes (and counts) every
-        partition its cache holds no entry for.
+        one was served from cache.  Every partition table persists under
+        its own token (a chained one's embeds its upstream partition's
+        token), so a fresh process recomputes only the partitions whose
+        documents changed, all down the chain.
         """
         from repro.ctables.ctable import CompactTable
 
@@ -346,8 +344,7 @@ class ReuseMixin:
         fresh = []  # partitions whose cache entry is replaced
         store = None
         if cache is not None:
-            if upstream is None and self._persistable[name]:
-                store = cache.store
+            store = cache.store if self._persistable[name] else None
             part = self._rule_part(name, run)
             upstream_tokens = run.partition_tokens.get(upstream)
             for pid, corpus_sig in enumerate(self.physical.corpus_sigs()):
@@ -369,10 +366,7 @@ class ReuseMixin:
         run.recomputed.update(missing)
         if missing:
             computed = self.physical.execute_local_partitions(
-                name,
-                missing,
-                tracer=context.tracer,
-                upstream=context.partition_relations.get(upstream),
+                name, missing, context, upstream=context.partition_relations.get(upstream)
             )
             for pid, (table, stats) in zip(missing, computed):
                 tables[pid] = table

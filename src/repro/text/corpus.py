@@ -232,49 +232,17 @@ class Corpus:
             )
         return out
 
-    def partition(self, n):
-        """Split into at most ``n`` corpora of contiguous document slices.
-
-        Extraction works one document at a time, so the physical
-        execution layer runs a wholly document-local plan once per
-        partition, one partition after another, and the result cache
-        re-executes only the partitions whose documents changed.  Each
-        table is sliced independently, preserving document order, so
-        concatenating the partitions' results in partition order
-        reproduces an unpartitioned scan exactly.  Partitions that receive no documents at all are
-        dropped; at least one corpus is always returned.
-        """
-        n = max(1, int(n))
-        if n == 1:
-            return [self]
-        parts = []
-        for i in range(n):
-            part = Corpus()
-            empty = True
-            for name in self.table_names():
-                docs = self._tables[name]
-                lo = i * len(docs) // n
-                hi = (i + 1) * len(docs) // n
-                part.add_table(name, docs[lo:hi])
-                if hi > lo:
-                    empty = False
-            if not empty:
-                parts.append(part)
-        return parts or [self]
-
     def chunk(self, size, reuse=()):
         """Split into contiguous chunks of at most ``size`` documents.
 
         Chunk ``j`` holds ``docs[j*size:(j+1)*size]`` of every table —
         contiguous slices in document order, so concatenating the
-        chunks' results in chunk order reproduces a serial scan exactly,
-        just like :meth:`partition`.  Unlike :meth:`partition` (whose
-        slice boundaries move whenever the corpus grows), chunk
-        boundaries are *positionally stable*: appending documents leaves
-        every existing full chunk byte-identical and only extends (or
-        adds) the tail chunks.  That stability is what lets the resident
-        service's delta path recompute exactly the partitions the
-        ingested documents landed in.
+        chunks' results in chunk order reproduces a serial scan exactly.
+        Chunk boundaries are *positionally stable*: appending documents
+        leaves every existing full chunk byte-identical and only extends
+        (or adds) the tail chunks.  That stability is what lets a delta
+        recompute exactly the partitions the ingested documents landed
+        in.
 
         ``reuse`` is an earlier chunking (same ``size``) of this corpus:
         a chunk holding the very same document objects comes back as

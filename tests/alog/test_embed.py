@@ -149,7 +149,7 @@ class TestSubmit:
         from repro.processor.context import ExecConfig
         from repro.service.state import ExtractionService
 
-        return ExtractionService(config=ExecConfig(workers=1))
+        return ExtractionService(config=ExecConfig())
 
     def test_recursive_pipeline_hosts_on_the_service(self):
         service = self.service()

@@ -1,7 +1,5 @@
 """Description-rule unfolding tests (paper section 4, Figure 4.a)."""
 
-import pytest
-
 from repro.xlog.ast import ConstraintAtom, PredicateAtom
 from repro.xlog.program import Program
 from repro.alog.unfold import unfold_program, unfold_rules

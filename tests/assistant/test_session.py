@@ -1,7 +1,5 @@
 """End-to-end refinement session tests."""
 
-import pytest
-
 from repro.assistant.oracle import GroundTruth, SimulatedDeveloper
 from repro.assistant.session import RefinementSession, auto_subset_fraction
 from repro.assistant.strategies import SequentialStrategy

@@ -1,7 +1,5 @@
 """Session edge cases: declining developers, exhaustion, caching."""
 
-import pytest
-
 from repro.assistant.oracle import GroundTruth, SimulatedDeveloper
 from repro.assistant.session import RefinementSession
 from repro.assistant.strategies import SequentialStrategy, SimulationStrategy

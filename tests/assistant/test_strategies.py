@@ -133,15 +133,10 @@ class TestSimulationStrategy:
 class TestSimulationLayout:
     """Candidate simulations run unpartitioned whatever the session's layout."""
 
-    @pytest.mark.parametrize(
-        "config",
-        [ExecConfig(partition_docs=1), ExecConfig(workers=2)],
-        ids=["chunks", "workers"],
-    )
+    @pytest.mark.parametrize("config", [ExecConfig(partition_docs=1)], ids=["chunks"])
     def test_simulation_config_is_unpartitioned(self, config):
         simulation = make_session(config=config)._simulation_config()
         assert simulation.partition_docs is None
-        assert simulation.workers == 1
 
     def test_chunked_session_asks_the_unpartitioned_questions(self):
         def asked(config):

@@ -3,16 +3,20 @@
 Whatever is on disk, :func:`load_result` either returns a table
 repr-identical to the one saved, or ``None`` so the executor recomputes
 — never an exception, never a wrong table — including after a writer
-crashed mid-save or any single byte of an entry changed.
-:func:`prune_cache_dir` keeps shared cache directories bounded without
-ever touching unknown files, and evicts the column bundles
-(``<digest>.cols.npy`` + ``<digest>.meta.json``) older versions wrote
-into the same directories, which nothing reads any more.
+crashed mid-save, any single byte of an entry changed, the entry was
+truncated or replaced by arbitrary bytes.  :func:`prune_cache_dir`
+keeps shared cache directories bounded without ever touching unknown
+files, and evicts what older versions wrote into the same directories
+and nothing reads any more: two-file result entries
+(``<key>.res.npy`` + ``<key>.res.meta.json``) and column bundles
+(``<digest>.cols.npy`` + ``<digest>.meta.json``).
 """
 
+import functools
 import json
 import os
 import pathlib
+import tempfile
 
 import numpy as np
 import pytest
@@ -135,9 +139,46 @@ def write_old_bundle(cache_dir, docs):
     return data_path, meta_path
 
 
+def _entry(cache_dir, key=KEY):
+    return pathlib.Path(cache_dir) / ("%s.res" % key)
+
+
+def _split_entry(path):
+    """``(meta, data)`` of a one-file entry: its header and its buffer."""
+    header, _, body = path.read_bytes().partition(b"\n")
+    return json.loads(header), np.frombuffer(body, dtype="<i8").copy()
+
+
+def _write_entry(path, meta, data):
+    path.write_bytes(
+        json.dumps(meta).encode("utf-8") + b"\n" + data.astype("<i8").tobytes()
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _saved_bytes():
+    """The bytes of the entry :func:`save_result` writes for ``_table``."""
+    with tempfile.TemporaryDirectory() as directory:
+        save_result(_table(_docs()), directory, KEY)
+        return _entry(directory).read_bytes()
+
+
+def write_old_entries(cache_dir):
+    """Rewrite every entry in ``cache_dir`` as the two files older
+    versions wrote: the buffer (``np.save``) and the sidecar (JSON)."""
+    for path in pathlib.Path(cache_dir).glob("*.res"):
+        meta, data = _split_entry(path)
+        key = path.name[: -len(".res")]
+        with open(os.path.join(str(cache_dir), "%s.res.npy" % key), "wb") as handle:
+            np.save(handle, data.astype(np.int64))
+        with open(os.path.join(str(cache_dir), "%s.res.meta.json" % key), "w") as handle:
+            json.dump(meta, handle)
+        path.unlink()
+
+
 def _run(docs, cache_dir=None):
     program = Program.parse(PROGRAM, extensional=["base"], query="q")
-    config = ExecConfig(workers=2, result_cache=cache_dir)
+    config = ExecConfig(partition_docs=1, result_cache=cache_dir)
     engine = IFlexEngine(program, Corpus({"base": docs}), config=config, validate=False)
     return engine.execute()
 
@@ -160,7 +201,7 @@ class TestCorpusDigest:
         _run(_digest_docs(), str(tmp_path))
         names = os.listdir(str(tmp_path))
         assert names
-        assert all(name.endswith((".res.npy", ".res.meta.json")) for name in names)
+        assert all(name.endswith(".res") for name in names)
 
 
 class TestRoundTrip:
@@ -181,29 +222,27 @@ class TestRoundTrip:
 class TestCorruptionAndStaleness:
     def _persist(self, table, tmp_path):
         save_result(table, str(tmp_path), KEY)
-        return (
-            tmp_path / ("%s.res.npy" % KEY),
-            tmp_path / ("%s.res.meta.json" % KEY),
-        )
+        return _entry(tmp_path)
 
     def test_truncated_data_recomputes(self, table, docs, tmp_path):
-        data_path, _ = self._persist(table, tmp_path)
-        data_path.write_bytes(data_path.read_bytes()[:16])
+        path = self._persist(table, tmp_path)
+        path.write_bytes(path.read_bytes()[:-16])
         assert load_result(str(tmp_path), KEY, docs) is None
 
     def test_garbage_data_recomputes(self, table, docs, tmp_path):
-        data_path, _ = self._persist(table, tmp_path)
-        data_path.write_bytes(b"not numpy")
+        path = self._persist(table, tmp_path)
+        header = path.read_bytes().partition(b"\n")[0]
+        path.write_bytes(header + b"\nnot an int64 buffer")
         assert load_result(str(tmp_path), KEY, docs) is None
 
     def _edit_meta(self, table, tmp_path, change):
-        """Persist, apply ``change`` to the sidecar, and re-sign it, so
+        """Persist, apply ``change`` to the header, and re-sign it, so
         the check under test (not the checksum) rejects the entry."""
-        data_path, meta_path = self._persist(table, tmp_path)
-        meta = json.loads(meta_path.read_text())
+        path = self._persist(table, tmp_path)
+        meta, data = _split_entry(path)
         change(meta)
-        meta["sha256"] = _checksum(np.load(str(data_path)), meta)
-        meta_path.write_text(json.dumps(meta))
+        meta["sha256"] = _checksum(data, meta)
+        _write_entry(path, meta, data)
 
     def test_key_mismatch_is_stale(self, table, docs, tmp_path):
         self._edit_meta(table, tmp_path, lambda m: m.update(key="f" * 24))
@@ -222,37 +261,56 @@ class TestCorruptionAndStaleness:
     def test_checksum_mismatch_is_stale(self, table, docs, tmp_path):
         """A span offset changed by one still decodes; the checksum
         rejects it instead of serving a different table."""
-        data_path, _ = self._persist(table, tmp_path)
-        data = np.load(str(data_path))
+        path = self._persist(table, tmp_path)
+        meta, data = _split_entry(path)
         data[-1] -= 1  # the end offset of the last span
-        with open(str(data_path), "wb") as handle:
-            np.save(handle, data)
+        _write_entry(path, meta, data)
         assert load_result(str(tmp_path), KEY, docs) is None
+
+    def _load_written(self, tmp_path_factory, contents):
+        """Load ``KEY`` from a fresh directory whose entry holds ``contents``."""
+        docs = _docs()
+        tmp_path = tmp_path_factory.mktemp("fuzz")
+        _entry(tmp_path).write_bytes(contents)
+        return load_result(str(tmp_path), KEY, docs)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
-        which=st.sampled_from(("data", "meta")),
         position=st.integers(min_value=0),
         byte=st.integers(min_value=0, max_value=255),
     )
     def test_any_byte_mutation_is_none_or_identical(
-        self, tmp_path_factory, which, position, byte
+        self, tmp_path_factory, position, byte
     ):
-        """Changing any one byte of either file never yields an
-        exception or a different table."""
-        docs = _docs()
-        table = _table(docs)
-        tmp_path = tmp_path_factory.mktemp("fuzz")
-        data_path, meta_path = self._persist(table, tmp_path)
-        path = data_path if which == "data" else meta_path
-        raw = bytearray(path.read_bytes())
+        """Changing any one byte of the entry, header or buffer, never
+        yields an exception or a different table."""
+        raw = bytearray(_saved_bytes())
         position %= len(raw)
         if raw[position] == byte:
             byte ^= 0xFF
         raw[position] = byte
-        path.write_bytes(bytes(raw))
-        loaded = load_result(str(tmp_path), KEY, docs)
-        assert loaded is None or _image(loaded) == _image(table)
+        loaded = self._load_written(tmp_path_factory, bytes(raw))
+        assert loaded is None or _image(loaded) == _image(_table(_docs()))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(length=st.integers(min_value=0))
+    def test_any_truncation_is_none(self, tmp_path_factory, length):
+        """An entry cut short anywhere loads as ``None``."""
+        raw = _saved_bytes()
+        assert self._load_written(tmp_path_factory, raw[: length % len(raw)]) is None
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(with_header=st.booleans(), contents=st.binary(max_size=512))
+    def test_arbitrary_contents_are_none_or_identical(
+        self, tmp_path_factory, with_header, contents
+    ):
+        """Whatever bytes the entry holds — arbitrary ones, or the saved
+        header over an arbitrary buffer — it loads as ``None`` or as the
+        identical table."""
+        if with_header:
+            contents = _saved_bytes().partition(b"\n")[0] + b"\n" + contents
+        loaded = self._load_written(tmp_path_factory, contents)
+        assert loaded is None or _image(loaded) == _image(_table(_docs()))
 
     def test_changed_document_recomputes(self, table, tmp_path):
         """Documents the decode target no longer knows yield None."""
@@ -264,12 +322,11 @@ class TestCorruptionAndStaleness:
     def test_store_overwrites_corrupt_entry(self, table, docs, tmp_path):
         store = ResultStore(str(tmp_path))
         store.save(KEY, table)
-        data_path = tmp_path / ("%s.res.npy" % KEY)
-        data_path.write_bytes(b"garbage")
+        _entry(tmp_path).write_bytes(b"garbage")
         assert store.load(KEY, docs) is None
         assert store.load_failures == 1
         # the failed load marks the key for rewrite: save() replaces the
-        # corrupt files instead of skipping because they exist
+        # corrupt entry instead of skipping because it exists
         store.save(KEY, table)
         loaded = store.load(KEY, docs)
         assert loaded is not None and _image(loaded) == _image(table)
@@ -308,10 +365,8 @@ class TestPruning:
         for i in range(count):
             key = "%024x" % i
             save_result(table, str(tmp_path), key)
-            entry = tmp_path / ("%s.res.npy" % key)
             stamp = 1_000_000 + i  # deterministic LRU order
-            os.utime(entry, (stamp, stamp))
-            os.utime(tmp_path / ("%s.res.meta.json" % key), (stamp, stamp))
+            os.utime(_entry(tmp_path, key), (stamp, stamp))
 
     def test_count_cap_evicts_oldest(self, table, docs, tmp_path):
         self._fill(tmp_path, table, 5)
@@ -332,13 +387,13 @@ class TestPruning:
     def test_no_caps_is_a_noop(self, table, tmp_path):
         self._fill(tmp_path, table, 3)
         assert prune_cache_dir(str(tmp_path)) == 0
-        assert len(os.listdir(str(tmp_path))) == 6
+        assert len(os.listdir(str(tmp_path))) == 3
 
     def test_keep_set_is_never_evicted(self, table, tmp_path):
         self._fill(tmp_path, table, 4)
         oldest = "%024x" % 0
         prune_cache_dir(str(tmp_path), max_entries=1, keep={oldest})
-        assert os.path.exists(str(tmp_path / ("%s.res.npy" % oldest)))
+        assert _entry(tmp_path, oldest).exists()
 
     def test_unknown_files_untouched(self, table, tmp_path):
         self._fill(tmp_path, table, 3)
@@ -377,6 +432,25 @@ class TestPruning:
         assert warm.stats.result_cache_misses == 0
         assert _image(warm.query_table) == _image(cached.query_table)
 
+    def test_old_result_entries_read_as_misses_then_prune(self, tmp_path):
+        """A directory of two-file entries older versions wrote: the run
+        recomputes cold with the same bytes, and prune evicts each old
+        pair as one entry."""
+        docs = _crash_docs()
+        cold = _run(docs, str(tmp_path))
+        write_old_entries(tmp_path)
+        old = sorted(os.listdir(str(tmp_path)))
+        assert old and all(n.endswith((".res.npy", ".res.meta.json")) for n in old)
+        for name in old:
+            os.utime(os.path.join(str(tmp_path), name), (1_000_000, 1_000_000))
+        rerun = _run(docs, str(tmp_path))
+        assert _image(rerun.query_table) == _image(cold.query_table)
+        assert rerun.stats.result_cache_hits == 0
+        assert rerun.stats.partitions_recomputed == cold.stats.partitions_recomputed
+        new = {name for name in os.listdir(str(tmp_path)) if name.endswith(".res")}
+        assert prune_cache_dir(str(tmp_path), max_entries=len(new)) == len(old) // 2
+        assert set(os.listdir(str(tmp_path))) == new
+
     def test_store_counts_evictions(self, table, docs, tmp_path):
         store = ResultStore(str(tmp_path), max_entries=2)
         # keys the store saved itself are live and protected, so feed it
@@ -396,8 +470,7 @@ class TestPruneTieBreak:
         stamp = 1_000_000  # one shared stamp: every entry "equally old"
         for key in keys:
             save_result(table, str(tmp_path), key)
-            os.utime(tmp_path / ("%s.res.npy" % key), (stamp, stamp))
-            os.utime(tmp_path / ("%s.res.meta.json" % key), (stamp, stamp))
+            os.utime(_entry(tmp_path, key), (stamp, stamp))
 
     def _survivors(self, tmp_path):
         return {name.split(".")[0] for name in os.listdir(str(tmp_path))}
@@ -420,7 +493,7 @@ class TestPruneTieBreak:
 
     def test_mtime_still_dominates_key_name(self, table, tmp_path):
         self._fill_equal_mtimes(tmp_path, table, ["aaaa", "bbbb"])
-        newer = tmp_path / "aaaa.res.npy"
+        newer = _entry(tmp_path, "aaaa")
         os.utime(newer, (2_000_000, 2_000_000))  # aaaa now strictly newer
         prune_cache_dir(str(tmp_path), max_entries=1)
         assert self._survivors(tmp_path) == {"aaaa"}
@@ -502,16 +575,15 @@ CRASH_STATUS = 87
 
 
 def _crash_run(cache_dir):
-    """Child for the crash test: die on the first result sidecar rename.
+    """Child for the crash test: die just before the first entry's rename.
 
-    The entry's ``.res.npy`` is already in place and its sidecar sits in
-    a ``.json.tmp`` file, exactly as a writer killed at that instant
-    would leave them.
+    The entry sits whole in its ``.res.tmp`` file, exactly as a writer
+    killed at that instant would leave it.
     """
     real_replace = os.replace
 
     def replace(src, dst):
-        if str(dst).endswith(".res.meta.json"):
+        if str(dst).endswith(".res"):
             os._exit(CRASH_STATUS)
         return real_replace(src, dst)
 
@@ -547,12 +619,10 @@ class TestCrashMidSave:
             timeout=90,
         )
         assert proc.returncode == CRASH_STATUS, proc.stderr.decode()
-        leftovers = [n for n in os.listdir(str(tmp_path)) if n.endswith(".tmp")]
-        assert leftovers  # the crash left its half-written sidecar behind
-        groups = _entry_groups(str(tmp_path))
-        assert not any(
-            path.endswith(".tmp") for files in groups.values() for path, _, _ in files
-        )
+        leftovers = os.listdir(str(tmp_path))
+        assert leftovers and all(n.endswith(".res.tmp") for n in leftovers)
+        # the crash left its unrenamed file behind, and no entry
+        assert _entry_groups(str(tmp_path)) == {}
         docs = _crash_docs()
         restarted = _run(docs, str(tmp_path))
         assert _image(restarted.query_table) == _image(

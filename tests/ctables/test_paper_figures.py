@@ -7,7 +7,7 @@ check they represent the same possible relations.
 
 import pytest
 
-from repro.ctables.assignments import Contain, Exact, value_key
+from repro.ctables.assignments import Contain, Exact
 from repro.ctables.atable import ATable, ATuple
 from repro.ctables.ctable import Cell, CompactTable, CompactTuple
 from repro.ctables.worlds import atable_worlds, compact_worlds

@@ -1,7 +1,5 @@
 """Corpus emission round-trip tests."""
 
-import json
-
 import pytest
 
 from repro.datagen.books import generate_books

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datagen.base import Record, build_record, find_span
+from repro.datagen.base import build_record, find_span
 from repro.datagen.books import generate_books
 from repro.datagen.dblife import generate_dblife
 from repro.datagen.dblp import generate_dblp

@@ -1,7 +1,5 @@
 """Runner scoring and scenario-grid tests."""
 
-import pytest
-
 from repro.assistant.strategies import SequentialStrategy
 from repro.ctables.assignments import Exact
 from repro.ctables.ctable import Cell, CompactTable, CompactTuple

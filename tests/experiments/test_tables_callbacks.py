@@ -1,7 +1,5 @@
 """Table-harness plumbing: progress callbacks and extras contracts."""
 
-import pytest
-
 from repro.experiments.tables import table3, table4, table5
 
 

@@ -2,8 +2,6 @@
 
 benchmarks/)."""
 
-import pytest
-
 from repro.experiments.report import fmt_minutes, fmt_pct, render_table
 from repro.experiments.tables import (
     convergence_stat,

@@ -32,7 +32,8 @@ class FaultingFeature(Feature):
     ``fail_times=None`` (the default) fails every evaluation over a
     poisoned document; an integer, together with ``trip_dir``, fails
     that many evaluations per document and then recovers (transient
-    faults, for exercising the ``retry`` policy).
+    faults, for exercising the ``retry`` policy).  ``calls`` counts the
+    evaluations that reached the feature, faulting ones included.
     """
 
     parameterized = False
@@ -43,6 +44,7 @@ class FaultingFeature(Feature):
         self.poisoned = set(poisoned)
         self.fail_times = fail_times
         self.trip_dir = trip_dir
+        self.calls = {"verify": 0, "refine": 0}
 
     def _trip(self, doc_id):
         if self.fail_times is None:
@@ -63,10 +65,12 @@ class FaultingFeature(Feature):
             raise RuntimeError("injected fault on %s" % doc_id)
 
     def verify(self, span, value):
+        self.calls["verify"] += 1
         self._maybe_fault(span)
         return self.inner.verify(span, value)
 
     def refine(self, span, value):
+        self.calls["refine"] += 1
         self._maybe_fault(span)
         return self.inner.refine(span, value)
 

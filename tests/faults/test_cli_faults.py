@@ -129,7 +129,7 @@ class TestEndToEnd:
         rc = cli.main(
             [
                 "run", *program_args, "--on-error", "skip",
-                "--workers", "2",
+                "--partition-docs", "2",
             ]
         )
         captured = capsys.readouterr()

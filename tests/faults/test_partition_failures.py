@@ -22,7 +22,7 @@ from tests.faults.harness import (
 )
 from tests.processor.test_superset_property import LAYOUTS
 
-LAYOUT_IDS = ["unpartitioned", "workers", "chunked"]
+LAYOUT_IDS = ["unpartitioned", "chunked"]
 
 
 def _raised(engine):
@@ -62,12 +62,12 @@ class TestLayoutIndependence:
         assert seen == [seen[0]] * len(LAYOUTS)
 
     @pytest.mark.parametrize(
-        "config, partition", zip(LAYOUTS, [None, 1, 3]), ids=LAYOUT_IDS
+        "config, partition", zip(LAYOUTS, [None, 3]), ids=LAYOUT_IDS
     )
     def test_document_failure_keeps_its_context_and_gains_the_partition(
         self, config, partition
     ):
-        # d3 of d0..d5 lies in worker partition 1 and in chunk 3
+        # d3 of d0..d5 lies in chunk 3
         engine = IFlexEngine(
             build_program(),
             build_corpus(6),

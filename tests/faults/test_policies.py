@@ -12,9 +12,9 @@ from repro.processor.policy import _PolicyDriver
 from tests.faults.harness import build_corpus, build_program, faulting_registry
 from tests.processor.test_parallel import result_image
 
-#: partitioned layouts, both run serially: worker partitions
-#: (``--workers``) and the service's fixed-size chunks
-LAYOUTS = {"serial": dict(workers=3), "chunked": dict(partition_docs=2)}
+#: partitioned layouts, both run serially: chunks of three and of two
+#: documents
+LAYOUTS = {"serial": dict(partition_docs=3), "chunked": dict(partition_docs=2)}
 
 
 def make_engine(registry, corpus=None, **config_kwargs):
@@ -115,7 +115,7 @@ class TestPolicyValidation:
             driver._handle(ExecutionFailure("unattributed breakage"))
 
     def test_engine_quarantine_rebuilds_active_corpus(self):
-        engine = make_engine(default_registry(), workers=3, on_error="skip")
+        engine = make_engine(default_registry(), partition_docs=2, on_error="skip")
         assert engine.active_corpus is engine.corpus
         engine._exclude_document("d1")
         assert engine.excluded_docs == {"d1"}

@@ -16,9 +16,9 @@ from tests.faults.harness import (
 )
 from tests.processor.test_parallel import result_image
 
-#: partitioned layouts, both run serially: worker partitions
-#: (``--workers``) and the service's fixed-size chunks
-LAYOUTS = {"serial": dict(workers=3), "chunked": dict(partition_docs=2)}
+#: partitioned layouts, both run serially: chunks of three and of two
+#: documents
+LAYOUTS = {"serial": dict(partition_docs=3), "chunked": dict(partition_docs=2)}
 POISONED = ("d1", "d4")
 
 
@@ -68,7 +68,7 @@ class TestSkipEquivalence:
         assert result.stats.failures == len(POISONED)
 
     def test_skip_single_worker_serial_path(self):
-        # workers=1 bypasses the physical layer entirely; the policy
+        # an unpartitioned run bypasses the physical layer; the policy
         # driver must contain failures on that path too (no partition
         # context to attribute, doc/operator still present)
         corpus = build_corpus(6)
@@ -117,7 +117,7 @@ class TestSkipEquivalence:
     @pytest.mark.timeout(120)
     def test_explain_analyze_skips_and_reports(self):
         corpus = build_corpus(6)
-        config = ExecConfig(workers=2, on_error="skip")
+        config = ExecConfig(partition_docs=3, on_error="skip")
         engine = IFlexEngine(
             build_program(), corpus, faulting_registry(("d0",)), config, validate=False
         )
@@ -125,3 +125,19 @@ class TestSkipEquivalence:
         assert result.report.skipped_doc_ids == ["d0"]
         assert "error policy 'skip'" in text
         assert "d0" in text
+
+
+class TestEvaluationsAcrossAttempts:
+    def test_quarantine_reruns_evaluate_alike_on_every_layout(self):
+        """Partitions share the run's eval cache, so a quarantine re-run
+        replays what earlier attempts evaluated: a chunked run reaches
+        the feature exactly as often as an unpartitioned one."""
+        calls = {}
+        for layout, config in {"unpartitioned": {}, **LAYOUTS}.items():
+            registry = faulting_registry(POISONED)
+            result = run_engine(
+                build_program(), build_corpus(6), registry, on_error="skip", **config
+            )
+            assert sorted(result.report.skipped_doc_ids) == sorted(POISONED)
+            calls[layout] = registry.get("numeric").calls
+        assert calls["serial"] == calls["chunked"] == calls["unpartitioned"], calls

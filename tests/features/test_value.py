@@ -4,7 +4,7 @@ import pytest
 
 from repro.features.registry import default_registry
 from repro.text.document import Document
-from repro.text.span import Span, doc_span
+from repro.text.span import doc_span
 
 
 @pytest.fixture

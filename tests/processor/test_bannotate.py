@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ctables.assignments import Contain, Exact, value_key
+from repro.ctables.assignments import Contain, Exact
 from repro.ctables.ctable import Cell, CompactTable, CompactTuple
 from repro.processor.bannotate import annotate_table
 from repro.processor.context import ExecutionContext

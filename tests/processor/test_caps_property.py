@@ -5,7 +5,6 @@ precision — never soundness.  Executing with pathologically small caps
 must still represent every exact world.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.alog.semantics import program_possible_relations

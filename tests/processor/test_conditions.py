@@ -13,7 +13,7 @@ from repro.processor.context import ExecConfig, ExecutionContext
 from repro.processor.library import make_similar
 from repro.text.corpus import Corpus
 from repro.text.document import Document
-from repro.text.span import Span, doc_span
+from repro.text.span import doc_span
 from repro.xlog.program import Program
 
 

@@ -323,7 +323,7 @@ class TestPartitionedBackends:
 
     @pytest.mark.parametrize(
         "layout",
-        [dict(workers=4), dict(partition_docs=5)],
+        [dict(partition_docs=6), dict(partition_docs=5)],
         ids=["serial", "chunked"],
     )
     def test_results_and_counters_identical(self, layout):
@@ -371,7 +371,7 @@ class TestPartitionCounterMerge:
         parallel = IFlexEngine(
             program,
             task.corpus,
-            config=ExecConfig(workers=4),
+            config=ExecConfig(partition_docs=6),
             validate=False,
         ).execute()
         assert serial.stats.verify_cache_misses > 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ctables.assignments import Contain, Exact, value_text
+from repro.ctables.assignments import Contain, value_text
 from repro.processor.executor import IFlexEngine
 from repro.processor.ordering import evaluation_order
 from repro.processor.reuse import RuleCache

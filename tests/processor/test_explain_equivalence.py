@@ -7,7 +7,7 @@ table, every deterministic stats counter (result-cache hits and misses
 included) and the per-predicate reuse summary.  The scenarios
 cover each reuse path: cold, warm result cache, a one-document delta,
 the constraints-commute incremental path, partitioned execution on
-worker partitions and on fixed-size chunks, a recursive fixpoint group,
+one-document and on three-document chunks, a recursive fixpoint group,
 and the ``skip`` error policy.
 """
 
@@ -75,14 +75,14 @@ def cold_rule_cache(tmp):
 
 def warm_result_cache(tmp):
     task = _t1()
-    config = dict(workers=2, result_cache=str(tmp))
+    config = dict(partition_docs=10, result_cache=str(tmp))
     _engine(task.program, task.corpus, **config).execute()
     return _engine(task.program, task.corpus, **config), None
 
 
 def one_doc_delta(tmp):
     program = Program.parse(DELTA_SOURCE, extensional=["pages"], query="q")
-    config = dict(workers=4, result_cache=str(tmp))
+    config = dict(partition_docs=2, result_cache=str(tmp))
     _engine(program, _pages(), **config).execute()
     return _engine(program, _pages(salts={3: " edited"}), **config), None
 
@@ -120,7 +120,7 @@ def recursive(tmp):
 
 
 def skip_one_faulting_doc(tmp):
-    config = dict(workers=2, on_error="skip")
+    config = dict(partition_docs=3, on_error="skip")
     engine = _engine(
         harness.build_program(),
         harness.build_corpus(6),
@@ -136,7 +136,7 @@ SCENARIOS = {
     "warm-result-cache": warm_result_cache,
     "one-doc-delta": one_doc_delta,
     "added-constraint": added_constraint,
-    "workers2-serial": partitioned(workers=2),
+    "one-doc-chunks": partitioned(partition_docs=1),
     "chunked": partitioned(partition_docs=3),
     "recursive": recursive,
     "skip": skip_one_faulting_doc,
@@ -204,7 +204,7 @@ def _operator_names(tmp_path, **config):
     engine = IFlexEngine(
         task.program,
         task.corpus,
-        config=ExecConfig(workers=2, **config),
+        config=ExecConfig(partition_docs=10, **config),
         validate=False,
         tracer=tracer,
     )

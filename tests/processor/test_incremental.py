@@ -6,8 +6,8 @@ The contract under test, end to end:
   from the store (100% reuse, zero recompute);
 * after editing / adding / removing documents, only the partitions
   whose content digests moved re-execute — and the folded result is
-  byte-identical to a cold run over the changed corpus, on worker
-  partitions and fixed-size chunks, with deterministic stats counters;
+  byte-identical to a cold run over the changed corpus, at every chunk
+  size, with deterministic stats counters;
 * predicates that invoke procedural atoms (p-predicates / p-functions)
   never persist;
 * the quarantine path composes: a faulted run's spills serve a clean
@@ -33,10 +33,11 @@ from repro.xlog.program import PPredicate, Program
 from tests.faults.harness import faulting_registry
 from tests.processor.test_parallel import result_image
 
-WORKERS = 4
-#: partitioned layouts, both run serially: worker partitions
-#: (``--workers``) and the service's fixed-size chunks
-LAYOUTS = {"serial": {}, "chunked": {"partition_docs": 2}}
+#: documents per partition of :func:`run`: four partitions of eight docs
+PARTITION_DOCS = 2
+#: partitioned layouts, both run serially: :func:`run`'s own chunks and
+#: chunks of another size
+LAYOUTS = {"serial": {}, "chunked": {"partition_docs": 3}}
 
 PROGRAM_SOURCE = """
 q(x, <p>) :- pages(x), ie(@x, p).
@@ -63,8 +64,8 @@ def build_corpus(n=8, salts=()):
 def run(corpus, store_dir, registry=None, **config_kwargs):
     """One fresh-engine execution (cold process semantics: no warm
     in-memory cache, only whatever ``store_dir`` holds on disk)."""
+    config_kwargs.setdefault("partition_docs", PARTITION_DOCS)
     config = ExecConfig(
-        workers=WORKERS,
         result_cache=str(store_dir) if store_dir is not None else None,
         **config_kwargs,
     )
@@ -75,7 +76,7 @@ def run(corpus, store_dir, registry=None, **config_kwargs):
 
 
 def partition_count(corpus):
-    return len(corpus.partition(WORKERS))
+    return len(corpus.chunk(PARTITION_DOCS))
 
 
 class TestWarmAndDelta:
@@ -175,9 +176,7 @@ class TestWarmAndDelta:
 
 class TestExplainAnalyze:
     def _engine(self, corpus, store_dir):
-        config = ExecConfig(
-            workers=WORKERS, result_cache=str(store_dir)
-        )
+        config = ExecConfig(partition_docs=PARTITION_DOCS, result_cache=str(store_dir))
         return IFlexEngine(
             build_program(), corpus, config=config, validate=False
         )
@@ -211,7 +210,7 @@ class TestExplainAnalyze:
         engine = IFlexEngine(
             build_program(),
             build_corpus(),
-            config=ExecConfig(workers=WORKERS),
+            config=ExecConfig(partition_docs=PARTITION_DOCS),
             validate=False,
         )
         result, report = engine.explain_analyze()
@@ -263,11 +262,7 @@ class TestDifferentialProperty:
             assert result_image(delta) == result_image(reference), (
                 "%s delta diverged (op=%s targets=%s)" % (layout, op, targets)
             )
-            partitions = (
-                len(mutated.chunk(config["partition_docs"]))
-                if config
-                else partition_count(mutated)
-            )
+            partitions = len(mutated.chunk(config.get("partition_docs", PARTITION_DOCS)))
             if partitions == 1:
                 # one partition runs unpartitioned: no partition counters
                 partitions = 0
@@ -327,9 +322,7 @@ def _tainted_program():
 
 class TestProceduralTaint:
     def _run(self, store_dir):
-        config = ExecConfig(
-            workers=WORKERS, result_cache=str(store_dir)
-        )
+        config = ExecConfig(partition_docs=PARTITION_DOCS, result_cache=str(store_dir))
         engine = IFlexEngine(
             _tainted_program(), build_corpus(), config=config, validate=False
         )
@@ -339,7 +332,7 @@ class TestProceduralTaint:
         engine, first = self._run(tmp_path)
         assert engine._persistable == {"q": False}
         assert not [
-            name for name in os.listdir(str(tmp_path)) if ".res." in name
+            name for name in os.listdir(str(tmp_path)) if ".res" in name
         ]
         # a fresh process cannot trust the p-predicate's name across
         # processes, so the warm run recomputes instead of hydrating
@@ -361,7 +354,7 @@ class TestDisabledPaths:
 
     def test_caller_cache_without_store_stays_in_memory(self, tmp_path):
         cache = RuleCache()
-        config = ExecConfig(workers=WORKERS)
+        config = ExecConfig(partition_docs=PARTITION_DOCS)
         engine = IFlexEngine(
             build_program(), build_corpus(), config=config, validate=False
         )

@@ -1,16 +1,16 @@
 """Partitioned execution: determinism and layer unit tests.
 
-The guard for the physical execution layer: every partition layout, at
-any worker count, must produce *identical* compact tables to the
-unpartitioned engine — same tuple order, same cells, same maybe flags,
-same assignment multisets.  Partitions are contiguous document slices
-run in partition order, so this holds exactly (not just up to
-reordering).
+The guard for the physical execution layer: every chunk size must
+produce *identical* compact tables to the unpartitioned engine — same
+tuple order, same cells, same maybe flags, same assignment multisets.
+Partitions are contiguous document slices run in partition order, so
+this holds exactly (not just up to reordering).
 """
 
 import pytest
 
 from repro.ctables.ctable import CompactTable
+from repro.observability.spans import Tracer
 from repro.processor.context import ExecConfig, ExecutionContext
 from repro.processor.executor import IFlexEngine
 from repro.processor.reuse import RuleCache
@@ -43,9 +43,9 @@ def execute(task, cache=None, **config):
 # extraction + selection; T7 joins two extracted tables through a
 # similarity p-function.
 DETERMINISM_TASKS = ("T1", "T7")
-#: partitioned layouts, both run serially: worker partitions
-#: (``--workers``) and the service's fixed-size chunks (``partition_docs``)
-LAYOUTS = {"serial": dict(workers=4), "chunked": dict(partition_docs=7)}
+#: chunk sizes, both run serially: the service's one-document chunks
+#: and chunks of several documents
+LAYOUTS = {"one-document": dict(partition_docs=1), "chunked": dict(partition_docs=7)}
 
 
 class TestBackendDeterminism:
@@ -67,9 +67,9 @@ class TestBackendDeterminism:
         from repro.experiments.runner import run_iflex
         from repro.experiments.tasks import build_task
 
-        def outcome(workers):
+        def outcome(**session_kwargs):
             task = build_task(task_id, size=40, seed=0)
-            run = run_iflex(task, seed=0, workers=workers)
+            run = run_iflex(task, seed=0, **session_kwargs)
             return (
                 run.final_count,
                 run.exact_keys,
@@ -78,7 +78,7 @@ class TestBackendDeterminism:
                 [(r.mode, r.tuples, r.assignments) for r in run.trace.records],
             )
 
-        assert outcome(4) == outcome(1)
+        assert outcome(config=ExecConfig(partition_docs=10)) == outcome()
 
     def test_maybe_flags_survive_partitioning(self):
         # two numeric candidates per document, one on each side of the
@@ -102,7 +102,7 @@ class TestBackendDeterminism:
         parallel = IFlexEngine(
             program,
             corpus,
-            config=ExecConfig(workers=3),
+            config=ExecConfig(partition_docs=2),
             validate=False,
         ).execute()
         assert serial.query_table.maybe_count() > 0
@@ -115,9 +115,9 @@ class TestReuseAcrossBackends:
 
         task = build_task("T1", size=40, seed=0)
         cache = RuleCache()
-        first = execute(task, cache=cache, workers=4)
+        first = execute(task, cache=cache, partition_docs=10)
         assert set(first.reuse_summary.values()) == {"computed"}
-        second = execute(task, cache=cache, workers=4)
+        second = execute(task, cache=cache, partition_docs=10)
         assert set(second.reuse_summary.values()) == {"full"}
         assert result_image(second) == result_image(first)
 
@@ -126,46 +126,24 @@ class TestReuseAcrossBackends:
 
         task = build_task("T1", size=40, seed=0)
         cache = RuleCache()
-        execute(task, cache=cache, workers=4)
+        execute(task, cache=cache, partition_docs=10)
         variant = task.program.add_constraint("extractIMDB", "title", "max_length", 200)
+        tracer = Tracer()
         engine = IFlexEngine(
             variant,
             task.corpus,
-            config=ExecConfig(workers=4),
+            config=ExecConfig(partition_docs=10),
             validate=False,
+            tracer=tracer,
         )
         incremental = engine.execute(cache=cache)
-        assert "incremental" in incremental.reuse_summary.values()
+        assert incremental.reuse_summary == {"imdbMovies": "incremental", "T1": "computed"}
         # the constraint applied partition by partition: nothing re-extracted
-        assert incremental.stats.partitions_recomputed == 0
+        assert not [span for span in tracer.spans if span.name.startswith("Scan[")]
+        # only the chained T1 re-ran, over the refined upstream partitions
+        assert incremental.stats.partitions_recomputed == 4
         fresh = IFlexEngine(variant, task.corpus, validate=False).execute()
         assert table_image(incremental.query_table) == table_image(fresh.query_table)
-
-
-class TestCorpusPartition:
-    def docs(self, n):
-        return [Document("d%d" % i, "t %d" % i) for i in range(n)]
-
-    def test_partition_preserves_order_and_covers(self):
-        corpus = Corpus({"a": self.docs(10)})
-        parts = corpus.partition(4)
-        ids = [d.doc_id for p in parts for d in p.table("a")]
-        assert ids == [d.doc_id for d in corpus.table("a")]
-        assert len(parts) == 4
-
-    def test_partition_one_returns_self(self):
-        corpus = Corpus({"a": self.docs(3)})
-        assert corpus.partition(1) == [corpus]
-
-    def test_more_partitions_than_documents(self):
-        corpus = Corpus({"a": self.docs(2)})
-        parts = corpus.partition(8)
-        assert sum(p.size_of("a") for p in parts) == 2
-        assert all(any(p.size_of(n) for n in p.table_names()) for p in parts)
-
-    def test_empty_corpus(self):
-        corpus = Corpus({"a": []})
-        assert corpus.partition(4) == [corpus]
 
 
 class TestPlanSplit:
@@ -219,7 +197,7 @@ class TestPlanSplit:
         )
         plan = compile_predicate("q", program)
         whole = plan.execute(ExecutionContext(program, corpus))
-        parts = corpus.partition(2)
+        parts = corpus.chunk(2)
         tables = []
         for part in parts:
             fresh = compile_predicate("q", program)
@@ -258,10 +236,10 @@ class TestObservabilityAcrossBackends:
 
     @pytest.mark.parametrize(
         "config, expected",
-        # chunked layouts also run the chained query predicate
-        # partition by partition: two predicates x two partitions
-        [(dict(workers=2), 2), (dict(partition_docs=10), 4)],
-        ids=["serial", "chunked"],
+        # the chained query predicate also runs partition by partition:
+        # two predicates x two partitions
+        [(dict(partition_docs=10), 4)],
+        ids=["chunked"],
     )
     def test_spans_survive_scheduler_pipe(self, config, expected):
         from repro.experiments.tasks import build_task

@@ -61,7 +61,7 @@ def engine_for(source, corpus, partition_docs, **config):
     return IFlexEngine(
         program(source),
         corpus,
-        config=ExecConfig(partition_docs=partition_docs, workers=2, **config),
+        config=ExecConfig(partition_docs=partition_docs, **config),
     )
 
 
@@ -194,9 +194,7 @@ class TestRouting:
         cache = RuleCache()
         engine_for(SOURCE, corpus, 1).execute(cache=cache)
         refined = program().add_constraint("ie", "p", "preceded_by", "$")
-        engine = IFlexEngine(
-            refined, corpus, config=ExecConfig(partition_docs=1, workers=2)
-        )
+        engine = IFlexEngine(refined, corpus, config=ExecConfig(partition_docs=1))
         result = engine.execute(cache=cache)
         assert result.reuse_summary == {"items": "incremental", "cheap": "computed"}
         assert result.stats.partitions_recomputed == 6
@@ -220,10 +218,9 @@ class TestRouting:
         assert result_image(result) == cold_image(changed, corpus)
 
     def test_fresh_process_over_a_changed_corpus(self, tmp_path):
-        """A new engine over the result store: chained partition tables
-        are never persisted, so the chained predicate re-runs on every
-        partition from the hydrated upstream tables — and each of those
-        partitions counts as recomputed."""
+        """A new engine over the result store: every partition table,
+        chained ones included, persists under its own token, so only the
+        edited document's partition re-runs, all down the chain."""
         store = str(tmp_path / "rc")
         engine_for(SOURCE, build_corpus(6), 1, result_cache=store).execute()
         edited = build_corpus(6, salts={3: " changed"})
@@ -233,26 +230,16 @@ class TestRouting:
         result = engine.execute()
         scans = [s for s in tracer.spans if s.name.startswith("ScanRel[items")]
         extractions = [s for s in tracer.spans if s.name.startswith("Scan[pages")]
-        assert (len(scans), len(extractions)) == (6, 1)
-        assert result.stats.result_cache_hits == 5  # items: d3's chunk missed
-        assert result.stats.partitions_recomputed == 6
-        assert result.stats.partitions_reused == 0
+        assert (len(scans), len(extractions)) == (1, 1)
+        # items and cheap: every chunk but d3's hydrated
+        assert result.stats.result_cache_hits == 10
+        assert result.stats.partitions_recomputed == 1
+        assert result.stats.partitions_reused == 5
         assert result_image(result) == cold_image(SOURCE, edited)
-        # the merged chained table is persisted: an unchanged rerun
-        # hydrates it whole
+        # an unchanged rerun hydrates every partition of both predicates
         again = engine_for(SOURCE, edited, 1, result_cache=store).execute()
         assert again.reuse_summary == {"items": "full", "cheap": "full"}
         assert again.stats.partitions_recomputed == 0
-
-    def test_worker_partitions_keep_chained_predicates_global(self):
-        """Without chunking, partitions move with the corpus size and a
-        chained predicate's partitions could not be reused: global."""
-        engine = IFlexEngine(
-            program(), build_corpus(6), config=ExecConfig(workers=2)
-        )
-        assert engine.physical.fully_local("items")
-        assert not engine.physical.fully_local("cheap")
-        assert engine.physical.upstream("cheap") is None
 
     def test_cacheless_parallel_run_matches_serial(self):
         corpus = build_corpus(6)

@@ -1,7 +1,7 @@
 """Fixed-size document chunking (``ExecConfig.partition_docs``).
 
-The resident service partitions by document count instead of worker
-count so partition boundaries stay put as the corpus grows.  The
+Partitions hold a fixed number of documents so their boundaries stay
+put as the corpus grows.  The
 contract: chunked execution is byte-identical to serial execution, and
 within one engine the delta path re-executes only the chunks an
 append or edit dirtied.
@@ -29,12 +29,6 @@ class TestEquivalence:
         corpus = build_corpus(8)
         _, serial = execute(corpus)
         _, chunked = execute(corpus, partition_docs=partition_docs)
-        assert result_image(chunked) == result_image(serial)
-
-    def test_chunking_composes_with_workers(self):
-        corpus = build_corpus(8)
-        _, serial = execute(corpus)
-        _, chunked = execute(corpus, partition_docs=2, workers=3)
         assert result_image(chunked) == result_image(serial)
 
 

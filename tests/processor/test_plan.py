@@ -4,16 +4,8 @@ import pytest
 
 from repro.alog.unfold import unfold_program
 from repro.errors import EvaluationError
-from repro.processor.operators import (
-    AnnotateOp,
-    ConditionSelect,
-    ConstraintSelect,
-    FromOp,
-    JoinOp,
-    ProjectOp,
-    UnionOp,
-)
-from repro.processor.plan import compile_predicate, compile_rule
+from repro.processor.operators import AnnotateOp, ConstraintSelect, JoinOp, UnionOp
+from repro.processor.plan import compile_predicate
 from repro.xlog.program import PFunction, Program
 
 

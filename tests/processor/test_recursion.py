@@ -96,7 +96,7 @@ class TestBackendByteIdentity:
         "config",
         [
             ExecConfig(),
-            ExecConfig(workers=2),
+            ExecConfig(partition_docs=2),
             ExecConfig(partition_docs=1),
         ],
         ids=["serial", "partitioned", "chunked"],

@@ -9,18 +9,18 @@ subset of some approximate world... no: every exact world must itself
 be representable; superset semantics means the *set of worlds* of the
 output contains every exact world.
 
-Multi-document inputs are checked on every partition layout: the
-unpartitioned path, worker partitions and the service's one-document
-chunks (where rules over a partition-local predicate run per chunk).
-The partitioned layouts are also checked through the result cache:
-cold, warm, and after a one-document edit, each answer against the
-oracle over its own corpus.
+Multi-document inputs are checked on both partition layouts: the
+unpartitioned path and the service's one-document chunks (where rules
+over a partition-local predicate run per chunk).  The chunked layout is
+also checked through the result cache, each run a fresh engine over one
+store directory: cold, warm, then a one-document edit, a two-document
+edit and a removal, each answer against the oracle over its own corpus,
+each run recomputing exactly the chunks no earlier run stored.
 """
 
 import dataclasses
 import tempfile
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.alog.semantics import program_possible_relations
@@ -32,25 +32,42 @@ from repro.text.document import Document
 from repro.xlog.program import Program
 
 
-#: unpartitioned, worker partitions, one-document chunks
-LAYOUTS = (ExecConfig(), ExecConfig(workers=2), ExecConfig(partition_docs=1))
+#: unpartitioned, one-document chunks
+LAYOUTS = (ExecConfig(), ExecConfig(partition_docs=1))
 
 
-def edit_one_document(corpus):
-    """``corpus`` with one more number appended to its last document."""
-    names = corpus.table_names()
-    edited = Corpus()
-    for name in names:
-        docs = list(corpus.table(name))
-        if name == names[-1]:
-            last = docs[-1]
-            docs[-1] = Document(last.doc_id, last.text + " 9", regions=last.regions)
-        edited.add_table(name, docs)
-    return edited
+def edit_documents(corpus, count):
+    """``corpus`` with one more number appended to its last ``count``
+    documents (in table order)."""
+    tables = [(name, list(corpus.table(name))) for name in corpus.table_names()]
+    for _, docs in reversed(tables):
+        for i in reversed(range(len(docs))):
+            if count:
+                doc = docs[i]
+                docs[i] = Document(doc.doc_id, doc.text + " 9", regions=doc.regions)
+                count -= 1
+    return Corpus(dict(tables))
 
 
-def check_superset(program, corpus, exact, config, max_worlds):
-    result = IFlexEngine(program, corpus, config=config).execute()
+def remove_first_document(corpus):
+    """``corpus`` without the first document of its first table that
+    holds two, or ``None`` when no table does."""
+    for name in corpus.table_names():
+        docs = corpus.table(name)
+        if len(docs) > 1:
+            return corpus.without([docs[0].doc_id])
+    return None
+
+
+def check_superset(program, corpus, exact, config, max_worlds, seen=None):
+    """Run a fresh engine and check its answer against ``exact``.
+
+    With ``seen`` (the content digests of every chunk an earlier run
+    stored under ``config.result_cache``), also check that the run
+    recomputed exactly the chunks not among them, and add its own.
+    """
+    engine = IFlexEngine(program, corpus, config=config)
+    result = engine.execute()
     approx = compact_worlds(result.query_table, max_worlds=max_worlds)
     missing = exact - approx
     assert not missing, "missing %d exact worlds under %r, e.g. %r" % (
@@ -58,6 +75,17 @@ def check_superset(program, corpus, exact, config, max_worlds):
         config,
         next(iter(missing)),
     )
+    if seen is not None:
+        physical = engine.physical
+        digests = [part.content_digest for part in physical.partitions]
+        local = physical.partitioned and any(
+            physical.fully_local(group[0])
+            for group in engine.order
+            if group not in engine.recursive_groups
+        )
+        expected = len([d for d in digests if d not in seen]) if local else 0
+        assert result.stats.partitions_recomputed == expected, (config, result.stats)
+        seen.update(digests)
     return result.stats
 
 
@@ -65,19 +93,33 @@ def assert_superset(program, corpus, max_worlds=100_000, configs=(ExecConfig(),)
     exact = program_possible_relations(program, corpus, max_worlds=max_worlds)
     for config in configs:
         check_superset(program, corpus, exact, config, max_worlds)
-    partitioned = [c for c in configs if c.workers > 1 or c.partition_docs]
+    partitioned = [c for c in configs if c.partition_docs]
     if not partitioned:
         return
-    edited = edit_one_document(corpus)
-    exact_edited = program_possible_relations(program, edited, max_worlds=max_worlds)
+    changes = [
+        changed
+        for changed in (
+            edit_documents(corpus, 1),
+            edit_documents(corpus, 2),
+            remove_first_document(corpus),
+        )
+        if changed is not None
+    ]
+    exact_changes = [
+        program_possible_relations(program, changed, max_worlds=max_worlds)
+        for changed in changes
+    ]
     for config in partitioned:
-        # cold, warm and one-document-edit runs through the result cache
+        # fresh engines over one result-cache directory: cold, warm,
+        # then every change in turn
         with tempfile.TemporaryDirectory() as directory:
             cached = dataclasses.replace(config, result_cache=directory)
-            check_superset(program, corpus, exact, cached, max_worlds)
-            warm = check_superset(program, corpus, exact, cached, max_worlds)
+            seen = set()
+            check_superset(program, corpus, exact, cached, max_worlds, seen)
+            warm = check_superset(program, corpus, exact, cached, max_worlds, seen)
             assert warm.result_cache_hits and not warm.partitions_recomputed, warm
-            check_superset(program, edited, exact_edited, cached, max_worlds)
+            for changed, exact_changed in zip(changes, exact_changes):
+                check_superset(program, changed, exact_changed, cached, max_worlds, seen)
 
 
 class TestSupersetOnFixedPrograms:

@@ -106,7 +106,7 @@ class TestPartitionMerge:
 
     def test_partition_rows_merge_for_a_fully_local_plan(self, figure1_corpus):
         source = "Q(x, <p>) :- housePages(x), from(@x, p), numeric(p) = yes."
-        spans, rows = self._traced(figure1_corpus, ExecConfig(workers=2), source, "Q")
+        spans, rows = self._traced(figure1_corpus, ExecConfig(partition_docs=1), source, "Q")
         assert len([s for s in spans if s.category == "partition"]) == 2
         # merged partition counts sum to the serial counts
         _, serial = self._traced(figure1_corpus, ExecConfig(), source, "Q")

@@ -2,15 +2,9 @@
 
 import threading
 
-from repro.service import ServiceApp, build_app
+from repro.service import build_app
 
-from tests.service.conftest import (
-    PROGRAM_SOURCE,
-    FakeClient,
-    doc_payload,
-    ingest_pages,
-    submit_program,
-)
+from tests.service.conftest import FakeClient, doc_payload, ingest_pages, submit_program
 
 #: a program whose second head is annotated ``?`` — its tuples stream
 #: with ``maybe: true``

@@ -230,6 +230,8 @@ class TestArgValidation:
     BAD = [
         ["--workers", "0"],
         ["--workers", "-2"],
+        ["--partition-docs", "0"],
+        ["--partition-docs", "-2"],
         ["--max-retries", "-1"],
     ]
 
@@ -267,6 +269,8 @@ class TestArgValidation:
             ["session", "p.alog", "--backend", "process"],
             ["serve", "--backend", "process"],
             ["serve", "--workers", "2"],
+            ["run", "p.alog", "--workers", "2"],
+            ["session", "p.alog", "--workers", "2"],
             # explain only compiles plans: execution flags are refused
             ["explain", "p.alog", "--workers", "2"],
             ["explain", "p.alog", "--result-cache", "d"],
@@ -293,18 +297,16 @@ class TestArgValidation:
         text = capsys.readouterr().out
         removed_switches = [
             "--no-eval-cache", "--no-incremental", "thread", "--no-index", "--backend",
-            "--partition-timeout",
+            "--partition-timeout", "--workers",
         ]
-        if command == "serve":
-            removed_switches.append("--workers")
         for removed in removed_switches:
             assert removed not in text, removed
 
     def test_valid_values_accepted(self):
         args = build_parser().parse_args(
-            ["run", "p.alog", "--workers", "3", "--max-retries", "0"]
+            ["run", "p.alog", "--partition-docs", "3", "--max-retries", "0"]
         )
-        assert args.workers == 3
+        assert args.partition_docs == 3
         assert args.max_retries == 0
 
 
@@ -336,7 +338,7 @@ class TestObservabilityFlags:
         trace_path = tmp_path / "run.trace.json"
         code = main(
             ["run", str(program_file), "--table", "pages=%s" % pages_dir,
-             "--query", "q", "--workers", "2",
+             "--query", "q", "--partition-docs", "1",
              "--trace-out", str(trace_path)]
         )
         assert code == 0
@@ -357,7 +359,7 @@ class TestObservabilityFlags:
             trace_path = tmp_path / ("%s-%s.trace.json" % (mode, phase))
             code = main(
                 ["run", str(program_file), "--table", "pages=%s" % pages_dir,
-                 "--query", "q", "--workers", "2", "--json",
+                 "--query", "q", "--partition-docs", "1", "--json",
                  "--result-cache", str(tmp_path / ("%s-cache" % mode)),
                  "--metrics-out", str(metrics_path),
                  "--trace-out", str(trace_path), *extra]
@@ -452,7 +454,7 @@ class TestServeCommand:
             ]
         )
         config = _exec_config(args)
-        assert (config.workers, config.partition_docs) == (1, 2)
+        assert config.partition_docs == 2
         assert config.result_cache == "/tmp/rc"
         assert config.max_fixpoint_iterations == 7
         assert config.on_error == "fail-fast"

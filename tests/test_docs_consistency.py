@@ -3,8 +3,6 @@
 import pathlib
 import re
 
-import pytest
-
 from repro.features.registry import default_registry
 
 DOCS = pathlib.Path(__file__).parent.parent / "docs"
@@ -60,10 +58,10 @@ class TestCliDocs:
             "--result-cache",
             "--metrics-out",
             "--trace-out",
-            "--workers",
+            "--partition-docs",
         ):
             assert flag in known, "doc'd flag %s not in run parser" % flag
-            # flags may be documented with an argument, e.g. `--workers N`
+            # flags may be documented with an argument, e.g. `--partition-docs N`
             assert "`%s" % flag in text, "%s missing from docs/cli.md" % flag
         # no phantom long flags documented in the run section (the text
         # between "## run" and the next command heading)

@@ -5,8 +5,6 @@ Example 1.1 (the introduction's house-hunting story), Example 2.3
 the public API only.
 """
 
-import pytest
-
 from repro import (
     Corpus,
     GroundTruth,

@@ -2,8 +2,6 @@
 
 import logging
 
-import pytest
-
 from repro.processor.executor import IFlexEngine
 
 

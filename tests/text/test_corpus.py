@@ -224,23 +224,14 @@ class TestChunk:
         assert flat == [d.doc_id for d in corpus.table("A")]
 
     def test_chunk_boundaries_stable_under_append(self):
-        """The property :meth:`Corpus.partition` lacks: growing the
-        corpus leaves every existing full chunk byte-identical, so the
-        delta path re-executes only the tail."""
+        """Growing the corpus leaves every existing full chunk
+        byte-identical, so the delta path re-executes only the tail."""
         corpus = Corpus({"A": docs("a", 5)})
         before = [p.content_digest for p in corpus.chunk(2)]
         corpus.add_documents("A", docs("z", 3))
         after = [p.content_digest for p in corpus.chunk(2)]
         assert after[:2] == before[:2]           # full chunks untouched
         assert len(after) == 4
-
-    def test_partition_boundaries_shift_under_append(self):
-        # the contrast that motivates chunk(): partition(n) re-slices
-        corpus = Corpus({"A": docs("a", 5)})
-        before = [p.content_digest for p in corpus.partition(2)]
-        corpus.add_documents("A", docs("z", 3))
-        after = [p.content_digest for p in corpus.partition(2)]
-        assert after[0] != before[0]
 
     def test_chunk_covers_every_table(self):
         corpus = Corpus({"A": docs("a", 3), "B": docs("b", 1)})

@@ -4,7 +4,7 @@ import pytest
 
 from repro.ctables.assignments import value_text
 from repro.errors import EnumerationLimitError, EvaluationError
-from repro.text import Corpus, Document, doc_span
+from repro.text import Corpus, Document
 from repro.xlog.engine import XlogEngine
 from repro.xlog.program import PFunction, PPredicate, Program
 

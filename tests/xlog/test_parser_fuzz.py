@@ -2,7 +2,6 @@
 
 round-trip for generated rules."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ParseError
