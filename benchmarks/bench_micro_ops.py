@@ -130,6 +130,39 @@ def test_bench_blocked_similarity_join(benchmark, context):
     assert len(out) >= 1
 
 
+def test_bench_similar_join(benchmark, context):
+    """T3-shaped ``similar(t1, t2)`` over ``contain`` cells of whole pages:
+    token blocking keeps a near cross-product, and every blocked pair is
+    kept as maybe, its token-overlap test skipped; checked against memo-free
+    evaluation of the unbound condition, pair by pair."""
+    from repro.processor.conditions import PFunctionCondition
+
+    tables = generate_books({"Amazon": 150, "Barnes": 150}, seed=4)
+
+    def side(records, attr):
+        rows = [CompactTuple([Cell.contain(doc_span(r.doc))]) for r in records]
+        return TableSource(CompactTable((attr,), rows))
+
+    cond = PFunctionCondition(
+        "similar", make_similar(0.55), [make_side(attr="t1"), make_side(attr="t2")]
+    )
+    join = JoinOp(side(tables["Amazon"], "t1"), side(tables["Barnes"], "t2"), [cond])
+    out = benchmark.pedantic(join.execute, args=(context,), rounds=3, iterations=1)
+
+    plain = ExecutionContext(context.program, context.corpus)
+    left, right = join.left.table, join.right.table
+    expected = []
+    for lt, rt in join._blocked_pairs(left, right, join._blocking_condition(plain), None):
+        result = cond.evaluate({"t1": lt.cells[0], "t2": rt.cells[0]}, plain)
+        if result.some:
+            expected.append((lt.cells[0], rt.cells[0], lt.maybe or rt.maybe or not result.all))
+    assert [(t.cells[0], t.cells[1], t.maybe) for t in out] == expected
+    assert len(out) > 0.9 * len(left) * len(right)
+    once = ExecutionContext(context.program, context.corpus)
+    join.execute(once)
+    assert once.stats.cap_hits == plain.stats.cap_hits == len(out)
+
+
 def test_bench_ordering_join(benchmark, context):
     """T9-shaped ``np < bp``: expansion cells of exact price spans on both
     sides, decided from per-side bounds; checked against brute force."""

@@ -27,6 +27,7 @@ entry-count or byte caps are exceeded it evicts whole entries
 oldest-first by mtime.
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -50,8 +51,8 @@ logger = get_logger("columnar")
 #: first so ``.res.meta.json`` is never mistaken for a ``.meta.json``: a
 #: file belongs to the entry named by its stem plus the tag.  Only
 #: ``.res`` is read and written.  The ``.res.npy``/``.res.meta.json``
-#: pairs of older result entries (an entry of their own beside a ``.res``
-#: under the same key) and the ``.cols.npy``/``.meta.json`` corpus
+#: pairs of older result entries (:func:`save_result` removes the pair
+#: of the key it writes) and the ``.cols.npy``/``.meta.json`` corpus
 #: column bundles of still older versions often share the directory,
 #: and prune still evicts them.
 _ENTRY_SUFFIXES = (
@@ -101,6 +102,9 @@ def save_result(table, cache_dir, key):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    for suffix in (".res.npy", ".res.meta.json"):  # an older version's files for this key
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(os.path.join(cache_dir, key + suffix))
     return path
 
 

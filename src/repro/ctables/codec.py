@@ -145,29 +145,6 @@ def encode_table(table):
     return data, meta
 
 
-class _Reader:
-    """Bounds-checked cursor over the flat buffer."""
-
-    def __init__(self, data):
-        self.data = data
-        self.position = 0
-
-    def take(self, count=1):
-        end = self.position + count
-        if end > len(self.data):
-            raise CodecError("buffer exhausted")
-        values = [int(v) for v in self.data[self.position:end]]
-        self.position = end
-        return values
-
-    def count(self, limit):
-        """One word read as a non-negative, sanity-bounded count."""
-        (value,) = self.take(1)
-        if value < 0 or value > limit:
-            raise CodecError("implausible count %d" % value)
-        return value
-
-
 def decode_table(data, meta, docs_by_id):
     """Rebuild a :class:`CompactTable` from its encoded form.
 
@@ -199,18 +176,31 @@ def decode_table(data, meta, docs_by_id):
     data = np.asarray(data)
     if data.ndim != 1 or data.dtype != _I64:
         raise CodecError("unexpected buffer shape/dtype")
-    reader = _Reader(data)
-    word_limit = len(data)
+    words = data.tolist()
+    limit = len(words)
+
+    def count(position):  # a non-negative, sanity-bounded count
+        value = words[position]
+        if value < 0 or value > limit:
+            raise CodecError("implausible count %d" % value)
+        return value
+
     table = CompactTable(tuple(attrs))
+    position = 1
     try:
-        for _ in range(reader.count(word_limit)):
-            maybe, = reader.take(1)
+        for _ in range(count(0)):
+            maybe = words[position]
+            n_cells = count(position + 1)
+            position += 2
             cells = []
-            for _ in range(reader.count(word_limit)):
-                is_expansion, = reader.take(1)
+            for _ in range(n_cells):
+                is_expansion = words[position]
+                n_assignments = count(position + 1)
+                position += 2
                 assignments = []
-                for _ in range(reader.count(word_limit)):
-                    kind, a, b, c = reader.take(4)
+                for _ in range(n_assignments):
+                    kind, a, b, c = words[position : position + 4]
+                    position += 4
                     if kind in (_KIND_EXACT_SPAN, _KIND_CONTAIN):
                         if not 0 <= a < len(docs):
                             raise CodecError("document index out of range")
@@ -225,16 +215,15 @@ def decode_table(data, meta, docs_by_id):
                     else:
                         raise CodecError("unknown assignment kind %d" % kind)
                 cells.append(Cell(assignments, is_expansion=bool(is_expansion)))
-            table.add(CompactTuple(cells, maybe=bool(maybe)))
+            table.add(CompactTuple.trusted(tuple(cells), bool(maybe)))
     except CodecError:
         raise
-    except (ValueError, TypeError) as exc:
-        # Span bounds violations and arity mismatches land here: the
-        # constructors are the deepest structural validators we have
+    except (IndexError, ValueError, TypeError) as exc:
+        # A short buffer, span bounds violations and arity mismatches land
+        # here: the constructors are the deepest structural validators we have
         raise CodecError(str(exc)) from exc
-    if reader.position != len(data):
+    if position != limit:
         raise CodecError(
-            "trailing buffer words (%d of %d consumed)"
-            % (reader.position, len(data))
+            "trailing buffer words (%d of %d consumed)" % (position, limit)
         )
     return table

@@ -81,6 +81,12 @@ class Cell:
 
     # -- transformation --------------------------------------------------
     def with_assignments(self, assignments):
+        """This cell's kind over ``assignments``; ``self`` if nothing changed."""
+        assignments = tuple(assignments)
+        if len(assignments) == len(self.assignments) and all(
+            a is b for a, b in zip(assignments, self.assignments)
+        ):
+            return self
         return Cell(assignments, is_expansion=self.is_expansion)
 
     def __eq__(self, other):
@@ -112,15 +118,25 @@ class CompactTuple:
                 raise TypeError("expected Cell, got %r" % (cell,))
         self.maybe = bool(maybe)
 
+    @classmethod
+    def trusted(cls, cells, maybe):
+        """No copy, no checks: ``cells`` is a tuple of validated cells."""
+        row = cls.__new__(cls)
+        row.cells = cells
+        row.maybe = maybe
+        return row
+
     def with_cell(self, index, cell):
+        if not isinstance(cell, Cell):
+            raise TypeError("expected Cell, got %r" % (cell,))
         cells = list(self.cells)
         cells[index] = cell
-        return CompactTuple(cells, maybe=self.maybe)
+        return CompactTuple.trusted(tuple(cells), self.maybe)
 
     def as_maybe(self):
         if self.maybe:
             return self
-        return CompactTuple(self.cells, maybe=True)
+        return CompactTuple.trusted(self.cells, True)
 
     def multiplicity(self):
         product = 1

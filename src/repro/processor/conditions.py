@@ -26,11 +26,14 @@ right side's maximum, and every combination satisfies iff
 ``max(L) < min(R)`` with every value on both sides numeric.  Values
 with no numeric reading (text, ``None``, NaN) never satisfy one.
 
-Every fact a condition needs about one side — its enumeration, its
-numbers and bounds, the cell filtered against a bound, its token set —
-depends on that side's cell alone.  A join evaluates its conditions
-once per *pair*, so it passes a ``memo`` dict that keeps those facts
-per distinct cell for the join's execution (see :func:`_memoized`).
+Every fact a condition needs about one side — whether it holds a
+``contain`` assignment, its enumeration, its numbers and bounds, the
+cell filtered against a bound, its token set — depends on that side's
+cell alone.  A join evaluates its conditions once per *pair*, so each
+of its executions passes one ``memo`` dict that keeps those facts per
+distinct cell (see :func:`_memoized`).  Sides read cells by ``key``:
+the attribute name in a ``{attr: cell}`` mapping, or the position in
+an operator's cells once ``bind`` ran.
 """
 
 import bisect
@@ -38,7 +41,8 @@ import functools
 import itertools
 import operator
 import re
-from dataclasses import dataclass
+from types import MappingProxyType
+from typing import NamedTuple
 
 from repro.ctables.assignments import Contain, Exact, value_key, value_number
 from repro.errors import ExecutionFailure
@@ -59,19 +63,19 @@ _ORDERING_OPS = {
 _FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-@dataclass
-class ConditionResult:
+class ConditionResult(NamedTuple):
     some: bool
     all: bool
-    #: attr -> replacement Cell, only for cells that were *fully*
+    #: side key -> replacement Cell, only for cells that were *fully*
     #: filtered to exactly the satisfying values
     filtered: dict
     #: True when an enumeration cap was hit (forces conservative maybe)
     capped: bool = False
 
 
-def _capped():
-    return ConditionResult(some=True, all=False, filtered={}, capped=True)
+#: the two results that carry no cells, shared by every evaluation
+_DROPPED = ConditionResult(False, False, MappingProxyType({}))
+_CAPPED = ConditionResult(True, False, MappingProxyType({}), True)
 
 
 class _Side:
@@ -80,14 +84,17 @@ class _Side:
     optional numeric offset (``firstPage + 5``).
     """
 
-    def __init__(self, attr=None, const=None, offset=0):
+    def __init__(self, attr=None, const=None, offset=0, key=None):
         self.attr = attr
         self.const = const
         self.offset = offset
+        self.is_const = attr is None
+        self.key = attr if key is None else key
 
-    @property
-    def is_const(self):
-        return self.attr is None
+    def bind(self, attrs):
+        if self.is_const:
+            return self
+        return _Side(self.attr, offset=self.offset, key=attrs.index(self.attr))
 
     @functools.cached_property
     def const_numbers(self):
@@ -154,8 +161,11 @@ def _occurrence_candidates(assignment, text):
     return out
 
 
-def _has_contain(cell):
-    return any(isinstance(a, Contain) for a in cell.assignments)
+def _has_contain(cell, memo):
+    def compute():
+        return any(isinstance(a, Contain) for a in cell.assignments)
+
+    return _memoized(memo, (id(cell), "contain"), cell, compute)
 
 
 def _cell_values(cell, context, memo):
@@ -178,7 +188,7 @@ def _enumerate_side(cell, context, op, other_const, memo):
     ``exhaustive`` means every possible value of the cell is included
     (needed to conclude ``all``).
     """
-    has_contain = _has_contain(cell)
+    has_contain = _has_contain(cell, memo)
     if has_contain and op in _ORDERING_OPS:
         values = []
         for a in cell.assignments:
@@ -256,9 +266,9 @@ def _filtered_cell(cell, keep):
     return cell.with_assignments([a for a in cell.assignments if value_key(a.value) in keep])
 
 
-def _side_width(cell, linear):
+def _side_width(cell, linear, memo):
     """Upper bound on the values one side can contribute to the pairs."""
-    if linear and _has_contain(cell):
+    if linear and _has_contain(cell, memo):
         # the linear (numeric / occurrence) path; bound by tokens
         return max(
             1,
@@ -270,17 +280,45 @@ def _side_width(cell, linear):
     return max(1, cell.value_count())
 
 
-class ComparisonCondition:
+class _Condition:
+    """Applying either condition kind to one tuple of a bound operator."""
+
+    def __init__(self, sides):
+        #: the keys of the cells the condition reads
+        self.involved = tuple(s.key for s in sides if not s.is_const)
+
+    def apply(self, cells, maybe, context, memo=None):
+        """``(cells, maybe)`` of one tuple after this condition, or ``None``
+
+        if dropped.  Filtered cells narrow; ``maybe`` rises unless every
+        possible tuple satisfies, or the one involved cell is a fully
+        filtered expansion cell (each value its own, certain, tuple).
+        """
+        result = self.evaluate(cells, context, memo)
+        if not result.some:
+            return None
+        filtered = result.filtered
+        for key, cell in filtered.items():
+            if cell is not cells[key]:
+                cells = cells[:key] + (cell,) + cells[key + 1 :]
+        if not (maybe or result.all):
+            cell = filtered.get(self.involved[0]) if len(self.involved) == 1 else None
+            maybe = result.capped or cell is None or not cell.is_expansion
+        return cells, maybe
+
+
+class ComparisonCondition(_Condition):
     """``left op right`` where each side is an attribute or constant."""
 
     def __init__(self, left, op, right):
+        super().__init__((left, right))
         self.left = left
         self.op = op
         self.right = right
 
-    @property
-    def involved(self):
-        return tuple(s.attr for s in (self.left, self.right) if not s.is_const)
+    def bind(self, attrs):
+        """This condition reading cells by position in ``attrs``."""
+        return ComparisonCondition(self.left.bind(attrs), self.op, self.right.bind(attrs))
 
     def __repr__(self):
         def show(side):
@@ -288,7 +326,7 @@ class ComparisonCondition:
 
         return "%s %s %s" % (show(self.left), self.op, show(self.right))
 
-    def _too_wide(self, cells_by_attr, context, memo):
+    def _too_wide(self, cells, context, memo):
         """Cheap pre-check: would enumeration blow the pair cap?
 
         Uses ``value_count`` upper bounds so no values are materialised
@@ -300,17 +338,17 @@ class ComparisonCondition:
         for side, other in ((self.left, self.right), (self.right, self.left)):
             if side.is_const:
                 continue
-            cell = cells_by_attr[side.attr]
+            cell = cells[side.key]
             linear = self.op in _ORDERING_OPS or (self.op == "=" and other.is_const)
             product *= _memoized(
                 memo,
                 (id(cell), "width", linear),
                 cell,
-                lambda: _side_width(cell, linear),
+                lambda: _side_width(cell, linear, memo),
             )
         return product > context.config.pair_cap
 
-    def _sides(self, cells_by_attr, context, memo):
+    def _sides(self, cells, context, memo):
         """Per side ``(values, complete, exhaustive)``, or ``_Numbers``
 
         for an ordering comparison.
@@ -321,7 +359,7 @@ class ComparisonCondition:
             if side.is_const:
                 sides.append(side.const_numbers if ordering else ([side.const], True, True))
                 continue
-            cell = cells_by_attr[side.attr]
+            cell = cells[side.key]
             other_const = other.const if other.is_const else None
             if ordering:
                 sides.append(
@@ -341,11 +379,11 @@ class ComparisonCondition:
                 sides.append(_enumerate_side(cell, context, self.op, other_const, memo))
         return sides
 
-    def evaluate(self, cells_by_attr, context, memo=None):
-        if self._too_wide(cells_by_attr, context, memo):
+    def evaluate(self, cells, context, memo=None):
+        if self._too_wide(cells, context, memo):
             context.stats.cap_hits += 1
-            return _capped()
-        left, right = self._sides(cells_by_attr, context, memo)
+            return _CAPPED
+        left, right = self._sides(cells, context, memo)
         if self.op in _ORDERING_OPS:
             complete = left.complete and right.complete
             left_values, right_values = left.values, right.values
@@ -353,18 +391,18 @@ class ComparisonCondition:
             complete = left[1] and right[1]
             left_values, right_values = left[0], right[0]
         if not complete:
-            return _capped()
+            return _CAPPED
         if len(left_values) * len(right_values) > context.config.pair_cap:
             context.stats.cap_hits += 1
-            return _capped()
+            return _CAPPED
         if self.op in _ORDERING_OPS:
-            return self._decide_ordering(left, right, cells_by_attr, memo)
-        return self._decide_pairs(left, right, cells_by_attr)
+            return self._decide_ordering(left, right, cells, memo)
+        return self._decide_pairs(left, right, cells)
 
-    def _decide_ordering(self, left, right, cells_by_attr, memo):
+    def _decide_ordering(self, left, right, cells, memo):
         """``some``/``all``/filtered cells from the two sides' bounds."""
         if not (left.numbers and right.numbers):
-            return ConditionResult(some=False, all=False, filtered={})
+            return _DROPPED
         holds = _ORDERING_OPS[self.op]
         if self.op in ("<", "<="):
             # l < r for some r iff l < max(R); every pair iff max(L) < min(R)
@@ -374,7 +412,7 @@ class ComparisonCondition:
             left_bound, right_bound = right.lo, left.hi
             all_pairs = holds(left.lo, right.hi)
         if not holds(right_bound, left_bound):
-            return ConditionResult(some=False, all=False, filtered={})
+            return _DROPPED
         all_flag = (
             all_pairs
             and left.all_numeric
@@ -389,19 +427,19 @@ class ComparisonCondition:
         ):
             if not numbers.filterable:
                 continue
-            cell = cells_by_attr[side.attr]
+            cell = cells[side.key]
             # cells narrow to a prefix or suffix of their sorted numbers,
             # so the slice, not the bound, identifies the result
             start, stop = numbers.satisfying(test, bound)
-            filtered[side.attr] = _memoized(
+            filtered[side.key] = _memoized(
                 memo,
                 (id(cell), "filter", side.offset, start, stop),
                 cell,
                 lambda: _slice_filtered(cell, numbers, start, stop),
             )
-        return ConditionResult(some=True, all=all_flag, filtered=filtered, capped=False)
+        return ConditionResult(True, all_flag, filtered)
 
-    def _decide_pairs(self, left, right, cells_by_attr):
+    def _decide_pairs(self, left, right, cells):
         """``=`` / ``!=``: test every combination of the two sides."""
         left_values, _, left_exhaustive = left
         right_values, _, right_exhaustive = right
@@ -420,16 +458,24 @@ class ComparisonCondition:
                     sat_right.add(value_key(rv))
                 else:
                     all_combos_satisfy = False
-        all_flag = some and all_combos_satisfy and left_exhaustive and right_exhaustive
-        filtered = {}
-        if some:
-            for side, sat in ((self.left, sat_left), (self.right, sat_right)):
-                if side.is_const:
-                    continue
-                cell = cells_by_attr[side.attr]
-                if _filterable(cell):
-                    filtered[side.attr] = _filtered_cell(cell, sat)
-        return ConditionResult(some=some, all=all_flag, filtered=filtered, capped=False)
+        if not some:
+            return _DROPPED
+        all_flag = all_combos_satisfy and left_exhaustive and right_exhaustive
+        return ConditionResult(
+            True, all_flag, _filtered_sides((self.left, self.right), (sat_left, sat_right), cells)
+        )
+
+
+def _filtered_sides(sides, satisfied, cells):
+    """``{key: narrowed cell}`` for every attribute side that can narrow."""
+    filtered = {}
+    for side, sat in zip(sides, satisfied):
+        if side.is_const:
+            continue
+        cell = cells[side.key]
+        if _filterable(cell):
+            filtered[side.key] = _filtered_cell(cell, sat)
+    return filtered
 
 
 def _slice_filtered(cell, numbers, start, stop):
@@ -458,17 +504,30 @@ def cell_tokens(cell, memo=None):
     return _memoized(memo, (id(cell), "tokens"), cell, compute)
 
 
-class PFunctionCondition:
+class PFunctionCondition(_Condition):
     """A p-function used as a filter, e.g. ``similar(@t1, @t2)``."""
 
     def __init__(self, name, func, sides):
+        self.sides = list(sides)  # list of _Side
+        super().__init__(self.sides)
         self.name = name
         self.func = func
-        self.sides = list(sides)  # list of _Side
+        self._attr_sides = [s for s in self.sides if not s.is_const]
+        self.blockable = getattr(func, "blockable", False) and len(self.sides) == 2
 
-    @property
-    def involved(self):
-        return tuple(s.attr for s in self.sides if not s.is_const)
+    def bind(self, attrs):
+        """This condition reading cells by position in ``attrs``."""
+        return PFunctionCondition(self.name, self.func, [s.bind(attrs) for s in self.sides])
+
+    def on_overlapping_pairs(self):
+        """This condition for pairs whose two cells share a token, as a
+
+        token-blocked join's pairs do: the empty-overlap refutation can
+        never fire there, so its token lookups are skipped.
+        """
+        condition = PFunctionCondition(self.name, self.func, self.sides)
+        condition.blockable = False
+        return condition
 
     def __repr__(self):
         return "%s(%s)" % (
@@ -476,39 +535,38 @@ class PFunctionCondition:
             ", ".join(s.attr if not s.is_const else repr(s.const) for s in self.sides),
         )
 
-    def _side_tokens(self, side, cells_by_attr, memo):
+    def _side_tokens(self, side, cells, memo):
         if side.is_const:
             return token_set(side.const)
-        return cell_tokens(cells_by_attr[side.attr], memo)
+        return cell_tokens(cells[side.key], memo)
 
-    def evaluate(self, cells_by_attr, context, memo=None):
+    def evaluate(self, cells, context, memo=None):
         # A procedural function needs concrete values.  ``contain``
         # families are kept approximate — except that for share-a-token
         # similarity functions an empty token overlap is an exact
         # refutation, which is what makes one-sided refinements shrink
         # the result before both sides are exact.
-        has_contain = any(
-            _has_contain(cells_by_attr[side.attr])
-            for side in self.sides
-            if not side.is_const
-        )
-        if has_contain:
-            if getattr(self.func, "blockable", False) and len(self.sides) == 2:
-                left_tokens = self._side_tokens(self.sides[0], cells_by_attr, memo)
-                if left_tokens:
-                    right_tokens = self._side_tokens(self.sides[1], cells_by_attr, memo)
-                    if left_tokens.isdisjoint(right_tokens):
-                        return ConditionResult(some=False, all=False, filtered={})
-            context.stats.cap_hits += 1
-            return _capped()
+        for side in self._attr_sides:
+            if _has_contain(cells[side.key], memo):
+                break
+        else:
+            return self._decide_values(cells, context, memo)
+        if self.blockable:
+            left_tokens = self._side_tokens(self.sides[0], cells, memo)
+            if left_tokens:
+                right_tokens = self._side_tokens(self.sides[1], cells, memo)
+                if left_tokens.isdisjoint(right_tokens):
+                    return _DROPPED
+        context.stats.cap_hits += 1
+        return _CAPPED
+
+    def _decide_values(self, cells, context, memo):
         product = 1
-        for side in self.sides:
-            if side.is_const:
-                continue
-            product *= max(1, cells_by_attr[side.attr].value_count())
+        for side in self._attr_sides:
+            product *= max(1, cells[side.key].value_count())
         if product > context.config.pair_cap:
             context.stats.cap_hits += 1
-            return _capped()
+            return _CAPPED
 
         per_side = []
         capped = False
@@ -516,17 +574,17 @@ class PFunctionCondition:
             if side.is_const:
                 per_side.append([side.const])
                 continue
-            values, full = _cell_values(cells_by_attr[side.attr], context, memo)
+            values, full = _cell_values(cells[side.key], context, memo)
             capped = capped or not full
             per_side.append(values)
         if capped:
-            return _capped()
+            return _CAPPED
         combo_count = 1
         for values in per_side:
             combo_count *= len(values)
         if combo_count > context.config.pair_cap:
             context.stats.cap_hits += 1
-            return _capped()
+            return _CAPPED
         sat_per_side = [set() for _ in per_side]
         some = False
         all_flag = True
@@ -548,17 +606,9 @@ class PFunctionCondition:
                     sat.add(value_key(v))
             else:
                 all_flag = False
-        filtered = {}
-        if some:
-            for side, sat in zip(self.sides, sat_per_side):
-                if side.is_const:
-                    continue
-                cell = cells_by_attr[side.attr]
-                if _filterable(cell):
-                    filtered[side.attr] = _filtered_cell(cell, sat)
-        return ConditionResult(
-            some=some, all=some and all_flag, filtered=filtered, capped=False
-        )
+        if not some:
+            return _DROPPED
+        return ConditionResult(True, all_flag, _filtered_sides(self.sides, sat_per_side, cells))
 
 
 def make_side(attr=None, const=None, offset=0):

@@ -262,14 +262,17 @@ def _constraint_pass(source, attr, feature, value, priors, context, mark_maybe):
     index = source.attr_index(attr)
     table = CompactTable(source.attrs)
     for t in source:
-        new_cell = apply_constraint_to_cell(t.cells[index], feature, value, priors, context)
+        old_cell = t.cells[index]
+        new_cell = apply_constraint_to_cell(old_cell, feature, value, priors, context)
         if new_cell.is_empty():
             continue
-        old_cell = t.cells[index]
+        if new_cell is old_cell:  # every assignment survived as it was
+            table.tuples.append(t)
+            continue
         new_tuple = t.with_cell(index, new_cell)
         if mark_maybe and new_cell != old_cell and not old_cell.is_expansion:
             new_tuple = new_tuple.as_maybe()
-        table.add(new_tuple)
+        table.tuples.append(new_tuple)
     context.stats.tuples_built += len(table)
     return table
 
@@ -279,8 +282,8 @@ class ConditionSelect(Operator):
 
     def __init__(self, child, condition):
         self.child = child
-        self.condition = condition
         self.attrs = child.attrs
+        self.condition = condition.bind(self.attrs)
 
     def children(self):
         return [self.child]
@@ -289,42 +292,18 @@ class ConditionSelect(Operator):
         source = self.child.execute(context)
         table = CompactTable(self.attrs)
         for t in source:
-            new_tuple = apply_condition(t, self.attrs, self.condition, context)
-            if new_tuple is not None:
-                table.add(new_tuple)
+            state = self.condition.apply(t.cells, t.maybe, context)
+            if state is None:
+                continue
+            cells, maybe = state
+            if cells is not t.cells or maybe != t.maybe:
+                t = CompactTuple.trusted(cells, maybe)
+            table.tuples.append(t)
         context.stats.tuples_built += len(table)
         return table
 
     def describe(self):
         return "Select[%r]" % (self.condition,)
-
-
-def apply_condition(compact_tuple, attrs, condition, context, memo=None):
-    """Evaluate one condition on one tuple; None means dropped.
-
-    ``memo`` keeps per-cell facts across the calls of one join (see
-    :mod:`repro.processor.conditions`).
-    """
-    cells_by_attr = dict(zip(attrs, compact_tuple.cells))
-    result = condition.evaluate(cells_by_attr, context, memo)
-    if not result.some:
-        return None
-    new_tuple = compact_tuple
-    for attr, cell in result.filtered.items():
-        new_tuple = new_tuple.with_cell(attrs.index(attr), cell)
-    if not result.all:
-        # Certainty survives only the single-attr expansion-cell case:
-        # each surviving expansion value is its own (certain) tuple.
-        involved = condition.involved
-        safe = (
-            not result.capped
-            and len(involved) == 1
-            and involved[0] in result.filtered
-            and result.filtered[involved[0]].is_expansion
-        )
-        if not safe:
-            new_tuple = new_tuple.as_maybe()
-    return new_tuple
 
 
 class JoinOp(Operator):
@@ -334,18 +313,21 @@ class JoinOp(Operator):
     blockable similarity p-function, a token index over the right side
     prunes pairs that share no token (they cannot satisfy the
     condition, so pruning is exact, not approximate).  The conditions
-    still run once per pair, but over facts computed once per distinct
-    cell: one memo dict per execution is passed to every evaluation.
+    are bound to the join's attributes once and run per pair over its
+    cells by position, with one memo of per-cell facts per execution.
+    A kept pair becomes one tuple, built once with its final maybe flag.
+    Blocked pairs share a token, so a first blocking condition skips its
+    empty-overlap test.
     """
 
     def __init__(self, left, right, conditions=()):
         self.left = left
         self.right = right
-        self.conditions = list(conditions)
         overlap = set(left.attrs) & set(right.attrs)
         if overlap:
             raise EvaluationError("join sides share attributes: %r" % (overlap,))
         self.attrs = left.attrs + right.attrs
+        self.conditions = [condition.bind(self.attrs) for condition in conditions]
 
     def children(self):
         return [self.left, self.right]
@@ -362,51 +344,49 @@ class JoinOp(Operator):
             pairs = (
                 (lt, rt) for lt in left_table for rt in right_table
             )
+        conditions = self.conditions
+        if blocking is not None and blocking[0] is conditions[0]:
+            # the first condition sees each pair's cells as blocking did
+            conditions = [conditions[0].on_overlapping_pairs()] + conditions[1:]
+        rows = table.tuples
         for lt, rt in pairs:
-            combined = CompactTuple(lt.cells + rt.cells, maybe=lt.maybe or rt.maybe)
-            for condition in self.conditions:
-                combined = apply_condition(
-                    combined, self.attrs, condition, context, memo
-                )
-                if combined is None:
+            state = (lt.cells + rt.cells, lt.maybe or rt.maybe)
+            for condition in conditions:
+                state = condition.apply(*state, context, memo)
+                if state is None:
                     break
-            if combined is not None:
-                table.add(combined)
+            else:
+                rows.append(CompactTuple.trusted(*state))
         context.stats.tuples_built += len(table)
         return table
 
     # -- token blocking ---------------------------------------------------
     def _blocking_condition(self, context):
+        """``(condition, left position, right position)`` of the first
+
+        share-a-token condition over one cell of each side, or ``None``.
+        """
         if not context.config.blocking_joins:
             return None
+        split = len(self.left.attrs)
         for condition in self.conditions:
-            func = getattr(condition, "func", None)
-            if func is not None and getattr(func, "blockable", False):
-                sides = condition.sides
-                attr_sides = [s for s in sides if not s.is_const]
-                if len(attr_sides) == 2:
-                    left_attr = next(
-                        (s.attr for s in attr_sides if s.attr in self.left.attrs), None
-                    )
-                    right_attr = next(
-                        (s.attr for s in attr_sides if s.attr in self.right.attrs), None
-                    )
-                    if left_attr and right_attr:
-                        return (condition, left_attr, right_attr)
+            if getattr(getattr(condition, "func", None), "blockable", False):
+                keys = sorted(s.key for s in condition.sides if not s.is_const)
+                if len(keys) == 2 and keys[0] < split <= keys[1]:
+                    return condition, keys[0], keys[1] - split
         return None
 
     def _blocked_pairs(self, left_table, right_table, blocking, memo):
-        _, left_attr, right_attr = blocking
-        right_index = {}
+        _, left_index, right_index = blocking
+        postings = {}
         for position, rt in enumerate(right_table):
-            for token in cell_tokens(rt.cells[right_table.attr_index(right_attr)], memo):
-                right_index.setdefault(token, set()).add(position)
-        right_tuples = list(right_table)
-        left_index = left_table.attr_index(left_attr)
+            for token in cell_tokens(rt.cells[right_index], memo):
+                postings.setdefault(token, set()).add(position)
+        right_tuples = right_table.tuples
         for lt in left_table:
             candidates = set()
             for token in cell_tokens(lt.cells[left_index], memo):
-                candidates |= right_index.get(token, set())
+                candidates.update(postings.get(token, ()))
             for position in sorted(candidates):
                 yield lt, right_tuples[position]
 
@@ -428,8 +408,9 @@ class ProjectOp(Operator):
         source = self.child.execute(context)
         indexes = [source.attr_index(a) for a in self.attrs]
         table = CompactTable(self.attrs)
-        for t in source:
-            table.add(CompactTuple([t.cells[i] for i in indexes], maybe=t.maybe))
+        table.tuples = [
+            CompactTuple.trusted(tuple([t.cells[i] for i in indexes]), t.maybe) for t in source
+        ]
         return table
 
     def describe(self):

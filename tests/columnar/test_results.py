@@ -434,11 +434,20 @@ class TestPruning:
 
     def test_old_result_entries_read_as_misses_then_prune(self, tmp_path):
         """A directory of two-file entries older versions wrote: the run
-        recomputes cold with the same bytes, and prune evicts each old
-        pair as one entry."""
+        recomputes cold with the same bytes and removes the old pair of
+        every key it rewrites; prune evicts an old pair no run rewrote
+        as one entry."""
         docs = _crash_docs()
         cold = _run(docs, str(tmp_path))
+        cold_bytes = {path.name: path.read_bytes() for path in tmp_path.glob("*.res")}
         write_old_entries(tmp_path)
+        stranger = tmp_path / "stranger"
+        stranger.mkdir()
+        save_result(_table(_docs()), str(stranger), KEY)
+        write_old_entries(stranger)
+        for path in stranger.iterdir():
+            path.rename(tmp_path / path.name)
+        stranger.rmdir()
         old = sorted(os.listdir(str(tmp_path)))
         assert old and all(n.endswith((".res.npy", ".res.meta.json")) for n in old)
         for name in old:
@@ -447,9 +456,12 @@ class TestPruning:
         assert _image(rerun.query_table) == _image(cold.query_table)
         assert rerun.stats.result_cache_hits == 0
         assert rerun.stats.partitions_recomputed == cold.stats.partitions_recomputed
-        new = {name for name in os.listdir(str(tmp_path)) if name.endswith(".res")}
-        assert prune_cache_dir(str(tmp_path), max_entries=len(new)) == len(old) // 2
-        assert set(os.listdir(str(tmp_path))) == new
+        new = {path.name: path.read_bytes() for path in tmp_path.glob("*.res")}
+        assert new == cold_bytes
+        left = set(os.listdir(str(tmp_path))) - set(new)
+        assert left == {KEY + ".res.npy", KEY + ".res.meta.json"}
+        assert prune_cache_dir(str(tmp_path), max_entries=len(new)) == 1
+        assert set(os.listdir(str(tmp_path))) == set(new)
 
     def test_store_counts_evictions(self, table, docs, tmp_path):
         store = ResultStore(str(tmp_path), max_entries=2)

@@ -96,17 +96,19 @@ class TestPerformanceDocs:
             assert hasattr(stats, field), field
 
     def test_join_condition_contract_matches_code(self):
-        """The documented join memo is the real call chain."""
+        """The documented condition kernel is the real call chain."""
         import inspect
 
         from repro.processor.conditions import ComparisonCondition, PFunctionCondition
-        from repro.processor.operators import apply_condition
 
         text = (DOCS / "performance.md").read_text(encoding="utf-8")
         assert "## Join condition evaluation" in text
-        assert "memo" in inspect.signature(apply_condition).parameters
         for condition in (ComparisonCondition, PFunctionCondition):
-            assert "memo" in inspect.signature(condition.evaluate).parameters
+            for method in ("apply", "evaluate"):
+                assert "`%s(" % method in text, method
+                assert "memo" in inspect.signature(getattr(condition, method)).parameters
+            assert "attrs" in inspect.signature(condition.bind).parameters
+        assert "`bind(attrs)`" in text
         for path in (
             "tests/processor/test_join_memo.py",
             "tests/processor/test_conditions_property.py",
