@@ -1,6 +1,6 @@
 """The persistent partition-result cache.
 
-Evaluated partition results are stored as ``int64`` numpy buffers with
+Evaluated partition results are stored as ``array('q')`` buffers with
 a JSON sidecar, keyed by (plan fingerprint, corpus content digest); see
 :mod:`repro.columnar.results`.
 """

@@ -11,7 +11,8 @@ the partitions whose digests moved miss the cache.
 
 One file per entry, ``<key>.res``: a JSON header line (the codec
 sidecar plus the store envelope: key and sha256), then the flat
-little-endian int64 buffer of :mod:`repro.ctables.codec`.
+``array('q')`` buffer of :mod:`repro.ctables.codec` as little-endian
+int64 words.
 
 The envelope's ``sha256`` covers the buffer bytes and the canonical
 sidecar, so a flipped bit that would still decode — a maybe flag, a
@@ -31,9 +32,9 @@ import contextlib
 import hashlib
 import json
 import os
+import sys
 import tempfile
-
-import numpy as np
+from array import array
 
 from repro.ctables.codec import CodecError, decode_table, encode_table
 from repro.observability.logs import get_logger
@@ -51,8 +52,8 @@ logger = get_logger("columnar")
 #: first so ``.res.meta.json`` is never mistaken for a ``.meta.json``: a
 #: file belongs to the entry named by its stem plus the tag.  Only
 #: ``.res`` is read and written.  The ``.res.npy``/``.res.meta.json``
-#: pairs of older result entries (:func:`save_result` removes the pair
-#: of the key it writes) and the ``.cols.npy``/``.meta.json`` corpus
+#: pairs of older result entries (a :class:`ResultStore` removes them
+#: on its first save) and the ``.cols.npy``/``.meta.json`` corpus
 #: column bundles of still older versions often share the directory,
 #: and prune still evicts them.
 _ENTRY_SUFFIXES = (
@@ -63,13 +64,33 @@ _ENTRY_SUFFIXES = (
     (".cols.npy", ""),
 )
 
-#: the on-disk buffer dtype, fixed so an entry reads the same anywhere
-_DISK_I64 = np.dtype("<i8")
+#: the two-file entry suffixes of older versions, never read
+_LEGACY_SUFFIXES = (".res.npy", ".res.meta.json")
+
+#: entries hold little-endian words, so an entry reads the same anywhere
+_SWAP = sys.byteorder != "little"
 
 
-def _checksum(data, meta):
+def _disk_bytes(data):
+    """The little-endian bytes of an ``array('q')`` buffer."""
+    if _SWAP:
+        data = array("q", data)
+        data.byteswap()
+    return data.tobytes()
+
+
+def _from_disk(body):
+    """The ``array('q')`` buffer of little-endian ``body`` bytes."""
+    data = array("q")
+    data.frombytes(body)
+    if _SWAP:
+        data.byteswap()
+    return data
+
+
+def _checksum(body, meta):
     """SHA-256 over the buffer bytes and the sidecar minus ``sha256``."""
-    digest = hashlib.sha256(np.ascontiguousarray(data, dtype=_DISK_I64).tobytes())
+    digest = hashlib.sha256(body)
     sidecar = {name: value for name, value in meta.items() if name != "sha256"}
     canonical = json.dumps(sidecar, sort_keys=True, separators=(",", ":"))
     digest.update(canonical.encode("utf-8"))
@@ -88,23 +109,21 @@ def save_result(table, cache_dir, key):
     persisting such results rather than storing an approximation.
     """
     data, meta = encode_table(table)
+    body = _disk_bytes(data)
     meta["key"] = key
-    meta["sha256"] = _checksum(data, meta)
+    meta["sha256"] = _checksum(body, meta)
     os.makedirs(cache_dir, exist_ok=True)
     path = _entry_path(cache_dir, key)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".res.tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(json.dumps(meta).encode("utf-8") + b"\n")
-            handle.write(np.ascontiguousarray(data, dtype=_DISK_I64).tobytes())
+            handle.write(body)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    for suffix in (".res.npy", ".res.meta.json"):  # an older version's files for this key
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(os.path.join(cache_dir, key + suffix))
     return path
 
 
@@ -128,15 +147,26 @@ def load_result(cache_dir, key, docs_by_id):
         meta = json.loads(header)
         if meta.get("key") != key:
             raise ValueError("key mismatch")
-        if len(body) != _DISK_I64.itemsize * int(meta.get("total", -1)):
+        if len(body) != 8 * int(meta.get("total", -1)):
             raise ValueError("buffer length mismatch")
-        data = np.frombuffer(body, dtype=_DISK_I64)
-        if meta.get("sha256") != _checksum(data, meta):
+        if meta.get("sha256") != _checksum(body, meta):
             raise ValueError("checksum mismatch")
-        return decode_table(data, meta, docs_by_id)
+        return decode_table(_from_disk(body), meta, docs_by_id)
     except Exception as exc:
         logger.warning("result artifact %s unusable (%s); recomputing", key, exc)
         return None
+
+
+def _remove_legacy_entries(cache_dir):
+    """Delete the two-file entries older versions left in ``cache_dir``."""
+    try:
+        names = os.listdir(cache_dir)
+    except OSError:
+        return
+    for name in names:
+        if name.endswith(_LEGACY_SUFFIXES):
+            with contextlib.suppress(OSError):
+                os.unlink(os.path.join(cache_dir, name))
 
 
 def _entry_groups(cache_dir):
@@ -213,7 +243,8 @@ class ResultStore:
     Wraps :func:`save_result` / :func:`load_result` with the policy the
     engine needs: idempotent saves (an existing entry is only touched,
     not rewritten — unless its last load failed, in which case the
-    corrupt entry is overwritten), silent misses, optional size caps
+    corrupt entry is overwritten), one sweep of older versions' two-file
+    entries on the first save, silent misses, optional size caps
     enforced by :func:`prune_cache_dir` after each save, and counters
     for the observability layer.  Safe to share across engines and
     sessions; concurrent writers are harmless because writes are
@@ -231,6 +262,7 @@ class ResultStore:
         "evicted",
         "_live",
         "_rewrite",
+        "_swept",
     )
 
     def __init__(self, cache_dir, max_entries=None, max_bytes=None):
@@ -246,6 +278,8 @@ class ResultStore:
         self._live = set()
         #: keys whose last load failed; the next save overwrites them
         self._rewrite = set()
+        #: whether the first save removed the legacy two-file entries
+        self._swept = False
 
     @classmethod
     def from_config(cls, config):
@@ -276,6 +310,9 @@ class ResultStore:
 
     def save(self, key, table):
         """Persist ``table`` under ``key`` unless already present."""
+        if not self._swept:
+            self._swept = True
+            _remove_legacy_entries(self.cache_dir)
         self._live.add(key)
         if key not in self._rewrite:
             try:

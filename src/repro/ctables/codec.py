@@ -1,10 +1,11 @@
 """A compact on-disk codec for :class:`~repro.ctables.ctable.CompactTable`.
 
 The persistent result cache (:mod:`repro.columnar.results`) stores
-evaluated partition tables as one flat ``int64`` array that holds the
-table structure and every span reference, and a small JSON sidecar
-holds what cannot live in the buffer — the attribute list, the
-referenced ``doc_id`` strings, and the ``repr`` of scalar cell values.
+evaluated partition tables as one flat ``int64`` buffer (a stdlib
+``array('q')``) that holds the table structure and every span
+reference, and a small JSON sidecar holds what cannot live in the
+buffer — the attribute list, the referenced ``doc_id`` strings, and the
+``repr`` of scalar cell values.
 The layout is length-prefixed throughout::
 
     [n_tuples]
@@ -20,8 +21,9 @@ with assignment kinds
 
 Scalars are persisted as ``repr`` strings and recovered with
 ``ast.literal_eval``; a value whose repr does not round-trip exactly
-(type *and* value) raises :class:`CodecError` at encode time, so the
-store skips persisting rather than ever serving an inexact table.
+(type *and* value), or a word outside the ``int64`` range, raises
+:class:`CodecError` at encode time, so the store skips persisting
+rather than ever serving an inexact table.
 Decoding is equally strict: any structural defect — unknown kind, an
 index out of range, a span outside its document, leftover or missing
 buffer words — raises :class:`CodecError`, which the store layer maps
@@ -29,8 +31,7 @@ to "recompute".
 """
 
 import ast
-
-import numpy as np
+from array import array
 
 from repro.ctables.assignments import Contain, Exact
 from repro.ctables.ctable import Cell, CompactTable, CompactTuple
@@ -46,8 +47,6 @@ RESULT_CODEC_VERSION = 2
 _KIND_EXACT_SPAN = 0
 _KIND_CONTAIN = 1
 _KIND_EXACT_SCALAR = 2
-
-_I64 = np.int64
 
 
 class CodecError(ValueError):
@@ -84,7 +83,7 @@ class _Interner:
 def encode_table(table):
     """``(data, meta)`` for a compact table.
 
-    ``data`` is the flat ``int64`` buffer, ``meta`` the JSON-safe
+    ``data`` is the flat ``array('q')`` buffer, ``meta`` the JSON-safe
     sidecar (``codec_version`` / ``attrs`` / ``doc_ids`` / ``scalars``
     / ``total``).  Raises :class:`CodecError` when the table holds a
     value the codec cannot represent exactly.
@@ -134,13 +133,16 @@ def encode_table(table):
                     raise CodecError(
                         "unencodable assignment %r" % (assignment,)
                     )
-    data = np.asarray(words, dtype=_I64)
+    try:
+        data = array("q", words)
+    except OverflowError as exc:
+        raise CodecError("buffer word outside the int64 range") from exc
     meta = {
         "codec_version": RESULT_CODEC_VERSION,
         "attrs": [str(attr) for attr in table.attrs],
         "doc_ids": list(docs.values),
         "scalars": list(scalars.values),
-        "total": int(len(data)),
+        "total": len(data),
     }
     return data, meta
 
@@ -173,9 +175,8 @@ def decode_table(data, meta, docs_by_id):
             scalars.append(ast.literal_eval(text))
         except (ValueError, SyntaxError, TypeError) as exc:
             raise CodecError("malformed scalar %r" % (text,)) from exc
-    data = np.asarray(data)
-    if data.ndim != 1 or data.dtype != _I64:
-        raise CodecError("unexpected buffer shape/dtype")
+    if not isinstance(data, array) or data.typecode != "q":
+        raise CodecError("buffer is not an array('q')")
     words = data.tolist()
     limit = len(words)
 

@@ -93,6 +93,7 @@ class Cell:
         return (
             isinstance(other, Cell)
             and self.is_expansion == other.is_expansion
+            and len(self.assignments) == len(other.assignments)
             and sorted(map(hash, self.assignments)) == sorted(map(hash, other.assignments))
         )
 

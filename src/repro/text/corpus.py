@@ -191,29 +191,6 @@ class Corpus:
             sampled.add_table(name, [docs[i] for i in picked])
         return sampled
 
-    def restrict(self, name, count, seed=0):
-        """A new corpus with table ``name`` cut to ``count`` documents.
-
-        Used to build the paper's Table 3 scenarios ("10 / 100 / all
-        tuples per table") by sampling the input pages.
-        """
-        out = Corpus()
-        for table_name in self.table_names():
-            docs = self._tables[table_name]
-            if table_name == name and count < len(docs):
-                rng = random.Random((seed, table_name).__hash__())
-                picked = sorted(rng.sample(range(len(docs)), count))
-                docs = [docs[i] for i in picked]
-            out.add_table(table_name, docs)
-        return out
-
-    def restrict_all(self, count, seed=0):
-        """Restrict every table to at most ``count`` documents."""
-        out = self
-        for name in self.table_names():
-            out = out.restrict(name, count, seed=seed)
-        return out
-
     def without(self, doc_ids):
         """A new corpus with the given documents removed from every table.
 

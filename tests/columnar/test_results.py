@@ -13,12 +13,13 @@ and nothing reads any more: two-file result entries
 """
 
 import functools
+import hashlib
 import json
 import os
 import pathlib
 import tempfile
+from array import array
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,20 +29,27 @@ from repro.columnar import (
     prune_cache_dir,
     save_result,
 )
-from repro.columnar.results import _checksum
+from repro.columnar.results import _checksum, _disk_bytes, _from_disk
 from repro.ctables import Cell, CompactTable, CompactTuple, Contain, Exact
+from repro.experiments.tasks import build_task
 from repro.processor.context import ExecConfig
 from repro.processor.executor import IFlexEngine
 from repro.text import parse_html
 from repro.text.corpus import Corpus, corpus_digest
 from repro.text.span import Span
 from repro.xlog.program import Program
+from tests.ctables.test_codec import huge_span
 
 KEY = "a" * 24
 
 #: ``corpus_digest`` of :func:`_digest_docs`.  Result-cache keys fold
 #: this digest in, so it must never change.
 PINNED_DIGEST = "f92699226c275bc42a7cfc8d"
+
+#: SHA-256 of the entry :func:`save_result` writes under ``KEY`` for the
+#: query table of task T1 (size 10, seed 0): the bytes the numpy-based
+#: store of earlier versions wrote, so their entries stay readable.
+PINNED_T1_ENTRY = "7d48d356b9f2d1fec28a41ea931d2cc06a44f93050692e4d475d45586ecdb071"
 
 PROGRAM = """
 vals(x, <p>) :- base(x), ie(@x, p).
@@ -113,25 +121,39 @@ def _digest_docs():
     ]
 
 
+def _npy_bytes(data):
+    """An ``array('q')`` as the NPY v1 file older versions wrote for an
+    int64 vector: magic, version, header length, a header padded to a
+    multiple of 64 bytes, then the little-endian words."""
+    header = "{'descr': '<i8', 'fortran_order': False, 'shape': (%d,), }" % len(data)
+    header += " " * (-(len(header) + 11) % 64) + "\n"
+    return (
+        b"\x93NUMPY\x01\x00"
+        + len(header).to_bytes(2, "little")
+        + header.encode("latin-1")
+        + _disk_bytes(data)
+    )
+
+
 def write_old_bundle(cache_dir, docs):
     """Write a column bundle shaped like the ones older versions left.
 
-    An ``int64`` buffer (``np.save`` format) plus a JSON layout sidecar,
-    both named by the corpus digest.  Returns the two paths.
+    An ``int64`` buffer (NPY format) plus a JSON layout sidecar, both
+    named by the corpus digest.  Returns the two paths.
     """
     digest = corpus_digest(docs)
-    data = np.arange(8 * len(docs), dtype=np.int64)
+    data = array("q", range(8 * len(docs)))
     layout = {
         doc.doc_id: [["token_starts", 8 * i, 8]] for i, doc in enumerate(docs)
     }
     data_path = os.path.join(str(cache_dir), "%s.cols.npy" % digest)
     meta_path = os.path.join(str(cache_dir), "%s.meta.json" % digest)
     with open(data_path, "wb") as handle:
-        np.save(handle, data)
+        handle.write(_npy_bytes(data))
     meta = {
         "digest": digest,
         "layout_version": 1,
-        "total": int(len(data)),
+        "total": len(data),
         "layout": layout,
     }
     with open(meta_path, "w", encoding="utf-8") as handle:
@@ -146,12 +168,12 @@ def _entry(cache_dir, key=KEY):
 def _split_entry(path):
     """``(meta, data)`` of a one-file entry: its header and its buffer."""
     header, _, body = path.read_bytes().partition(b"\n")
-    return json.loads(header), np.frombuffer(body, dtype="<i8").copy()
+    return json.loads(header), _from_disk(body)
 
 
 def _write_entry(path, meta, data):
     path.write_bytes(
-        json.dumps(meta).encode("utf-8") + b"\n" + data.astype("<i8").tobytes()
+        json.dumps(meta).encode("utf-8") + b"\n" + _disk_bytes(data)
     )
 
 
@@ -165,15 +187,29 @@ def _saved_bytes():
 
 def write_old_entries(cache_dir):
     """Rewrite every entry in ``cache_dir`` as the two files older
-    versions wrote: the buffer (``np.save``) and the sidecar (JSON)."""
+    versions wrote: the buffer (NPY) and the sidecar (JSON)."""
     for path in pathlib.Path(cache_dir).glob("*.res"):
         meta, data = _split_entry(path)
         key = path.name[: -len(".res")]
         with open(os.path.join(str(cache_dir), "%s.res.npy" % key), "wb") as handle:
-            np.save(handle, data.astype(np.int64))
+            handle.write(_npy_bytes(data))
         with open(os.path.join(str(cache_dir), "%s.res.meta.json" % key), "w") as handle:
             json.dump(meta, handle)
         path.unlink()
+
+
+def _write_old_stranger(cache_dir):
+    """Write ``_table`` under ``KEY`` as an older version's two-file
+    entry; returns the two file names."""
+    stranger = pathlib.Path(cache_dir) / "stranger"
+    stranger.mkdir()
+    save_result(_table(_docs()), str(stranger), KEY)
+    write_old_entries(stranger)
+    names = sorted(os.listdir(str(stranger)))
+    for name in names:
+        (stranger / name).rename(pathlib.Path(cache_dir) / name)
+    stranger.rmdir()
+    return names
 
 
 def _run(docs, cache_dir=None):
@@ -219,6 +255,22 @@ class TestRoundTrip:
         assert not [n for n in os.listdir(str(tmp_path)) if n.endswith(".tmp")]
 
 
+class TestEntryBytes:
+    def test_t1_entry_bytes_are_pinned(self, tmp_path):
+        """Entries are byte-identical to what earlier versions wrote, and
+        load back to the identical table."""
+        task = build_task("T1", size=10, seed=0)
+        table = IFlexEngine(task.program, task.corpus, validate=False).execute().query_table
+        path = save_result(table, str(tmp_path), KEY)
+        assert hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest() == PINNED_T1_ENTRY
+        docs = {
+            doc.doc_id: doc
+            for name in task.corpus.table_names()
+            for doc in task.corpus.table(name)
+        }
+        assert _image(load_result(str(tmp_path), KEY, docs)) == _image(table)
+
+
 class TestCorruptionAndStaleness:
     def _persist(self, table, tmp_path):
         save_result(table, str(tmp_path), KEY)
@@ -241,7 +293,7 @@ class TestCorruptionAndStaleness:
         path = self._persist(table, tmp_path)
         meta, data = _split_entry(path)
         change(meta)
-        meta["sha256"] = _checksum(data, meta)
+        meta["sha256"] = _checksum(_disk_bytes(data), meta)
         _write_entry(path, meta, data)
 
     def test_key_mismatch_is_stale(self, table, docs, tmp_path):
@@ -348,6 +400,15 @@ class TestStoreLifecycle:
         assert store.saved == 0
         assert os.listdir(str(tmp_path)) == []
 
+    def test_out_of_range_offset_is_skipped_not_fatal(self, tmp_path):
+        """A span offset beyond int64 cannot be encoded: no entry, no crash."""
+        bad = CompactTable(("v",))
+        bad.add(CompactTuple([Cell([Exact(huge_span(parse_html("d", "<p>x</p>")))])]))
+        store = ResultStore(str(tmp_path))
+        store.save(KEY, bad)
+        assert store.saved == 0
+        assert os.listdir(str(tmp_path)) == []
+
     def test_from_config(self, tmp_path):
         from repro.processor.context import ExecConfig
 
@@ -434,34 +495,42 @@ class TestPruning:
 
     def test_old_result_entries_read_as_misses_then_prune(self, tmp_path):
         """A directory of two-file entries older versions wrote: the run
-        recomputes cold with the same bytes and removes the old pair of
-        every key it rewrites; prune evicts an old pair no run rewrote
-        as one entry."""
+        recomputes cold with the same bytes and its store's first save
+        removes every old pair; prune evicts an old pair written after
+        that sweep as one entry."""
         docs = _crash_docs()
         cold = _run(docs, str(tmp_path))
         cold_bytes = {path.name: path.read_bytes() for path in tmp_path.glob("*.res")}
         write_old_entries(tmp_path)
-        stranger = tmp_path / "stranger"
-        stranger.mkdir()
-        save_result(_table(_docs()), str(stranger), KEY)
-        write_old_entries(stranger)
-        for path in stranger.iterdir():
-            path.rename(tmp_path / path.name)
-        stranger.rmdir()
         old = sorted(os.listdir(str(tmp_path)))
         assert old and all(n.endswith((".res.npy", ".res.meta.json")) for n in old)
-        for name in old:
-            os.utime(os.path.join(str(tmp_path), name), (1_000_000, 1_000_000))
         rerun = _run(docs, str(tmp_path))
         assert _image(rerun.query_table) == _image(cold.query_table)
         assert rerun.stats.result_cache_hits == 0
         assert rerun.stats.partitions_recomputed == cold.stats.partitions_recomputed
         new = {path.name: path.read_bytes() for path in tmp_path.glob("*.res")}
         assert new == cold_bytes
-        left = set(os.listdir(str(tmp_path))) - set(new)
-        assert left == {KEY + ".res.npy", KEY + ".res.meta.json"}
+        assert set(os.listdir(str(tmp_path))) == set(new)
+        for name in _write_old_stranger(tmp_path):
+            os.utime(os.path.join(str(tmp_path), name), (1_000_000, 1_000_000))
         assert prune_cache_dir(str(tmp_path), max_entries=len(new)) == 1
         assert set(os.listdir(str(tmp_path))) == set(new)
+
+    def test_first_save_sweeps_old_pairs_once(self, table, tmp_path, monkeypatch):
+        """One save clears a directory of old pairs and keeps its one-file
+        entries; later saves of the same store call no ``unlink``."""
+        save_result(table, str(tmp_path), "b" * 24)
+        _write_old_stranger(tmp_path)
+        store = ResultStore(str(tmp_path))
+        store.save("c" * 24, table)
+        assert sorted(os.listdir(str(tmp_path))) == ["b" * 24 + ".res", "c" * 24 + ".res"]
+        _write_old_stranger(tmp_path)
+        unlinked = []
+        monkeypatch.setattr(os, "unlink", unlinked.append)
+        store.save("d" * 24, table)
+        store.save("e" * 24, table)
+        assert unlinked == [] and store.saved == 3
+        assert {KEY + ".res.npy", KEY + ".res.meta.json"} <= set(os.listdir(str(tmp_path)))
 
     def test_store_counts_evictions(self, table, docs, tmp_path):
         store = ResultStore(str(tmp_path), max_entries=2)

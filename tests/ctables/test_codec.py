@@ -7,7 +7,8 @@ no longer fit their documents — raises :class:`CodecError` (which the
 store layer maps to "recompute").
 """
 
-import numpy as np
+from array import array
+
 import pytest
 
 from repro.ctables import (
@@ -62,6 +63,14 @@ def _table(docs):
         )
     )
     return table
+
+
+def huge_span(doc):
+    """A span of ``doc`` whose end offset lies beyond the int64 range."""
+    span = object.__new__(Span)
+    for name, value in (("doc", doc), ("start", 0), ("end", 2**63)):
+        object.__setattr__(span, name, value)
+    return span
 
 
 def _image(table):
@@ -129,13 +138,12 @@ class TestCorruptionRejection:
 
     def test_trailing_words(self, docs):
         data, meta = self._encoded(docs)
-        padded = np.concatenate([data, np.zeros(4, dtype=np.int64)])
+        padded = data + array("q", [0] * 4)
         with pytest.raises(CodecError):
             decode_table(padded, meta, docs)
 
     def test_span_outside_document(self, docs):
         data, meta = self._encoded(docs)
-        data = data.copy()
         # first exact-span assignment: [kind, doc, start, end] right
         # after [n_tuples][maybe, n_cells][is_expansion, n_assignments]
         assert data[5] == 0  # kind: exact span
@@ -145,14 +153,12 @@ class TestCorruptionRejection:
 
     def test_negative_count_rejected(self, docs):
         data, meta = self._encoded(docs)
-        data = data.copy()
         data[0] = -1
         with pytest.raises(CodecError):
             decode_table(data, meta, docs)
 
     def test_bad_assignment_kind(self, docs):
         data, meta = self._encoded(docs)
-        data = data.copy()
         data[5] = 99
         with pytest.raises(CodecError):
             decode_table(data, meta, docs)
@@ -172,4 +178,14 @@ class TestCorruptionRejection:
     def test_wrong_dtype_rejected(self, docs):
         data, meta = self._encoded(docs)
         with pytest.raises(CodecError):
-            decode_table(data.astype(np.float64), meta, docs)
+            decode_table(array("d", data), meta, docs)
+        with pytest.raises(CodecError):
+            decode_table(list(data), meta, docs)
+
+    def test_out_of_range_word_raises(self, docs):
+        """A word beyond int64 cannot be encoded; no real document is that
+        long, so the span is built past its own bounds check."""
+        table = CompactTable(("x",))
+        table.add(CompactTuple([Cell([Exact(huge_span(docs["d1"]))])]))
+        with pytest.raises(CodecError):
+            encode_table(table)

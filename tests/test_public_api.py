@@ -1,10 +1,16 @@
 """Public-API surface tests: everything advertised imports and works."""
 
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import repro
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 class TestTopLevelExports:
@@ -94,3 +100,18 @@ class TestErrorHierarchy:
         error = ParseError("bad token", line=3, column=7)
         assert "line 3" in str(error)
         assert error.line == 3 and error.column == 7
+
+
+class TestNoRuntimeDependencies:
+    def test_cli_and_service_import_without_numpy(self):
+        """The package needs only the standard library: importing the CLI
+        and the service loads no numpy."""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        code = (
+            "import sys, repro.cli, repro.service.app; "
+            "assert 'numpy' not in sys.modules, 'numpy imported'"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr.decode()

@@ -1,4 +1,4 @@
-"""Corpus tests: tables, sampling, restriction, signatures."""
+"""Corpus tests: tables, sampling, signatures."""
 
 import pytest
 
@@ -63,24 +63,6 @@ class TestSampling:
     def test_sample_of_empty_table(self):
         corpus = Corpus({"A": []})
         assert corpus.sample(0.5).size_of("A") == 0
-
-
-class TestRestriction:
-    def test_restrict_one_table(self):
-        corpus = Corpus({"A": docs("a", 10), "B": docs("b", 10)})
-        cut = corpus.restrict("A", 4, seed=0)
-        assert cut.size_of("A") == 4
-        assert cut.size_of("B") == 10
-
-    def test_restrict_larger_than_table_is_noop(self):
-        corpus = Corpus({"A": docs("a", 5)})
-        assert corpus.restrict("A", 50).size_of("A") == 5
-
-    def test_restrict_all(self):
-        corpus = Corpus({"A": docs("a", 10), "B": docs("b", 3)})
-        cut = corpus.restrict_all(5, seed=0)
-        assert cut.size_of("A") == 5
-        assert cut.size_of("B") == 3
 
 
 class TestMutation:
