@@ -186,7 +186,8 @@ class Corpus:
                 sampled.add_table(name, [])
                 continue
             count = max(1, round(len(docs) * fraction))
-            rng = random.Random((seed, name).__hash__())
+            # a str seed is hashed with SHA-512, not hash(): no PYTHONHASHSEED
+            rng = random.Random("%r:%s" % (seed, name))
             picked = sorted(rng.sample(range(len(docs)), min(count, len(docs))))
             sampled.add_table(name, [docs[i] for i in picked])
         return sampled

@@ -14,7 +14,7 @@ about them without re-parsing.
 import re
 from dataclasses import dataclass
 
-__all__ = ["Token", "tokenize", "token_boundaries", "NUMBER", "WORD", "PUNCT"]
+__all__ = ["Token", "tokenize", "NUMBER", "WORD", "PUNCT"]
 
 NUMBER = "number"
 WORD = "word"
@@ -31,10 +31,15 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Token:
-    """A single token: its text, character offsets, and coarse kind."""
+    """A single token: its text, character offsets, and coarse kind.
 
+    Slotted and not frozen, so cheaper to build than a frozen dataclass.
+    Tokens are never mutated.
+    """
+
+    __slots__ = ("text", "start", "end", "kind")
     text: str
     start: int
     end: int
@@ -46,16 +51,10 @@ class Token:
 
 def tokenize(text):
     """Return the list of :class:`Token` in ``text``, left to right."""
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        tokens.append(Token(match.group(), match.start(), match.end(), kind))
-    return tokens
-
-
-def token_boundaries(text):
-    """Return the sorted list of ``(start, end)`` offsets of tokens."""
-    return [(t.start, t.end) for t in tokenize(text)]
+    return [
+        Token(match.group(), match.start(), match.end(), match.lastgroup)
+        for match in _TOKEN_RE.finditer(text)
+    ]
 
 
 def parse_number(text):

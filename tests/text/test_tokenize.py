@@ -40,6 +40,14 @@ class TestTokenize:
         token = Token("abc", 5, 8, WORD)
         assert len(token) == 3
 
+    def test_token_equality_hash_and_repr(self):
+        token = Token("abc", 5, 8, WORD)
+        assert token == Token("abc", 5, 8, WORD)
+        assert hash(token) == hash(Token("abc", 5, 8, WORD))
+        assert token != Token("abc", 5, 8, NUMBER)
+        assert token != ("abc", 5, 8, WORD)
+        assert repr(token) == "Token(text='abc', start=5, end=8, kind='word')"
+
     def test_page_range_splits_into_three_tokens(self):
         tokens = tokenize("pp. 123-134.")
         texts = [t.text for t in tokens]
