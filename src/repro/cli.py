@@ -457,20 +457,6 @@ def _observability(args):
     return tracer, metrics
 
 
-def _record_cache_metric(holder, metrics):
-    """Fold result-store evictions into the snapshot (opt-in by design:
-    the value depends on what was already on disk, not on this run's
-    execution, so it stays out of the auto-recorded stats counters)."""
-    store = getattr(holder, "result_store", None) or getattr(
-        holder, "_result_store", None
-    )
-    if metrics is None or store is None:
-        return
-    from repro.observability.metrics import record_evictions
-
-    record_evictions(metrics, store.evicted)
-
-
 def _write_observability(args, tracer, metrics):
     """Flush trace / metrics sinks (also called after a failed run, so
     a fail-fast abort still leaves the partial trace for debugging)."""
@@ -519,10 +505,8 @@ def _cmd_run(args):
         # under fail-fast (or a non-containable failure) the run exits
         # non-zero with the enriched message, never a bare traceback
         print("error: %s" % (exc,), file=sys.stderr)
-        _record_cache_metric(engine, metrics)
         _write_observability(args, tracer, metrics)
         return 1
-    _record_cache_metric(engine, metrics)
     _write_observability(args, tracer, metrics)
     _print_failure_report(result)
     if args.json:
@@ -662,12 +646,10 @@ def _cmd_session(args):
         trace = session.run()
     except ReproError as exc:
         print("error: %s" % (exc,), file=sys.stderr)
-        _record_cache_metric(session, metrics)
         _write_observability(args, tracer, metrics)
         if telemetry is not None:
             telemetry.close()
         return 1
-    _record_cache_metric(session, metrics)
     _write_observability(args, tracer, metrics)
     if telemetry is not None:
         telemetry.close()

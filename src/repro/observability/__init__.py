@@ -4,8 +4,8 @@ Three surfaces, one package (see ``docs/observability.md``):
 
 ``repro.observability.metrics``
     a process-local metrics registry — counters, gauges and histograms
-    with labels, snapshot/merge semantics that combine per-partition
-    measurements as deterministically as ``ExecutionStats`` does;
+    with labels and deterministic snapshots built from ``ExecutionStats``
+    counters, never from wall-clock time;
 ``repro.observability.spans``
     span-based tracing — operator trees, partition and scheduler
     lifecycles, Verify/Refine batches and refinement-session iterations

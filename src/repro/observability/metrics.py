@@ -10,10 +10,6 @@ execution stack builds on — the engine populates the registry from
 already proven layout-independent by the determinism suite), never
 from wall-clock time, so the same program yields the same snapshot
 whatever its partition layout.
-
-Per-partition registries combine with :meth:`MetricsRegistry.merge`
-exactly like ``ExecutionStats.merge``: counters and histogram buckets
-sum, gauges keep the merged-in value (last observation wins).
 """
 
 import json
@@ -25,7 +21,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "record_evictions",
     "record_execution",
     "record_stats",
 ]
@@ -83,7 +78,7 @@ class Counter(_Metric):
 
 
 class Gauge(_Metric):
-    """A point-in-time value (last observation wins on merge)."""
+    """A point-in-time value (last observation wins)."""
 
     kind = "gauge"
 
@@ -135,7 +130,7 @@ class Histogram(_Metric):
 
 
 class MetricsRegistry:
-    """Creates, holds, snapshots, and merges metrics.
+    """Creates, holds and snapshots metrics.
 
     Metric constructors are idempotent: asking twice for the same name
     returns the same instance; asking for an existing name as a
@@ -172,7 +167,7 @@ class MetricsRegistry:
     def get(self, name):
         return self._metrics.get(name)
 
-    # -- snapshot / merge ----------------------------------------------
+    # -- snapshot ------------------------------------------------------
     def snapshot(self):
         """A plain-data, deterministically ordered view of every series."""
         return {
@@ -191,50 +186,6 @@ class MetricsRegistry:
         logger.debug("wrote metrics snapshot to %s", path)
         return path
 
-    def merge(self, other):
-        """Fold another registry (or snapshot dict) into this one.
-
-        Counters and histogram series sum; gauges take the merged-in
-        value.  Returns ``self`` for chaining.
-        """
-        snapshot = other.snapshot() if isinstance(other, MetricsRegistry) else other
-        for entry in snapshot["metrics"]:
-            kind, name = entry["kind"], entry["name"]
-            if kind == "counter":
-                metric = self.counter(name, entry.get("help", ""))
-                for series in entry["series"]:
-                    metric.inc(series["value"], **series["labels"])
-            elif kind == "gauge":
-                metric = self.gauge(name, entry.get("help", ""))
-                for series in entry["series"]:
-                    metric.set(series["value"], **series["labels"])
-            elif kind == "histogram":
-                first = entry["series"][0] if entry["series"] else None
-                bounds = tuple(first["value"]["bounds"]) if first else DEFAULT_BUCKETS
-                metric = self.histogram(name, entry.get("help", ""), buckets=bounds)
-                for series in entry["series"]:
-                    value = series["value"]
-                    key = _label_key(series["labels"])
-                    target = metric.series.get(key)
-                    if target is None:
-                        target = metric.series[key] = {
-                            "count": 0,
-                            "sum": 0,
-                            "buckets": [0] * (len(metric.buckets) + 1),
-                        }
-                    if len(value["buckets"]) != len(target["buckets"]):
-                        raise ValueError(
-                            "histogram %r bucket layouts differ" % (name,)
-                        )
-                    target["count"] += value["count"]
-                    target["sum"] += value["sum"]
-                    target["buckets"] = [
-                        a + b for a, b in zip(target["buckets"], value["buckets"])
-                    ]
-            else:
-                raise ValueError("unknown metric kind %r for %r" % (kind, name))
-        return self
-
 
 # ----------------------------------------------------------------------
 # execution-stack bridges
@@ -250,23 +201,6 @@ def record_stats(registry, stats, **labels):
     """
     for name in sorted(vars(stats)):
         registry.counter("repro.exec.%s" % name).inc(getattr(stats, name), **labels)
-    return registry
-
-
-def record_evictions(registry, evicted, **labels):
-    """Record result-cache evictions as ``repro.cache.evicted``.
-
-    Deliberately *not* part of :func:`record_stats` /
-    :func:`record_execution`: how many entries the pruner removed
-    depends on what previous runs left on disk, not on this run's
-    execution, so auto-recording it would break the cross-run
-    byte-identity of execution snapshots.
-    The CLI opts in explicitly whenever a result store is configured.
-    """
-    registry.counter(
-        "repro.cache.evicted",
-        help="result/columnar cache entries pruned beyond the size caps",
-    ).inc(evicted, **labels)
     return registry
 
 

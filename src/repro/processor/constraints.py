@@ -22,11 +22,9 @@ import functools
 import re
 
 from repro.ctables.assignments import Contain, Exact, value_number, value_text
-from repro.text.span import Span
 
 __all__ = [
     "apply_constraint_to_cell",
-    "verify_constraint_on_value",
     "verify_scalar",
 ]
 
@@ -63,20 +61,6 @@ def verify_scalar(feature, value_obj, feature_value):
             is not None
         )
     return True  # context/formatting features cannot reject a scalar
-
-
-def verify_constraint_on_value(feature, value_obj, feature_value, stats=None):
-    """``Verify`` generalised to scalar cell values (uncached path).
-
-    Spans go straight to the feature; scalars to :func:`verify_scalar`.
-    The execution context's ``verify_value`` is the cached equivalent —
-    this function remains the plain one-shot entry point.
-    """
-    if stats is not None:
-        stats.verify_calls += 1
-    if isinstance(value_obj, Span):
-        return feature.verify(value_obj, feature_value)
-    return verify_scalar(feature, value_obj, feature_value)
 
 
 def _passes_all(span, constraints, context):

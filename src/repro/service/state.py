@@ -136,7 +136,7 @@ class ExtractionService:
         # one persistent result store instance shared by every engine:
         # ExecConfig.result_cache accepts a ResultStore, so normalising
         # the config here means each engine's from_config() resolves to
-        # this same object (shared eviction counters, shared live set);
+        # this same object (shared counters, shared rewrite set);
         # the normalised config is a copy, the caller's stays as given
         from repro.columnar.results import ResultStore
 
@@ -349,13 +349,4 @@ class ExtractionService:
 
     def metrics_snapshot(self):
         with self.lock:
-            if self.result_store is not None:
-                from repro.observability.metrics import record_evictions
-
-                # gauge-like: rewrite the eviction counter's absolute
-                # value is wrong for a counter, so track the delta
-                already = self.metrics.counter("repro.cache.evicted").value()
-                delta = self.result_store.evicted - already
-                if delta > 0:
-                    record_evictions(self.metrics, delta)
             return self.metrics.snapshot()

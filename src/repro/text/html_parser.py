@@ -5,7 +5,9 @@ presentation.  The flattened text records, as character intervals, where
 ``<b>``/``<strong>`` (``bold``), ``<i>``/``<em>`` (``italic``), ``<u>``
 (``underline``), ``<a>`` (``hyperlink``), ``<title>``/``<h1>`` (``title``)
 and ``<li>`` (``list_item``) occurred.  ``<h2>``-``<h5>`` become section
-:class:`Label` objects; block tags (``<p>``, ``<br>``, ...) start and end
+:class:`Label` objects; as in browsers, a heading opened inside one
+closes it, so labels never nest and their texts never add up to more
+than the document's.  Block tags (``<p>``, ``<br>``, ...) start and end
 a line.  One left-to-right regex scan reads the markup in linear time and
 never raises.  At each ``<``:
 
@@ -90,6 +92,10 @@ class _Builder:
         self.append(chunk[1:] if chunk[:1] == " " and self.last in " \n" else chunk)
 
     def start(self, tag):
+        if tag in _LABEL_TAGS:
+            for label in _LABEL_TAGS:  # at most one label is open
+                for begin in self.open.pop(label, ()):
+                    self.closed.append((label, begin, self.length))
         if tag in _BLOCK_TAGS and self.last != "\n":
             self.append("\n")
         if tag in _REGION_TAGS or tag in _LABEL_TAGS:

@@ -1,15 +1,14 @@
-"""Result-store persistence: round trips, corruption, pruning.
+"""Result-store persistence: round trips, corruption, foreign files.
 
 Whatever is on disk, :func:`load_result` either returns a table
 repr-identical to the one saved, or ``None`` so the executor recomputes
 — never an exception, never a wrong table — including after a writer
 crashed mid-save, any single byte of an entry changed, the entry was
-truncated or replaced by arbitrary bytes.  :func:`prune_cache_dir`
-keeps shared cache directories bounded without ever touching unknown
-files, and evicts what older versions wrote into the same directories
-and nothing reads any more: two-file result entries
-(``<key>.res.npy`` + ``<key>.res.meta.json``) and column bundles
-(``<digest>.cols.npy`` + ``<digest>.meta.json``).
+truncated or replaced by arbitrary bytes.  The store reads and writes
+only ``<key>.res`` files: what older versions wrote into the same
+directories — two-file result entries (``<key>.res.npy`` +
+``<key>.res.meta.json``) and column bundles (``<digest>.cols.npy`` +
+``<digest>.meta.json``) — and any other file stay byte-identical.
 """
 
 import functools
@@ -17,18 +16,14 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import tempfile
 from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.columnar import (
-    ResultStore,
-    load_result,
-    prune_cache_dir,
-    save_result,
-)
+from repro.columnar import ResultStore, load_result, save_result
 from repro.columnar.results import _checksum, _disk_bytes, _from_disk
 from repro.ctables import Cell, CompactTable, CompactTuple, Contain, Exact
 from repro.experiments.tasks import build_task
@@ -196,20 +191,6 @@ def write_old_entries(cache_dir):
         with open(os.path.join(str(cache_dir), "%s.res.meta.json" % key), "w") as handle:
             json.dump(meta, handle)
         path.unlink()
-
-
-def _write_old_stranger(cache_dir):
-    """Write ``_table`` under ``KEY`` as an older version's two-file
-    entry; returns the two file names."""
-    stranger = pathlib.Path(cache_dir) / "stranger"
-    stranger.mkdir()
-    save_result(_table(_docs()), str(stranger), KEY)
-    write_old_entries(stranger)
-    names = sorted(os.listdir(str(stranger)))
-    for name in names:
-        (stranger / name).rename(pathlib.Path(cache_dir) / name)
-    stranger.rmdir()
-    return names
 
 
 def _run(docs, cache_dir=None):
@@ -421,88 +402,78 @@ class TestStoreLifecycle:
         assert ResultStore.from_config(ExecConfig(result_cache=store)) is store
 
 
-class TestPruning:
-    def _fill(self, tmp_path, table, count):
-        for i in range(count):
-            key = "%024x" % i
-            save_result(table, str(tmp_path), key)
-            stamp = 1_000_000 + i  # deterministic LRU order
-            os.utime(_entry(tmp_path, key), (stamp, stamp))
+def _snapshot(cache_dir):
+    """``{name: bytes}`` of every file in ``cache_dir``."""
+    return {path.name: path.read_bytes() for path in pathlib.Path(cache_dir).iterdir()}
 
-    def test_count_cap_evicts_oldest(self, table, docs, tmp_path):
-        self._fill(tmp_path, table, 5)
-        assert prune_cache_dir(str(tmp_path), max_entries=2) == 3
-        survivors = {
-            name.split(".")[0]
-            for name in os.listdir(str(tmp_path))
-        }
-        assert survivors == {"%024x" % 3, "%024x" % 4}  # the newest two
-        for key in survivors:
-            assert load_result(str(tmp_path), key, docs) is not None
 
-    def test_byte_cap_evicts(self, table, tmp_path):
-        self._fill(tmp_path, table, 4)
-        assert prune_cache_dir(str(tmp_path), max_bytes=1) == 4
-        assert os.listdir(str(tmp_path)) == []
+#: the name of every file the store writes
+ENTRY_NAME = re.compile(r"^[0-9a-f]{24}\.res$")
 
-    def test_no_caps_is_a_noop(self, table, tmp_path):
-        self._fill(tmp_path, table, 3)
-        assert prune_cache_dir(str(tmp_path)) == 0
-        assert len(os.listdir(str(tmp_path))) == 3
 
-    def test_keep_set_is_never_evicted(self, table, tmp_path):
-        self._fill(tmp_path, table, 4)
-        oldest = "%024x" % 0
-        prune_cache_dir(str(tmp_path), max_entries=1, keep={oldest})
-        assert _entry(tmp_path, oldest).exists()
+class TestForeignFiles:
+    """Nothing evicts, and files not named ``<key>.res`` are neither
+    read nor removed."""
 
-    def test_unknown_files_untouched(self, table, tmp_path):
-        self._fill(tmp_path, table, 3)
-        stray = tmp_path / "notes.txt"
-        stray.write_text("keep me")
-        partial = tmp_path / "half.json.tmp"
-        partial.write_text("{}")
-        prune_cache_dir(str(tmp_path), max_entries=0)
-        assert stray.exists() and partial.exists()
+    def test_unknown_files_untouched(self, tmp_path):
+        """A stray file and a leftover temporary file: the cold run writes
+        the same entries as in an empty directory, the warm run is all
+        hits, and both files are still there, byte for byte."""
+        docs = _crash_docs()
+        _run(docs, str(tmp_path / "scratch"))
+        entries = _snapshot(tmp_path / "scratch")
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "notes.txt").write_text("keep me")
+        (cache / "half.json.tmp").write_text("{}")
+        foreign = _snapshot(cache)
 
-    def test_columnar_bundles_prune_as_entries(self, tmp_path):
-        write_old_bundle(tmp_path, [parse_html("c1", "<p>columnar</p>")])
-        assert prune_cache_dir(str(tmp_path), max_entries=0) == 1
-        assert os.listdir(str(tmp_path)) == []
+        cold = _run(docs, str(cache))
+        assert _image(cold.query_table) == _image(_run(docs).query_table)
+        assert cold.stats.result_cache_hits == 0
+        written = {n: data for n, data in _snapshot(cache).items() if n not in foreign}
+        assert written == entries
+        store = ResultStore(str(cache))
+        warm = _run(docs, store)
+        assert warm.stats.result_cache_misses == 0
+        assert store.saved == 0 and store.loaded > 0
 
-    def test_old_bundle_in_result_cache_runs_cold_then_prunes(self, tmp_path):
-        """A shared directory's truncated old bundle: cold run, then evicted."""
-        docs = [
-            parse_html("d%d" % i, "<p>item %d costs <b>%d</b></p>" % (i, 40 * i))
-            for i in range(4)
-        ]
-        data_path, meta_path = write_old_bundle(tmp_path, docs)
+        after = _snapshot(cache)
+        assert {name: after.get(name) for name in foreign} == foreign
+        assert all(ENTRY_NAME.match(name) for name in set(after) - set(foreign))
+
+    def test_old_bundle_in_result_cache_runs_cold_and_stays(self, tmp_path):
+        """A truncated column bundle an older version left: the cold run
+        never reads it, the warm run is all hits, and the bundle's files
+        are still there, byte for byte."""
+        docs = _crash_docs()
+        data_path, _ = write_old_bundle(tmp_path, docs)
         with open(data_path, "r+b") as handle:
             handle.truncate(32)
-        for path in (data_path, meta_path):
-            os.utime(path, (1_000_000, 1_000_000))  # the oldest entry
-        cached = _run(docs, str(tmp_path))
-        assert _image(cached.query_table) == _image(
-            _run(docs).query_table
-        )
-        assert cached.stats.result_cache_hits == 0
-        entries = {name.split(".")[0] for name in os.listdir(str(tmp_path))}
-        assert prune_cache_dir(str(tmp_path), max_entries=len(entries) - 1) == 1
-        assert not os.path.exists(data_path) and not os.path.exists(meta_path)
-        warm = _run(docs, str(tmp_path))
-        assert warm.stats.result_cache_misses == 0
-        assert _image(warm.query_table) == _image(cached.query_table)
+        foreign = _snapshot(tmp_path)
+        assert any(n.endswith(".cols.npy") for n in foreign)
 
-    def test_old_result_entries_read_as_misses_then_prune(self, tmp_path):
+        cold = _run(docs, str(tmp_path))
+        assert _image(cold.query_table) == _image(_run(docs).query_table)
+        assert cold.stats.result_cache_hits == 0
+        store = ResultStore(str(tmp_path))
+        warm = _run(docs, store)
+        assert warm.stats.result_cache_misses == 0
+        assert store.saved == 0 and store.loaded > 0
+        assert _image(warm.query_table) == _image(cold.query_table)
+
+        after = _snapshot(tmp_path)
+        assert {name: after.get(name) for name in foreign} == foreign
+        assert all(ENTRY_NAME.match(name) for name in set(after) - set(foreign))
+
+    def test_old_result_entries_read_as_misses_and_stay(self, tmp_path):
         """A directory of two-file entries older versions wrote: the run
-        recomputes cold with the same bytes and its store's first save
-        removes every old pair; prune evicts an old pair written after
-        that sweep as one entry."""
+        recomputes cold with the same bytes, and the old pairs stay."""
         docs = _crash_docs()
         cold = _run(docs, str(tmp_path))
         cold_bytes = {path.name: path.read_bytes() for path in tmp_path.glob("*.res")}
         write_old_entries(tmp_path)
-        old = sorted(os.listdir(str(tmp_path)))
+        old = _snapshot(tmp_path)
         assert old and all(n.endswith((".res.npy", ".res.meta.json")) for n in old)
         rerun = _run(docs, str(tmp_path))
         assert _image(rerun.query_table) == _image(cold.query_table)
@@ -510,82 +481,15 @@ class TestPruning:
         assert rerun.stats.partitions_recomputed == cold.stats.partitions_recomputed
         new = {path.name: path.read_bytes() for path in tmp_path.glob("*.res")}
         assert new == cold_bytes
-        assert set(os.listdir(str(tmp_path))) == set(new)
-        for name in _write_old_stranger(tmp_path):
-            os.utime(os.path.join(str(tmp_path), name), (1_000_000, 1_000_000))
-        assert prune_cache_dir(str(tmp_path), max_entries=len(new)) == 1
-        assert set(os.listdir(str(tmp_path))) == set(new)
-
-    def test_first_save_sweeps_old_pairs_once(self, table, tmp_path, monkeypatch):
-        """One save clears a directory of old pairs and keeps its one-file
-        entries; later saves of the same store call no ``unlink``."""
-        save_result(table, str(tmp_path), "b" * 24)
-        _write_old_stranger(tmp_path)
-        store = ResultStore(str(tmp_path))
-        store.save("c" * 24, table)
-        assert sorted(os.listdir(str(tmp_path))) == ["b" * 24 + ".res", "c" * 24 + ".res"]
-        _write_old_stranger(tmp_path)
-        unlinked = []
-        monkeypatch.setattr(os, "unlink", unlinked.append)
-        store.save("d" * 24, table)
-        store.save("e" * 24, table)
-        assert unlinked == [] and store.saved == 3
-        assert {KEY + ".res.npy", KEY + ".res.meta.json"} <= set(os.listdir(str(tmp_path)))
-
-    def test_store_counts_evictions(self, table, docs, tmp_path):
-        store = ResultStore(str(tmp_path), max_entries=2)
-        # keys the store saved itself are live and protected, so feed it
-        # pre-existing strangers to evict
-        self._fill(tmp_path, table, 3)
-        store.save(KEY, table)
-        assert store.evicted >= 2
-        assert store.load(KEY, docs) is not None
-
-
-class TestPruneTieBreak:
-    """Eviction determinism when mtimes tie (coarse filesystem stamps)."""
-
-    KEYS = ["cccc", "aaaa", "dddd", "bbbb"]  # creation order != sort order
-
-    def _fill_equal_mtimes(self, tmp_path, table, keys):
-        stamp = 1_000_000  # one shared stamp: every entry "equally old"
-        for key in keys:
-            save_result(table, str(tmp_path), key)
-            os.utime(_entry(tmp_path, key), (stamp, stamp))
-
-    def _survivors(self, tmp_path):
-        return {name.split(".")[0] for name in os.listdir(str(tmp_path))}
-
-    def test_ties_break_by_key_name(self, table, tmp_path):
-        self._fill_equal_mtimes(tmp_path, table, self.KEYS)
-        assert prune_cache_dir(str(tmp_path), max_entries=2) == 2
-        # equal mtimes: the lexicographically smallest keys evict first
-        assert self._survivors(tmp_path) == {"cccc", "dddd"}
-
-    def test_tie_break_independent_of_creation_order(self, table, tmp_path):
-        for i, order in enumerate(
-            (self.KEYS, sorted(self.KEYS), sorted(self.KEYS, reverse=True))
-        ):
-            subdir = tmp_path / ("run%d" % i)
-            subdir.mkdir()
-            self._fill_equal_mtimes(subdir, table, order)
-            prune_cache_dir(str(subdir), max_entries=2)
-            assert self._survivors(subdir) == {"cccc", "dddd"}
-
-    def test_mtime_still_dominates_key_name(self, table, tmp_path):
-        self._fill_equal_mtimes(tmp_path, table, ["aaaa", "bbbb"])
-        newer = _entry(tmp_path, "aaaa")
-        os.utime(newer, (2_000_000, 2_000_000))  # aaaa now strictly newer
-        prune_cache_dir(str(tmp_path), max_entries=1)
-        assert self._survivors(tmp_path) == {"aaaa"}
+        assert _snapshot(tmp_path) == dict(old, **new)
 
 
 def _hammer(cache_dir, offset):
-    """Worker for the concurrency test: save/load/prune in a tight loop.
+    """Worker for the concurrency test: save/load in a tight loop.
 
     Both workers write *identical* content under each key (the store is
-    content-addressed, so that is the real-world invariant) while
-    pruning aggressively, which races unlinks against reads.
+    content-addressed, so that is the real-world invariant), racing
+    each other's atomic replaces against reads.
     """
     from repro.columnar.results import ResultStore
     from repro.ctables import Cell, CompactTable, CompactTuple, Exact
@@ -598,7 +502,7 @@ def _hammer(cache_dir, offset):
         out.add(CompactTuple([Cell([Exact(Span(doc, 0, 6))])]))
         return {doc.doc_id: doc}, out
 
-    store = ResultStore(cache_dir, max_entries=4)
+    store = ResultStore(cache_dir)
     for step in range(60):
         i = (step + offset) % 10
         docs, out = entry(i)
@@ -606,14 +510,12 @@ def _hammer(cache_dir, offset):
         store.save(key, out)
         loaded = store.load(key, docs)
         assert loaded is None or _image(loaded) == _image(out)
-        store._live.clear()  # let this worker's own keys be evicted too
-        store.prune()
 
 
 class TestConcurrentStores:
     @pytest.mark.timeout(120)
     def test_two_processes_share_one_cache_dir(self, tmp_path):
-        """Two processes saving and pruning the same --result-cache dir
+        """Two processes saving and loading the same --result-cache dir
         never crash and never load a corrupt entry (loads return None
         and the next save rewrites)."""
         import subprocess
@@ -637,7 +539,7 @@ class TestConcurrentStores:
         for proc in workers:
             _, err = proc.communicate(timeout=90)
             assert proc.returncode == 0, err.decode()
-        # whatever survived the crossfire must load cleanly or miss
+        # nothing evicts: every key the workers saved loads cleanly
         count = 0
         for i in range(10):
             docs_i = {
@@ -648,7 +550,7 @@ class TestConcurrentStores:
             if loaded is not None:
                 count += 1
                 assert [t.maybe for t in loaded.tuples] == [False]
-        assert count >= 1  # the directory is not simply empty
+        assert count == 10
 
 
 #: exit status of the crash child; an ordinary failure exits 1
@@ -685,8 +587,6 @@ class TestCrashMidSave:
         import subprocess
         import sys
 
-        from repro.columnar.results import _entry_groups
-
         proc = subprocess.run(
             [
                 sys.executable,
@@ -703,7 +603,7 @@ class TestCrashMidSave:
         leftovers = os.listdir(str(tmp_path))
         assert leftovers and all(n.endswith(".res.tmp") for n in leftovers)
         # the crash left its unrenamed file behind, and no entry
-        assert _entry_groups(str(tmp_path)) == {}
+        assert not list(tmp_path.glob("*.res"))
         docs = _crash_docs()
         restarted = _run(docs, str(tmp_path))
         assert _image(restarted.query_table) == _image(

@@ -1,4 +1,4 @@
-"""Metrics registry: ops, deterministic snapshots, and merge semantics."""
+"""Metrics registry: ops and deterministic snapshots."""
 
 import json
 
@@ -95,40 +95,6 @@ class TestRegistry:
         registry.write(path)
         loaded = json.loads(path.read_text())
         assert loaded == registry.snapshot()
-
-    def test_merge_sums_counters_and_histograms(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        for registry, amount in ((left, 2), (right, 5)):
-            registry.counter("ops").inc(amount, task="t")
-            registry.histogram("sizes", buckets=(10,)).observe(amount)
-            registry.gauge("level").set(amount)
-        left.merge(right)
-        assert left.counter("ops").value(task="t") == 7
-        series = left.histogram("sizes").snapshot()["series"][0]["value"]
-        assert series["count"] == 2 and series["sum"] == 7
-        # gauges: the merged-in observation wins
-        assert left.gauge("level").value() == 5
-
-    def test_merge_accepts_snapshot_dict(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        right.counter("ops").inc(4)
-        left.merge(right.snapshot())
-        assert left.counter("ops").value() == 4
-
-    def test_merge_equivalent_to_single_registry(self):
-        """Per-partition registries merge like ExecutionStats: the fold
-        equals one registry that saw all the work."""
-        parts = []
-        for i in range(3):
-            registry = MetricsRegistry()
-            registry.counter("ops").inc(i + 1)
-            parts.append(registry)
-        combined = MetricsRegistry()
-        for part in parts:
-            combined.merge(part)
-        reference = MetricsRegistry()
-        reference.counter("ops").inc(6)
-        assert combined.to_json() == reference.to_json()
 
 
 class TestExecutionBridges:

@@ -4,10 +4,7 @@ import pytest
 
 from repro.ctables.assignments import Contain, Exact
 from repro.ctables.ctable import Cell
-from repro.processor.constraints import (
-    apply_constraint_to_cell,
-    verify_constraint_on_value,
-)
+from repro.processor.constraints import apply_constraint_to_cell, verify_scalar
 from repro.processor.context import ExecutionContext
 from repro.text.html_parser import parse_html
 from repro.text.span import Span, doc_span
@@ -101,17 +98,17 @@ class TestContainCase:
 class TestScalarVerify:
     def test_max_value(self, context):
         f = context.feature("max_value")
-        assert verify_constraint_on_value(f, 50, 100)
-        assert not verify_constraint_on_value(f, 150, 100)
+        assert verify_scalar(f, 50, 100)
+        assert not verify_scalar(f, 150, 100)
 
     def test_lengths(self, context):
-        assert verify_constraint_on_value(context.feature("max_length"), "abc", 5)
-        assert not verify_constraint_on_value(context.feature("min_length"), "abc", 5)
+        assert verify_scalar(context.feature("max_length"), "abc", 5)
+        assert not verify_scalar(context.feature("min_length"), "abc", 5)
 
     def test_pattern(self, context):
-        assert verify_constraint_on_value(context.feature("pattern"), "1999", r"19\d\d")
+        assert verify_scalar(context.feature("pattern"), "1999", r"19\d\d")
 
     def test_stats_counted(self, context):
         before = context.stats.verify_calls
-        verify_constraint_on_value(context.feature("numeric"), 5, "yes", context.stats)
+        assert context.verify_value(context.feature("numeric"), 5, "yes")
         assert context.stats.verify_calls == before + 1

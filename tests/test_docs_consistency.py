@@ -79,7 +79,7 @@ class TestPerformanceDocs:
 
         text = (DOCS / "performance.md").read_text(encoding="utf-8")
         assert sorted(columnar.__all__) == sorted(
-            ("ResultStore", "load_result", "prune_cache_dir", "save_result")
+            ("ResultStore", "load_result", "save_result")
         )
         assert "corpus_digest" in text
         assert hasattr(corpus, "corpus_digest")
@@ -122,7 +122,7 @@ class TestPerformanceDocs:
         import repro.columnar as columnar
 
         text = (DOCS / "performance.md").read_text(encoding="utf-8")
-        for name in ("ResultStore", "load_result", "save_result", "prune_cache_dir"):
+        for name in ("ResultStore", "load_result", "save_result"):
             assert name in text, name
             assert hasattr(columnar, name), name
         from repro.processor.context import ExecConfig, ExecutionStats

@@ -2,11 +2,12 @@
 
 ``oracle_parse`` drives the standard library's :mod:`html.parser` with
 the flattening rules of :mod:`repro.text.html_parser`: the same region,
-label and block tags, the same per-run whitespace collapse and the same
-region trimming.  It is the differential tests' oracle only: the stdlib
-parser is quadratic on some inputs and its output on malformed markup
-changed between CPython patch releases, so it is compared only on
-inputs whose parse every supported version agrees on.
+label and block tags, the same per-run whitespace collapse, the same
+region trimming, and a heading start tag that closes any open label.
+It is the differential tests' oracle only: the stdlib parser is
+quadratic on some inputs and its output on malformed markup changed
+between CPython patch releases, so it is compared only on inputs whose
+parse every supported version agrees on.
 """
 
 import re
@@ -53,28 +54,33 @@ class _OracleBuilder(HTMLParser):
         self._append(chunk)
 
     def handle_starttag(self, tag, attrs):
+        if tag in _LABEL_TAGS:
+            for index in range(len(self._open) - 1, -1, -1):
+                if self._open[index][0] in _LABEL_TAGS:
+                    self._close(index)
         if tag in _BLOCK_TAGS:
             self._ensure_newline()
         kind = _REGION_TAGS.get(tag)
         if kind is not None or tag in _LABEL_TAGS:
             self._open.append((tag, kind, self._length))
 
+    def _close(self, index):
+        tag, kind, start = self._open.pop(index)
+        text = "".join(self._parts)[start : self._length]
+        stripped = text.rstrip()
+        end = start + len(stripped)
+        start += len(stripped) - len(stripped.lstrip())
+        if end > start:
+            if kind is not None:
+                self._regions.setdefault(kind, []).append((start, end))
+            if tag in _LABEL_TAGS:
+                self._labels.append(Label(stripped.strip(), start, end))
+
     def handle_endtag(self, tag):
         for index in range(len(self._open) - 1, -1, -1):
-            open_tag, kind, start = self._open[index]
-            if open_tag != tag:
-                continue
-            del self._open[index]
-            text = "".join(self._parts)[start : self._length]
-            stripped = text.rstrip()
-            end = start + len(stripped)
-            start += len(stripped) - len(stripped.lstrip())
-            if end > start:
-                if kind is not None:
-                    self._regions.setdefault(kind, []).append((start, end))
-                if tag in _LABEL_TAGS:
-                    self._labels.append(Label(stripped.strip(), start, end))
-            break
+            if self._open[index][0] == tag:
+                self._close(index)
+                break
         if tag in _BLOCK_TAGS:
             self._ensure_newline()
 

@@ -85,6 +85,20 @@ class TestLabels:
         offset = doc.text.index("Jane")
         assert doc.preceding_label(offset).text == "Panels"
 
+    def test_heading_inside_heading_closes_it(self):
+        doc = parse_html("d", "<h2>Outer <h3>Inner</h3> tail</h2>")
+        assert [(l.text, doc.text[l.start : l.end]) for l in doc.labels] == [
+            ("Outer", "Outer"),
+            ("Inner", "Inner"),
+        ]
+
+    def test_nested_headings_take_linear_memory(self):
+        """Two thousand nested headings over one text: labels never
+        nest, so their texts add up to no more than the document's."""
+        doc = parse_html("d", "<h2>" * 2000 + "x" * 20000 + "</h2>" * 2000)
+        assert sum(len(l.text) for l in doc.labels) <= len(doc.text)
+        assert [l.text for l in doc.labels] == ["x" * 20000]
+
 
 class TestScannerRules:
     """The scanner's rules (module docstring) on edge cases, several of
